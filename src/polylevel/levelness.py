@@ -21,8 +21,12 @@ of reduced degree r >= 2 at level N > r yields one of reduced degree
 exactly r at level r: split off an interior summand a0 of r*P; were a0 =
 b0 + b' with b0 interior to s*P, s < r, then a itself would split at s.
 So the maximum is realized at level N = r <= n - 1, and scanning dilation
-levels 2..max(2, n-1) decides levelness.  The bound is overridable for
-exploratory runs and recorded in reports.
+levels 2..max(2, n-1) decides levelness.  The argument splits off an
+interior summand, so it assumes a nonempty interior of P; with an empty
+interior the scan still stops at the same default level, and the int*
+degree it reports may fall short of the true one (a known gap, kept as
+it is).  The bound is overridable for exploratory runs and recorded in
+reports.
 
 Split tests in closed form.  A candidate summand a0 for a at level N and
 degree r is constrained per coordinate to the window
@@ -37,11 +41,44 @@ run over aggregate coordinates only, with suffix tables of the two
 achievable extremes.  Nested (laminar) families use an exact interval
 propagation instead; anything else falls back to an explicit depth-first
 search per point.
+
+Degree histogram by block and twin orbit.  With an empty interior of P
+no point of any dilate splits at r = 1, so every interior point has
+degree >= 2 and belongs to the degree table.  Those hulls are scanned as
+an exact histogram {(N, r): count} instead of point by point, on two
+arguments that hold for every facet system of this form:
+
+* Product separability.  The blocks are the connected components of the
+  aggregate facet supports.  Every facet lives in one block, so P is the
+  product of its block polytopes, the interior of N*P is the product of
+  the block interiors, and the summand window at (N, r) constrains each
+  block separately.  A point therefore splits at r exactly when each of
+  its block parts does: its set of feasible r is the intersection of the
+  block sets, and the histogram of a level is the product over blocks of
+  their histograms of feasible-r bitmasks, intersected.
+* Twin symmetry.  Twins are coordinates with the same singleton bound and
+  the same aggregate memberships.  Swapping two twins maps P onto itself,
+  hence every dilate's interior and every split onto themselves, so a
+  point has the degree of its sorted twin classes.  Each block is
+  enumerated one representative per orbit (nondecreasing within each
+  twin class) and the representative counts for its distinct
+  permutations.
+
+No monotonicity in r is assumed.  A degree r is tested only when r*P has
+an interior point (the all-ones point is the least candidate), since a
+split at r needs one.  The report's table is a lazy view of the
+histogram: its length is a sum of counts, a lookup reads the block
+representatives' bitmasks, and points are listed only when iterated;
+`table_cap` bounds the representatives the scan holds.  Hulls with a
+nonempty interior keep the point-by-point scan of failing points, which
+are few there, and `table_cap` bounds the points that scan holds.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import BudgetExceededError
 from .lattice import (
@@ -185,9 +222,8 @@ def _split_feasible_laminar(st: _Structure, a: ExponentVector, N: int, r: int) -
     return True
 
 
-def _split_exists_dfs(P: HPolytope, a: ExponentVector, N: int, r: int) -> bool:
+def _split_exists_dfs(st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
     """Split-existence by depth-first search; valid for any facet structure."""
-    st = _structure(P)
     n = st.n
     windows = []
     for i in range(n):
@@ -231,12 +267,12 @@ def _split_exists_dfs(P: HPolytope, a: ExponentVector, N: int, r: int) -> bool:
     return rec(0, [0] * len(aggs))
 
 
-def _split_exists(P: HPolytope, st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
+def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
     if st.disjoint:
         return _split_feasible_disjoint(st, a, N, r)
     if st.laminar:
         return _split_feasible_laminar(st, a, N, r)
-    return _split_exists_dfs(P, a, N, r)
+    return _split_exists_dfs(st, a, N, r)
 
 
 def reduced_degree(P: HPolytope, a, N: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -246,7 +282,7 @@ def reduced_degree(P: HPolytope, a, N: int, budget: int = DEFAULT_NODE_BUDGET) -
         raise ValueError(f"{a} is not an interior lattice point of the {N}-fold dilate")
     st = _structure(P)
     for r in range(1, N + 1):
-        if _split_exists(P, st, a, N, r):
+        if _split_exists(st, a, N, r):
             return r
     raise RuntimeError("unreachable: r = N always splits")  # pragma: no cover
 
@@ -300,8 +336,8 @@ class _FailScanner:
     reach any aggregate's threshold are pruned via the suffix tables.
     """
 
-    def __init__(self, P: HPolytope, st: _Structure, N: int, budget: int):
-        self.P, self.st, self.N, self.budget = P, st, N, budget
+    def __init__(self, st: _Structure, N: int, budget: int):
+        self.st, self.N, self.budget = st, N, budget
         self.n = st.n
         self.aggs = []
         for A, t in st.aggs:
@@ -361,7 +397,7 @@ class _FailScanner:
                     collect.append(a)
                     if cap is not None and len(collect) > cap:
                         raise BudgetExceededError(
-                            f"more than {cap} points without degree-1 split"
+                            f"more than table_cap = {cap} points without degree-1 split"
                         )
                 if not first:
                     first.append(a)
@@ -398,82 +434,305 @@ class _FailScanner:
 
 
 def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int,
-                  interior1_empty: bool, collect: list | None, cap: int | None):
-    """First (or all) interior points of N*P without a degree-1 split."""
-    if st.disjoint and not interior1_empty:
-        scanner = _FailScanner(P, st, N, budget)
-        return scanner.scan(collect, cap)
+                  collect: list | None, cap: int | None):
+    """First (or all) interior points of N*P without a degree-1 split.
+
+    Needs a nonempty interior of P; otherwise every point fails, and the
+    degree scan takes the histogram path instead.
+    """
+    if st.disjoint:
+        return _FailScanner(st, N, budget).scan(collect, cap)
     # fallback: plain interior enumeration with a per-point search
     first = None
     for a in iter_lattice_points(P, N, "interior", budget=budget):
-        if interior1_empty or not _split_exists(P, st, a, N, 1):
+        if not _split_exists(st, a, N, 1):
             if first is None:
                 first = a
             if collect is None:
                 return first
             collect.append(a)
             if cap is not None and len(collect) > cap:
-                raise BudgetExceededError(f"more than {cap} points without degree-1 split")
+                raise BudgetExceededError(
+                    f"more than table_cap = {cap} points without degree-1 split"
+                )
     return first
 
 
+# --- degree histogram by block and twin orbit -----------------------------
+
+def _blocks(P: HPolytope) -> list[tuple[int, ...]]:
+    """Connected components of the aggregate facet supports, least member
+    first; a coordinate in no aggregate is a block of its own."""
+    root = list(range(P.n + 1))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for A, _t in P.upper_facets:
+        for i in A[1:]:
+            root[find(i)] = find(A[0])
+    groups: dict[int, list[int]] = {}
+    for i in range(1, P.n + 1):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(g) for g in groups.values()]
+
+
+def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
+    """The block polytope: the facets supported in `members`, renumbered 1.."""
+    local = {v: k for k, v in enumerate(members, 1)}
+    return HPolytope(len(members), tuple(
+        (tuple(local[i] for i in A), t) for A, t in P.upper_facets if A[0] in local
+    ))
+
+
+class _OrbitScan:
+    """Interior points of the dilates of one block Q, one per twin orbit.
+
+    Twins are coordinates with the same singleton bound and the same
+    aggregate memberships.  Coordinates are visited class by class, each
+    class nondecreasing, and a representative is weighted by the number of
+    distinct permutations of its values within the classes.  Per scanned
+    level N, `masks[N]` maps each representative to its feasible split
+    degrees (bit r-1 for r; only the least one when `full` is false) and
+    `hists[N]` sums the weights per mask.
+    """
+
+    def __init__(self, Q: HPolytope, full: bool):
+        st = self.st = _structure(Q)
+        self.full = full
+        classes: dict = {}
+        for i in range(st.n):
+            sig = (st.u[i], tuple(k for k, (A, _) in enumerate(st.aggs) if i + 1 in A))
+            classes.setdefault(sig, []).append(i)
+        self.classes = list(classes.values())
+        self.order = [i for c in self.classes for i in c]
+        # per visiting position: rank within its class, twins still to come,
+        # and per aggregate through it the other members still to come
+        self.rank, self.same_later, self.aggs_at = [], [], []
+        for c in self.classes:
+            for j, i in enumerate(c):
+                self.rank.append(j)
+                self.same_later.append(len(c) - 1 - j)
+                p = len(self.aggs_at)
+                later = set(self.order[p + 1:]) - set(c)
+                self.aggs_at.append(tuple(
+                    (k, sum(1 for m in A if m - 1 in later))
+                    for k, (A, _) in enumerate(st.aggs) if i + 1 in A
+                ))
+        self.masks: dict[int, dict[ExponentVector, int]] = {}
+        self.hists: dict[int, dict[int, int]] = {}
+
+    def key(self, values) -> ExponentVector:
+        """The representative of a block point: values sorted within each class."""
+        rep = list(values)
+        for c in self.classes:
+            for i, v in zip(c, sorted(values[i] for i in c)):
+                rep[i] = v
+        return tuple(rep)
+
+    def scan_level(self, N: int, tests: tuple[int, ...], budget: int, held: int,
+                   table_cap: int) -> int:
+        """Fill masks[N] and hists[N], testing the split degrees `tests`;
+        returns the representatives held.
+
+        `held` representatives are already held elsewhere, and the total
+        may not exceed `table_cap`.
+        """
+        st, order, full = self.st, self.order, self.full
+        m = len(order)
+        caps = [None if u is None else N * u - 1 for u in st.u]
+        limits = [N * t - 1 for _A, t in st.aggs]
+        top = 1 << (N - 1)                 # r = N always splits
+        point = [0] * st.n
+        used = [0] * len(st.aggs)
+        masks: dict[ExponentVector, int] = {}
+        hist: dict[int, int] = {}
+        nodes = 0
+
+        def rec(p: int, lo: int, weight: int, run: int) -> None:
+            nonlocal nodes
+            if p == m:
+                a = tuple(point)
+                mask = top
+                for r in tests:
+                    if _split_exists(st, a, N, r):
+                        mask |= 1 << (r - 1)
+                        if not full:
+                            break
+                masks[a] = mask
+                hist[mask] = hist.get(mask, 0) + weight
+                if held + len(masks) > table_cap:
+                    raise BudgetExceededError(
+                        f"more than table_cap = {table_cap} orbit representatives held"
+                    )
+                return
+            i = order[p]
+            hi = caps[i]
+            for k, other in self.aggs_at[p]:
+                b = (limits[k] - used[k] - other) // (1 + self.same_later[p])
+                hi = b if hi is None else min(hi, b)
+            first = self.rank[p] == 0
+            for v in range(lo, hi + 1):
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceededError(f"orbit scan exceeded {budget} nodes")
+                point[i] = v
+                for k, _ in self.aggs_at[p]:
+                    used[k] += v
+                # equal values sit at the end of the class: grow the multinomial
+                run_v = run + 1 if not first and v == lo else 1
+                w = weight * (self.rank[p] + 1) // run_v
+                rec(p + 1, v if self.same_later[p] else 1, w, run_v)
+                for k, _ in self.aggs_at[p]:
+                    used[k] -= v
+
+        rec(0, 1, 1, 0)
+        self.masks[N], self.hists[N] = masks, hist
+        return len(masks)
+
+
+def _degree_histogram(P: HPolytope, levels, budget: int, table_cap: int):
+    """Exact {(N, r): count} of reduced degrees over the interior of N*P.
+
+    Returns the histogram and the (members, scan) pair of every block.
+    Identical block polytopes share one scan.
+    """
+    blocks = _blocks(P)
+    scans: dict = {}
+    parts = []
+    for members in blocks:
+        Q = _restrict(P, members)
+        if Q.upper_facets not in scans:
+            scans[Q.upper_facets] = _OrbitScan(Q, full=len(blocks) > 1)
+        parts.append((members, scans[Q.upper_facets]))
+    hist: dict[tuple[int, int], int] = {}
+    held = 0
+    for N in levels:
+        # a split at r needs an interior point of r*P; the least candidate,
+        # the all-ones point, settles whether there is one
+        tests = tuple(r for r in range(1, N)
+                      if all(len(A) <= r * t - 1 for A, t in P.upper_facets))
+        combined = {(1 << N) - 1: 1}
+        for _members, scan in parts:
+            if N not in scan.hists:
+                held += scan.scan_level(N, tests, budget, held, table_cap)
+            nxt: dict[int, int] = {}
+            for m1, c1 in combined.items():
+                for m2, c2 in scan.hists[N].items():
+                    nxt[m1 & m2] = nxt.get(m1 & m2, 0) + c1 * c2
+            combined = nxt
+            if not combined:  # a block without interior points at this level
+                break
+        for mask, count in combined.items():
+            key = (N, (mask & -mask).bit_length())
+            hist[key] = hist.get(key, 0) + count
+    return hist, parts
+
+
+class _DegreeTable(Mapping):
+    """Read-only view (N, point) -> reduced degree >= 2 of a histogram scan.
+
+    Its length comes from the histogram; a lookup reads the block
+    representatives, and points are listed only when iterated.
+    """
+
+    def __init__(self, P: HPolytope, levels, parts, hist, budget: int):
+        self._P, self._levels, self._parts, self._budget = P, levels, parts, budget
+        self._len = sum(c for (_N, r), c in hist.items() if r >= 2)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _degree(self, N: int, a: ExponentVector) -> int:
+        mask = (1 << N) - 1
+        for members, scan in self._parts:
+            mask &= scan.masks[N][scan.key([a[i - 1] for i in members])]
+        return (mask & -mask).bit_length()
+
+    def __getitem__(self, key):
+        try:
+            N, a = key
+            a = tuple(a)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if (N in self._levels and len(a) == self._P.n
+                and membership(self._P, a, N, "interior")):
+            r = self._degree(N, a)
+            if r >= 2:
+                return r
+        raise KeyError(key)
+
+    def __iter__(self):
+        for N in self._levels:
+            for a in iter_lattice_points(self._P, N, "interior", budget=self._budget):
+                if self._degree(N, a) >= 2:
+                    yield (N, a)
+
+
 def level_star(P: HPolytope, max_level: int | None = None,
-               budget: int = DEFAULT_NODE_BUDGET):
+               budget: int = DEFAULT_NODE_BUDGET, *, _interior1: int | None = None):
     """Decide level*; returns (verdict, witness) with the lex-least failing
     (N, point) on the negative side, or (False, None) for empty interior."""
     if max_level is not None and max_level < 2:
         raise ValueError("max_level must be at least 2")
-    if count_lattice_points(P, 1, "interior", budget=budget) == 0:
+    if _interior1 is None:
+        _interior1 = count_lattice_points(P, 1, "interior", budget=budget)
+    if _interior1 == 0:
         return False, None
     st = _structure(P)
     top = max_level if max_level is not None else max(2, P.n - 1)
     for N in range(2, top + 1):
-        w = _iter_failing(P, st, N, budget, interior1_empty=False,
-                          collect=None, cap=None)
+        w = _iter_failing(P, st, N, budget, collect=None, cap=None)
         if w is not None:
             return False, (N, w)
     return True, None
 
 
 def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
-                  table_cap: int):
-    """Reduced degrees over all scanned dilation levels.
+                  table_cap: int, interior1: int | None = None):
+    """Reduced degrees over the scanned dilation levels 2..top.
 
-    Returns (max_degree, table, saw_interior) where table maps (N, point)
-    to the reduced degree for every scanned point of degree >= 2
-    (degree-1 points are the generic case and are left implicit).
+    Returns (max_degree, table, degrees).  `table` maps (N, point) to the
+    reduced degree for every scanned point of degree >= 2 (degree-1 points
+    are the generic case and are left implicit) and `degrees` is the set of
+    those degrees.  `max_degree` is None when no scanned dilate, level 1
+    included, has an interior point.
     """
     if max_level is not None and max_level < 1:
         raise ValueError("max_level must be at least 1")
+    levels = range(2, (max_level if max_level is not None else max(1, P.n - 1)) + 1)
+    if interior1 is None:
+        interior1 = count_lattice_points(P, 1, "interior", budget=budget)
+    if interior1 == 0:
+        # no point of any dilate splits at r = 1, so every interior point
+        # has degree >= 2: count them by block and twin orbit
+        hist, parts = _degree_histogram(P, levels, budget, table_cap)
+        degrees = {r for _N, r in hist if r >= 2}
+        table = _DegreeTable(P, levels, parts, hist, budget)
+        return max((r for _N, r in hist), default=None), table, degrees
     st = _structure(P)
-    top = max_level if max_level is not None else max(1, P.n - 1)
-    interior1 = count_lattice_points(P, 1, "interior", budget=budget)
-    saw_interior = interior1 > 0
-    max_degree = 1 if saw_interior else 0
-    table: dict[tuple[int, ExponentVector], int] = {}
-    for N in range(2, top + 1):
-        if not saw_interior and count_lattice_points(P, N, "interior", budget=budget) > 0:
-            saw_interior = True
-            # interior of P itself is empty: no point at this level splits at r=1
+    found: dict[tuple[int, ExponentVector], int] = {}
+    for N in levels:
         failing: list = []
-        _iter_failing(P, st, N, budget, interior1_empty=(interior1 == 0),
-                      collect=failing, cap=table_cap)
+        _iter_failing(P, st, N, budget, collect=failing, cap=table_cap)
         for a in failing:
             r = 2
-            while not _split_exists(P, st, a, N, r):
+            while not _split_exists(st, a, N, r):
                 r += 1
-            table[(N, a)] = r
-            if r > max_degree:
-                max_degree = r
-    return (max_degree if saw_interior or table else None), table, saw_interior
+            found[(N, a)] = r
+    degrees = set(found.values())
+    return max(degrees, default=1), MappingProxyType(found), degrees
 
 
 def int_star_degree(P: HPolytope, max_level: int | None = None,
                     budget: int = DEFAULT_NODE_BUDGET,
                     table_cap: int = DEFAULT_TABLE_CAP) -> int:
     """Largest reduced degree over dilation levels 1..max(1, n-1)."""
-    max_degree, _table, saw_interior = _scan_degrees(P, max_level, budget, table_cap)
-    if not saw_interior:
+    max_degree, _table, _degrees = _scan_degrees(P, max_level, budget, table_cap)
+    if max_degree is None:
         top = max_level if max_level is not None else max(1, P.n - 1)
         raise ValueError(f"empty interior: no dilate up to level {top} has interior points")
     return max_degree
@@ -483,21 +742,22 @@ def conjecture_spectrum(P: HPolytope, max_level: int | None = None,
                         budget: int = DEFAULT_NODE_BUDGET,
                         table_cap: int = DEFAULT_TABLE_CAP) -> bool:
     """With d the int* degree: is every degree 1 <= i < d realized in the scan?"""
-    max_degree, table, saw_interior = _scan_degrees(P, max_level, budget, table_cap)
-    if not saw_interior:
+    max_degree, _table, degrees = _scan_degrees(P, max_level, budget, table_cap)
+    if max_degree is None:
         raise ValueError("empty interior: spectrum undefined")
-    realized = {1} | set(table.values())
-    return all(i in realized for i in range(1, max_degree))
+    return all(i in degrees for i in range(2, max_degree))
 
 
 @dataclass(frozen=True)
 class LevelnessReport:
     """Verdicts and witnesses for one polytope.
 
-    `reduced_degree_table` lists the scanned points of reduced degree at
-    least 2; degree-1 points are ubiquitous and left implicit.
-    `failure_witness` carries (level, point, explanation) when level* fails
-    with a witness; an empty interior fails without one.
+    `reduced_degree_table` is a read-only mapping of the scanned points of
+    reduced degree at least 2 to their degree; degree-1 points are
+    ubiquitous and left implicit.  With an empty interior it is a lazy view
+    of the degree histogram.  `failure_witness` carries (level, point,
+    explanation) when level* fails with a witness; an empty interior fails
+    without one.
     """
 
     n: int
@@ -507,7 +767,7 @@ class LevelnessReport:
     reflexive_up_to_translation: bool | None
     int_star_degree: int | None
     failure_witness: tuple[int, ExponentVector, str] | None
-    reduced_degree_table: dict[tuple[int, ExponentVector], int]
+    reduced_degree_table: Mapping[tuple[int, ExponentVector], int]
     conjecture_spectrum_holds: bool | None
     scan_bound: int
 
@@ -520,15 +780,12 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
     reflexive = reflexive_up_to_translation(P, budget=budget) if pg else None
-    level, witness = level_star(P, max_level=max_level, budget=budget)
+    level, witness = level_star(P, max_level=max_level, budget=budget, _interior1=interior1)
     if witness is not None:  # an empty interior fails without a pointwise witness
         witness = (witness[0], witness[1],
                    f"no interior summand of the base polytope splits off at level {witness[0]}")
-    max_degree, table, saw_interior = _scan_degrees(P, max_level, budget, table_cap)
-    if saw_interior:
-        spectrum = all(i in ({1} | set(table.values())) for i in range(1, max_degree))
-    else:
-        max_degree, spectrum = None, None
+    max_degree, table, degrees = _scan_degrees(P, max_level, budget, table_cap, interior1)
+    spectrum = None if max_degree is None else all(i in degrees for i in range(2, max_degree))
     return LevelnessReport(
         n=P.n,
         interior_count_1=interior1,

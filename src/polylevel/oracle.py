@@ -187,3 +187,25 @@ def brute_count(P: HPolytope, N: int, interior: bool = False) -> int:
     if N == 0:
         return 0 if interior else 1
     return len(_box_points(P, N, interior))
+
+
+def brute_reduced_degree(P: HPolytope, a, N: int) -> int:
+    """Least r with a = a0 + a', a0 interior to r*P and a' in (N-r)*P.
+
+    Flat search: for each r, every lattice point 1 <= a0 <= a that is
+    interior to r*P, then a membership test of a - a0 in the (N-r)-fold
+    dilate.
+    """
+    a = tuple(a)
+    if any(v < 1 for v in a) or any(
+        sum(a[i - 1] for i in A) > N * t - 1 for A, t in P.upper_facets
+    ):
+        raise ValueError(f"{a} is not an interior lattice point of the {N}-fold dilate")
+    for r in range(1, N + 1):
+        for a0 in itertools.product(*(range(1, v + 1) for v in a)):
+            if any(sum(a0[i - 1] for i in A) > r * t - 1 for A, t in P.upper_facets):
+                continue
+            q = tuple(ai - bi for ai, bi in zip(a, a0))
+            if all(sum(q[i - 1] for i in A) <= (N - r) * t for A, t in P.upper_facets):
+                return r
+    raise RuntimeError("unreachable: r = N always splits")  # pragma: no cover

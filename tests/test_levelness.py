@@ -1,14 +1,28 @@
+import itertools
+import random
+from collections import Counter
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.levelness import (
+    DEFAULT_TABLE_CAP,
+    _blocks,
+    _degree_histogram,
     _iter_failing,
+    _restrict,
     _split_exists_dfs,
     _split_feasible_laminar,
     _structure,
 )
-from polylevel.oracle import brute_level_star
+from polylevel.oracle import (
+    brute_interior_points,
+    brute_level_star,
+    brute_reduced_degree,
+)
 
 from conftest import graph_and_bounds
 
@@ -122,10 +136,9 @@ def test_fail_scan_on_two_disjoint_aggregates():
     assert [A for A, _ in st.aggs] == [(3, 4), (5, 6)] and st.disjoint
     for N in (2, 3):
         got = []
-        _iter_failing(P, st, N, 10**8, interior1_empty=False,
-                      collect=got, cap=None)
+        _iter_failing(P, st, N, 10**8, collect=got, cap=None)
         naive = [a for a in pl.lattice_points(P, N, "interior")
-                 if not _split_exists_dfs(P, a, N, 1)]
+                 if not _split_exists_dfs(st, a, N, 1)]
         assert got == naive
 
 
@@ -140,10 +153,9 @@ def test_fail_scan_matches_naive(gc):
         return
     for N in (2, 3):
         collected = []
-        _iter_failing(P, st, N, 10**8, interior1_empty=False,
-                      collect=collected, cap=None)
+        _iter_failing(P, st, N, 10**8, collect=collected, cap=None)
         naive = [a for a in pl.lattice_points(P, N, "interior")
-                 if not _split_exists_dfs(P, a, N, 1)]
+                 if not _split_exists_dfs(st, a, N, 1)]
         assert collected == naive
 
 
@@ -157,11 +169,11 @@ def test_split_paths_agree(gc):
     for N in (2, 3):
         for a in pl.lattice_points(P, N, "interior")[:15]:
             for r in range(1, N + 1):
-                dfs = _split_exists_dfs(P, a, N, r)
+                dfs = _split_exists_dfs(st, a, N, r)
                 if st.disjoint or st.laminar:
                     assert _split_feasible_laminar(st, a, N, r) == dfs
                 from polylevel.levelness import _split_exists
-                assert _split_exists(P, st, a, N, r) == dfs
+                assert _split_exists(st, a, N, r) == dfs
 
 
 def test_analyze_report(k34_hull):
@@ -191,3 +203,123 @@ def test_scan_bound_override(veronese_5333):
     assert pl.int_star_degree(veronese_5333, max_level=3) == 3
     rep = pl.analyze_polytope(veronese_5333, max_level=2)
     assert rep.scan_bound == 2
+
+
+# --- degree histogram by block and twin orbit ------------------------------
+
+def _shuffled_product(draw, blocks):
+    """HPolytope of the product of (size, facets) blocks, with the
+    coordinates of all blocks shuffled together."""
+    n = sum(size for size, _ in blocks)
+    perm = draw(st.permutations(range(1, n + 1)))
+    upper, offset = [], 0
+    for size, facets in draw(st.permutations(blocks)):
+        for A, t in facets:
+            upper.append((tuple(sorted(perm[offset + i] for i in A)), t))
+        offset += size
+    return pl.HPolytope(n, tuple(upper))
+
+
+@st.composite
+def block_products(draw):
+    """Two small blocks; P has an empty interior.
+
+    One block holds two twins (one singleton bound, one aggregate over
+    them), optionally with a third member under a second aggregate over
+    all three; the other is a non-laminar pair of crossing aggregates
+    {x, y}, {y, z} with bounds too small for an interior point.
+    """
+    u = draw(st.integers(1, 2))
+    twins = [((0,), u), ((1,), u), ((0, 1), draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        twins += [((2,), draw(st.integers(1, 3))), ((0, 1, 2), draw(st.integers(1, 5)))]
+    cross = [((0, 1), draw(st.integers(1, 2))), ((1, 2), draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        cross.append(((1,), draw(st.integers(1, 3))))
+    return _shuffled_product(draw, [(2 + (len(twins) > 3), twins), (3, cross)])
+
+
+@st.composite
+def interior_products(draw):
+    """A twin block with a third member, whose points reach degree 2, times
+    a capped coordinate, whose points all have degree 1; the interior is
+    nonempty."""
+    u = draw(st.integers(2, 3))
+    twins = [((0,), u), ((1,), u), ((0, 1), draw(st.integers(4, 5))),
+             ((2,), draw(st.integers(2, 3))), ((0, 1, 2), draw(st.integers(4, 5)))]
+    box = [((0,), draw(st.integers(2, 3)))]
+    return _shuffled_product(draw, [(3, twins), (1, box)])
+
+
+def _flat_histogram(P, levels):
+    return dict(Counter((N, brute_reduced_degree(P, a, N))
+                        for N in levels for a in brute_interior_points(P, N)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(block_products())
+def test_degree_histogram_matches_flat_oracle(P):
+    """Histogram by block and twin orbit vs the flat per-point oracle."""
+    assert len(_blocks(P)) >= 2
+    assert not _structure(P).laminar
+    hist, _parts = _degree_histogram(P, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
+    assert hist == _flat_histogram(P, range(1, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(interior_products())
+def test_degree_histogram_with_interior_matches_flat_oracle(P):
+    """Nonempty interior: every degree is tested, the block sets intersect."""
+    assert pl.count_lattice_points(P, 1, "interior") > 0
+    hist, _parts = _degree_histogram(P, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
+    assert hist == _flat_histogram(P, range(1, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(block_products())
+def test_degree_histogram_single_block(P):
+    """One block alone: the histogram keeps only the least feasible degree."""
+    Q = _restrict(P, _blocks(P)[0])
+    hist, _parts = _degree_histogram(Q, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
+    assert hist == _flat_histogram(Q, range(1, 4))
+
+
+def test_twin_permutation_keeps_reduced_degree(veronese_5333):
+    """Coordinates 2, 3, 4 share bound 3 and the aggregate: twins."""
+    for N in (2, 3):
+        for a in pl.lattice_points(veronese_5333, N, "interior"):
+            r = pl.reduced_degree(veronese_5333, a, N)
+            for perm in itertools.permutations(a[1:]):
+                assert pl.reduced_degree(veronese_5333, (a[0],) + perm, N) == r
+
+
+def test_table_cap_not_hit_by_empty_interior_hull():
+    """Six vertices, c_i <= 3: the point-by-point table once passed the cap.
+
+    The interior is empty, so every interior point of levels 2..5 has
+    reduced degree >= 2 and belongs to the table.
+    """
+    G = pl.graph(6, [(1, 2), (1, 3), (2, 3), (2, 5), (2, 6), (3, 4), (3, 6)])
+    P = pl.facets(pl.enumerate_bases(G, (1, 3, 3, 3, 3, 3)))
+    rep = pl.analyze_polytope(P)
+    table = rep.reduced_degree_table
+    assert rep.interior_count_1 == 0 and rep.int_star_degree == 2
+    assert isinstance(table, Mapping) and not hasattr(table, "__setitem__")
+    total = sum(pl.count_lattice_points(P, N, "interior") for N in range(2, 6))
+    assert len(table) == total > DEFAULT_TABLE_CAP
+    for (N, a), r in itertools.islice(table.items(), 40):
+        assert N == 2 and pl.reduced_degree(P, a, N) == r
+    rng = random.Random(0)
+    hits = 0
+    for _ in range(400):
+        N = rng.randint(2, 5)
+        a = tuple(rng.randint(1, 3 * N - 1) for _ in range(6))
+        if pl.membership(P, a, N, "interior"):
+            hits += 1
+            assert table[(N, a)] == pl.reduced_degree(P, a, N)
+        else:
+            assert (N, a) not in table
+    assert hits > 20
+    assert (6, (1,) * 6) not in table  # beyond the scanned levels
+    with pytest.raises(pl.BudgetExceededError, match="table_cap"):
+        pl.analyze_polytope(P, table_cap=1000)

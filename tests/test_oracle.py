@@ -10,6 +10,7 @@ from polylevel.oracle import (
     brute_count,
     brute_interior_points,
     brute_level_star,
+    brute_reduced_degree,
     brute_volume,
 )
 
@@ -78,3 +79,12 @@ def test_brute_interior_and_count(k34_hull):
     assert brute_count(k34_hull, 0) == 1
     assert brute_count(k34_hull, 0, interior=True) == 0
     assert brute_count(k34_hull, 1) == pl.count_lattice_points(k34_hull, 1)
+
+
+def test_brute_reduced_degree_examples():
+    Q = pl.veronese_polytope(pl.VeroneseSpec(n=4, a=6, c=(5, 3, 3, 3)))
+    assert brute_reduced_degree(Q, (8, 1, 1, 1), 2) == 2
+    assert brute_reduced_degree(Q, (14, 1, 1, 1), 3) == 3
+    assert brute_reduced_degree(Q, (2, 1, 1, 1), 2) == 1
+    with pytest.raises(ValueError, match="interior"):
+        brute_reduced_degree(Q, (9, 1, 1, 1), 2)   # on the boundary sum
