@@ -15,7 +15,6 @@ intentionally naive oracle as the independent referee.
 from .bounded import (
     BasisSet,
     delta_c,
-    delta_c_maxflow,
     divisor_set,
     enumerate_bases,
     realize_degree_sequence,
@@ -100,7 +99,6 @@ __all__ = [
     "count_lattice_points",
     "cycle",
     "delta_c",
-    "delta_c_maxflow",
     "delta_vector",
     "dilation_containment",
     "divisor_set",

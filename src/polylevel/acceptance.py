@@ -401,14 +401,6 @@ CRITERIA: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_criterion(ident: str) -> CriterionResult:
-    for cid, desc, fn in CRITERIA:
-        if cid == ident:
-            ok, detail = fn()
-            return CriterionResult(cid, desc, ok, detail)
-    raise ValueError(f"unknown criterion {ident!r}")
-
-
 def run_suite(report=print) -> list[CriterionResult]:
     results = []
     for cid, desc, fn in CRITERIA:

@@ -103,65 +103,6 @@ def delta_c(G: Graph, c) -> int:
     return best
 
 
-def _two_coloring(G: Graph) -> tuple[list[int], list[int]] | None:
-    """A bipartition of the vertices, or None if G has an odd cycle."""
-    adj = G.adjacency()
-    color = {}
-    for start in range(1, G.n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    left = [v for v in range(1, G.n + 1) if color[v] == 0]
-    right = [v for v in range(1, G.n + 1) if color[v] == 1]
-    return left, right
-
-
-def delta_c_maxflow(G: Graph, c) -> int:
-    """Bipartite fast path for delta_c via integer max-flow.
-
-    Raises ValueError on non-bipartite input.  Kept as an independent
-    cross-check of the branch-and-bound path; the test suite asserts
-    agreement.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import maximum_flow
-
-    c = _check_bounds(G, c)
-    coloring = _two_coloring(G)
-    if coloring is None:
-        raise ValueError("graph is not bipartite")
-    left, right = coloring
-    # nodes: 0 = source, 1..n = vertices, n+1 = sink
-    n = G.n
-    source, sink = 0, n + 1
-    rows, cols, caps = [], [], []
-    for v in left:
-        rows.append(source)
-        cols.append(v)
-        caps.append(c[v - 1])
-    for v in right:
-        rows.append(v)
-        cols.append(sink)
-        caps.append(c[v - 1])
-    leftset = set(left)
-    for i, j in G.edge_list():
-        u, w = (i, j) if i in leftset else (j, i)
-        rows.append(u)
-        cols.append(w)
-        caps.append(min(c[u - 1], c[w - 1]))
-    mat = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
-    return int(maximum_flow(mat, source, sink).flow_value)
-
-
 def realize_degree_sequence(G: Graph, a, q: int, return_witness: bool = False):
     """Decide whether `a` is the degree vector of a q-edge multiset of G.
 

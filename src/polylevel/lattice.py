@@ -8,11 +8,18 @@ full-dimensional polytope a valid inequality can be tight only on a proper
 face, and redundant inequalities are tight somewhere too, so they never
 exclude a true interior point).
 
+`_structure` is the one place where a facet system is split into
+per-coordinate caps (the singleton facets) and aggregate facets (|A| >= 2),
+with the aggregates through each coordinate, the product blocks and the
+laminar forest; it is cached per polytope, and counting, enumeration and
+the splitting scans of `levelness` all read it.  Only per-point checks
+(`membership`, `_greedy_summand`, the reflexivity slack test) and the
+naive `oracle` read the facets directly.
+
 Counting uses a coordinate-by-coordinate dynamic program whose state is
-the vector of partial sums of the aggregate facets (|A| >= 2); singleton
-facets fold into per-coordinate caps.  Enumeration is plain recursive
-descent with partial-sum pruning, adequate at desk scale; both paths use
-exact Python integers throughout.
+the vector of partial sums of the aggregate facets.  Enumeration is plain
+recursive descent with partial-sum pruning, adequate at desk scale; both
+paths use exact Python integers throughout.
 
 The Ehrhart counts i(P, N) for N = 0..n determine the delta vector
 
@@ -25,7 +32,9 @@ the coefficient vector of (1 - lambda)^{n+1} times the Ehrhart series.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import BudgetExceededError
@@ -57,56 +66,112 @@ def _check_region(region: str) -> None:
         raise ValueError(f"region must be 'full' or 'interior', got {region!r}")
 
 
-def _facet_tables(P: HPolytope, N: int, region: str):
-    """Per-coordinate caps from singleton facets and aggregate facet data.
+@dataclass(frozen=True)
+class _Structure:
+    """The facet system split into singleton caps and aggregate facets.
 
-    Returns (lo, caps, aggs) where caps[i] is the tightest scaled singleton
-    bound on coordinate i+1 (or None) and aggs is a list of
-    (members, limit, after) with after[i] = number of members > i+1.
+    `after[k][i]` counts the members of aggregate k above coordinate i+1.
+    Blocks are the connected components of the aggregate supports, least
+    member first; a coordinate in no aggregate is a block of its own.  When
+    the aggregates form a laminar family (pairwise disjoint or nested),
+    `forest` holds per aggregate its child aggregates and `own` the member
+    coordinates not covered by a child; aggregates are sorted by (size,
+    members), so children come first.
     """
-    lo = 0 if region == "full" else 1
-    slack = 0 if region == "full" else 1
-    caps: list[int | None] = [None] * P.n
+
+    n: int
+    u: tuple[int | None, ...]              # tightest singleton bound per coordinate
+    aggs: tuple[tuple[tuple[int, ...], int], ...]
+    agg_at: tuple[tuple[int, ...], ...]    # per coordinate: aggregates through it
+    after: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, ...], ...]
+    disjoint: bool
+    laminar: bool
+    forest: tuple[tuple[int, ...], ...]
+    own: tuple[tuple[int, ...], ...]
+
+
+# One request counts, enumerates and scans the same hull and its block
+# polytopes many times; the cache lets those calls share one structure.
+# Small on purpose: a request needs the hull and its few distinct block
+# polytopes, and a larger cache would keep earlier requests' structures.
+_STRUCTURE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
+def _structure(P: HPolytope) -> _Structure:
+    n = P.n
+    u: list[int | None] = [None] * n
     aggs = []
     for A, t in P.upper_facets:
-        limit = N * t - slack
         if len(A) == 1:
             i = A[0] - 1
-            if caps[i] is None or limit < caps[i]:
-                caps[i] = limit
+            if u[i] is None or t < u[i]:
+                u[i] = t
         else:
-            after = [0] * (P.n + 1)
-            cnt = 0
-            for i in range(P.n, 0, -1):
-                after[i - 1] = cnt
-                if i in A:
-                    cnt += 1
-            aggs.append((A, limit, after))
-    return lo, caps, aggs
+            aggs.append((A, t))
+    aggs.sort(key=lambda at: (len(at[0]), at[0]))
+    agg_at: list[list[int]] = [[] for _ in range(n)]
+    for k, (A, _t) in enumerate(aggs):
+        for i in A:
+            agg_at[i - 1].append(k)
+    after = tuple(tuple(len(A) - bisect_right(A, i) for i in range(1, n + 1))
+                  for A, _t in aggs)
+    # blocks: label each coordinate by the least coordinate it is joined to
+    label = list(range(1, n + 1))
+    for A, _t in aggs:
+        merged = {label[i - 1] for i in A}
+        least = min(merged)
+        label = [least if x in merged else x for x in label]
+    blocks: dict[int, list[int]] = {}
+    for i, x in enumerate(label, 1):
+        blocks.setdefault(x, []).append(i)
+
+    sets = [frozenset(A) for A, _ in aggs]
+    disjoint = laminar = True
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if sets[i] & sets[j]:
+                disjoint = False
+                if not (sets[i] <= sets[j] or sets[j] <= sets[i]):
+                    laminar = False
+    forest: list[tuple[int, ...]] = [()] * len(aggs)
+    own: list[tuple[int, ...]] = [A for A, _ in aggs]
+    if laminar:
+        children: list[list[int]] = [[] for _ in aggs]
+        for k in range(len(aggs)):
+            # the supersets of a laminar member form a chain, so the first
+            # one in size order is its parent
+            parent = next((m for m in range(k + 1, len(aggs)) if sets[k] < sets[m]), None)
+            if parent is not None:
+                children[parent].append(k)
+        forest = [tuple(ch) for ch in children]
+        own = [tuple(sorted(sets[k].difference(*(sets[ch] for ch in forest[k]))))
+               for k in range(len(aggs))]
+    return _Structure(n=n, u=tuple(u), aggs=tuple(aggs),
+                      agg_at=tuple(map(tuple, agg_at)), after=after,
+                      blocks=tuple(map(tuple, blocks.values())),
+                      disjoint=disjoint, laminar=laminar,
+                      forest=tuple(forest), own=tuple(own))
 
 
 def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
-                        within=None, budget: int = DEFAULT_NODE_BUDGET):
+                        budget: int = DEFAULT_NODE_BUDGET):
     """Yield lattice points of N*P (or its interior) in lex order.
 
-    `within` optionally caps each coordinate (used by split searches).
     Raises BudgetExceededError after more than `budget` visited nodes.
     """
     _check_region(region)
     if N < 1:
         raise ValueError("dilation level must be >= 1")
-    lo, caps, aggs = _facet_tables(P, N, region)
-    if within is not None:
-        within = tuple(within)
-        if len(within) != P.n:
-            raise ValueError("within-box has wrong length")
+    st = _structure(P)
+    lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
+    caps = [None if u is None else N * u - lo for u in st.u]
+    limits = [N * t - lo for _A, t in st.aggs]
+    agg_at, after = st.agg_at, st.after
     n = P.n
     point = [0] * n
-    used = [0] * len(aggs)
-    agg_at = [[] for _ in range(n)]
-    for k, (A, _, _) in enumerate(aggs):
-        for i in A:
-            agg_at[i - 1].append(k)
+    used = [0] * len(limits)
     nodes = 0
 
     def rec(i: int):
@@ -114,13 +179,9 @@ def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
         if i == n:
             yield tuple(point)
             return
-        hi = caps[i] if caps[i] is not None else None
-        if within is not None:
-            w = within[i]
-            hi = w if hi is None else min(hi, w)
+        hi = caps[i]
         for k in agg_at[i]:
-            A, limit, after = aggs[k]
-            room = limit - used[k] - lo * after[i]
+            room = limits[k] - used[k] - lo * after[k][i]
             hi = room if hi is None else min(hi, room)
         if hi is None:  # unreachable: HPolytope validation guarantees coverage
             raise RuntimeError(f"coordinate {i + 1} has no finite bound")
@@ -138,8 +199,8 @@ def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
 
 
 def lattice_points(P: HPolytope, N: int, region: str = "full",
-                   within=None, budget: int = DEFAULT_NODE_BUDGET) -> list[ExponentVector]:
-    return list(iter_lattice_points(P, N, region, within=within, budget=budget))
+                   budget: int = DEFAULT_NODE_BUDGET) -> list[ExponentVector]:
+    return list(iter_lattice_points(P, N, region, budget=budget))
 
 
 def count_lattice_points(P: HPolytope, N: int, region: str = "full",
@@ -150,13 +211,12 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
         raise ValueError("dilation level must be >= 0")
     if N == 0:
         return 1 if region == "full" else 0
-    lo, caps, aggs = _facet_tables(P, N, region)
+    st = _structure(P)
+    lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
+    caps = [None if u is None else N * u - lo for u in st.u]
+    limits = [N * t - lo for _A, t in st.aggs]
+    agg_at, after = st.agg_at, st.after
     n = P.n
-    agg_at = [[] for _ in range(n)]
-    for k, (A, _, _) in enumerate(aggs):
-        for i in A:
-            agg_at[i - 1].append(k)
-    last_member = [max(A) for A, _, _ in aggs]
     memo: dict = {}
     nodes = 0
 
@@ -173,23 +233,20 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
             raise BudgetExceededError(f"counting exceeded {budget} states")
         hi = caps[i]
         for k in agg_at[i]:
-            A, limit, after = aggs[k]
-            room = limit - used[k] - lo * after[i]
+            room = limits[k] - used[k] - lo * after[k][i]
             hi = room if hi is None else min(hi, room)
         total = 0
         for v in range(lo, hi + 1):
             nxt = list(used)
             for k in agg_at[i]:
-                nxt[k] += v
-            # drop finished aggregates from the key for better memo reuse
-            for k in range(len(aggs)):
-                if last_member[k] <= i + 1:
-                    nxt[k] = 0
+                # an aggregate ends at its last member: drop it from the key
+                # for better memo reuse
+                nxt[k] = nxt[k] + v if after[k][i] else 0
             total += rec(i + 1, tuple(nxt))
         memo[key] = total
         return total
 
-    return rec(0, (0,) * len(aggs))
+    return rec(0, (0,) * len(limits))
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,18 @@ an interior point (the all-ones point is the least candidate), since a
 split at r needs one.  The report's table is a lazy view of the
 histogram: its length is a sum of counts, a lookup reads the block
 representatives' bitmasks, and points are listed only when iterated;
-`table_cap` bounds the representatives the scan holds.  Hulls with a
-nonempty interior keep the point-by-point scan of failing points, which
-are few there, and `table_cap` bounds the points that scan holds.
+`table_cap` bounds the representatives the scan holds.
+
+Hulls with a nonempty interior keep the point-by-point scan of failing
+points, and `table_cap` bounds the points it holds.  Failing points need
+not be few there: the K(3,4) hull with c = 2 has 402,116 of them over
+levels 2..6.  That scan stays because it is output-sensitive: with
+disjoint aggregates it prunes every subtree that cannot fail a degree-1
+split, so a level* hull costs about nothing, where a histogram visits
+every interior orbit.  For `level_star` on the 11 level* hulls with
+n = 7 in an eighth of acceptance check A05, a histogram-only scan took
+over 300 times as long as the pruned one, and the whole of A05 about 50
+times as long.
 """
 
 from __future__ import annotations
@@ -81,8 +90,12 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import BudgetExceededError
+# `lattice_points` is not called here; it stays bound because the
+# benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
 from .lattice import (
     DEFAULT_NODE_BUDGET,
+    _Structure,
+    _structure,
     count_lattice_points,
     iter_lattice_points,
     lattice_points,
@@ -99,69 +112,6 @@ _NEG = -(10**15)
 def pseudo_gorenstein_star(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exactly one interior lattice point?"""
     return count_lattice_points(P, 1, "interior", budget=budget) == 1
-
-
-@dataclass(frozen=True)
-class _Structure:
-    """Facet data split into singleton caps and aggregate facets.
-
-    When the aggregates form a laminar family (pairwise disjoint or
-    nested), `forest` holds them in inclusion order: per aggregate its
-    child aggregates and the member coordinates not covered by a child.
-    """
-
-    n: int
-    u: tuple[int | None, ...]          # tightest singleton bound per coordinate
-    aggs: tuple[tuple[tuple[int, ...], int], ...]
-    disjoint: bool
-    laminar: bool
-    forest: tuple[tuple[int, ...], ...]  # per aggregate: child aggregate indices
-    own: tuple[tuple[int, ...], ...]     # per aggregate: members in no child
-
-
-def _structure(P: HPolytope) -> _Structure:
-    u: list[int | None] = [None] * P.n
-    aggs = []
-    for A, t in P.upper_facets:
-        if len(A) == 1:
-            i = A[0] - 1
-            if u[i] is None or t < u[i]:
-                u[i] = t
-        else:
-            aggs.append((A, t))
-    aggs.sort(key=lambda at: (len(at[0]), at[0]))
-    sets = [frozenset(A) for A, _ in aggs]
-    disjoint = laminar = True
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            inter = sets[i] & sets[j]
-            if inter:
-                disjoint = False
-                if not (sets[i] <= sets[j] or sets[j] <= sets[i]):
-                    laminar = False
-    forest: list[tuple[int, ...]] = [()] * len(aggs)
-    own: list[tuple[int, ...]] = [tuple(A) for A, _ in aggs]
-    if laminar:
-        parent = [None] * len(aggs)
-        for k in range(len(aggs)):
-            best = None
-            for m in range(k + 1, len(aggs)):  # strictly larger by sort order
-                if sets[k] < sets[m] and (best is None or sets[m] < sets[best]):
-                    best = m
-            parent[k] = best
-        children: list[list[int]] = [[] for _ in aggs]
-        for k, p in enumerate(parent):
-            if p is not None:
-                children[p].append(k)
-        forest = [tuple(ch) for ch in children]
-        own = []
-        for k, (A, _) in enumerate(aggs):
-            covered = set()
-            for ch in forest[k]:
-                covered.update(sets[ch])
-            own.append(tuple(sorted(set(A) - covered)))
-    return _Structure(n=P.n, u=tuple(u), aggs=tuple(aggs), disjoint=disjoint,
-                      laminar=laminar, forest=tuple(forest), own=tuple(own))
 
 
 def _window(a_i: int, u_i: int | None, N: int, r: int) -> tuple[int, int | None]:
@@ -242,25 +192,22 @@ def _split_exists_dfs(st: _Structure, a: ExponentVector, N: int, r: int) -> bool
             inA = (i + 1) in A
             suf_lo[i] = suf_lo[i + 1] + (windows[i][0] if inA else 0)
             suf_hi[i] = suf_hi[i + 1] + (windows[i][1] if inA else 0)
-        aggs.append((set(A), need, cap, suf_lo, suf_hi))
+        aggs.append((need, cap, suf_lo, suf_hi))
 
     def rec(i: int, used: list[int]) -> bool:
         if i == n:
-            return all(used[k] >= aggs[k][1] for k in range(len(aggs)))
+            return all(used[k] >= aggs[k][0] for k in range(len(aggs)))
         lo, hi = windows[i]
-        for k, (mem, need, cap, suf_lo, suf_hi) in enumerate(aggs):
-            if i + 1 in mem:
-                hi = min(hi, cap - used[k] - suf_lo[i + 1])
-                lo = max(lo, need - used[k] - suf_hi[i + 1])
+        for k in st.agg_at[i]:
+            need, cap, suf_lo, suf_hi = aggs[k]
+            hi = min(hi, cap - used[k] - suf_lo[i + 1])
+            lo = max(lo, need - used[k] - suf_hi[i + 1])
         for v in range(lo, hi + 1):
-            touched = []
-            for k, (mem, *_rest) in enumerate(aggs):
-                if i + 1 in mem:
-                    used[k] += v
-                    touched.append(k)
+            for k in st.agg_at[i]:
+                used[k] += v
             if rec(i + 1, used):
                 return True
-            for k in touched:
+            for k in st.agg_at[i]:
                 used[k] -= v
         return False
 
@@ -341,17 +288,13 @@ class _FailScanner:
         self.n = st.n
         self.aggs = []
         for A, t in st.aggs:
-            members = tuple(sorted(A))
             self.aggs.append({
-                "members": members,
-                "memberset": set(A),
                 "t": t,
                 "limit": N * t - 1,
-                "phi1": _gain_tables(members, st.u, t, N, cond=1),
-                "phi2": _gain_tables(members, st.u, t, N, cond=2),
+                "phi1": _gain_tables(A, st.u, t, N, cond=1),
+                "phi2": _gain_tables(A, st.u, t, N, cond=2),
                 # upto[i] = members with vertex number <= i
-                "upto": [sum(1 for m in members if m <= i)
-                         for i in range(st.n + 2)],
+                "upto": [sum(1 for m in A if m <= i) for i in range(st.n + 1)],
             })
         self.nodes = 0
 
@@ -381,10 +324,6 @@ class _FailScanner:
         used = [0] * len(self.aggs)
         fixed1 = [0] * len(self.aggs)
         fixed2 = [0] * len(self.aggs)
-        agg_of = [None] * n
-        for k, agg in enumerate(self.aggs):
-            for i in agg["memberset"]:
-                agg_of[i - 1] = k
         first: list = []
 
         def rec(i: int) -> bool:
@@ -404,16 +343,13 @@ class _FailScanner:
                 return collect is None  # stop at the first hit unless collecting
             ui = st.u[i]
             hi = None if ui is None else N * ui - 1
-            k = agg_of[i]
+            k = st.agg_at[i][0] if st.agg_at[i] else None  # disjoint: at most one
             if k is not None:
-                agg = self.aggs[k]
-                later = len(agg["members"]) - agg["upto"][i + 1]
-                room = agg["limit"] - used[k] - later
+                room = self.aggs[k]["limit"] - used[k] - st.after[k][i]
                 hi = room if hi is None else min(hi, room)
             for v in range(1, hi + 1):
                 point[i] = v
                 if k is not None:
-                    agg = self.aggs[k]
                     uv = st.u[i]
                     used[k] += v
                     d1 = 0 if uv is None else max(0, v - uv + 1)
@@ -460,26 +396,6 @@ def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int,
 
 # --- degree histogram by block and twin orbit -----------------------------
 
-def _blocks(P: HPolytope) -> list[tuple[int, ...]]:
-    """Connected components of the aggregate facet supports, least member
-    first; a coordinate in no aggregate is a block of its own."""
-    root = list(range(P.n + 1))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for A, _t in P.upper_facets:
-        for i in A[1:]:
-            root[find(i)] = find(A[0])
-    groups: dict[int, list[int]] = {}
-    for i in range(1, P.n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(g) for g in groups.values()]
-
-
 def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
     """The block polytope: the facets supported in `members`, renumbered 1.."""
     local = {v: k for k, v in enumerate(members, 1)}
@@ -505,8 +421,7 @@ class _OrbitScan:
         self.full = full
         classes: dict = {}
         for i in range(st.n):
-            sig = (st.u[i], tuple(k for k, (A, _) in enumerate(st.aggs) if i + 1 in A))
-            classes.setdefault(sig, []).append(i)
+            classes.setdefault((st.u[i], st.agg_at[i]), []).append(i)
         self.classes = list(classes.values())
         self.order = [i for c in self.classes for i in c]
         # per visiting position: rank within its class, twins still to come,
@@ -519,8 +434,8 @@ class _OrbitScan:
                 p = len(self.aggs_at)
                 later = set(self.order[p + 1:]) - set(c)
                 self.aggs_at.append(tuple(
-                    (k, sum(1 for m in A if m - 1 in later))
-                    for k, (A, _) in enumerate(st.aggs) if i + 1 in A
+                    (k, sum(1 for m in st.aggs[k][0] if m - 1 in later))
+                    for k in st.agg_at[i]
                 ))
         self.masks: dict[int, dict[ExponentVector, int]] = {}
         self.hists: dict[int, dict[int, int]] = {}
@@ -600,7 +515,7 @@ def _degree_histogram(P: HPolytope, levels, budget: int, table_cap: int):
     Returns the histogram and the (members, scan) pair of every block.
     Identical block polytopes share one scan.
     """
-    blocks = _blocks(P)
+    blocks = _structure(P).blocks
     scans: dict = {}
     parts = []
     for members in blocks:

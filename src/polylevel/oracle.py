@@ -3,8 +3,10 @@
 Everything here recomputes from first principles, shares only the data
 types with the main modules, and favors transparency over speed: the
 basis oracle enumerates every feasible edge-multiplicity vector, the
-volume oracle runs the classical boundary-recursion with exact fractions,
-and the levelness oracle scans plain bounding boxes with no pruning.
+max-flow oracle solves delta_c of bipartite graphs by another algorithm,
+the volume oracle runs the classical boundary-recursion with exact
+fractions, and the levelness oracle scans plain bounding boxes with no
+pruning.
 """
 
 from __future__ import annotations
@@ -66,6 +68,66 @@ def brute_bases(G: Graph, c, q_max: int | None = None):
 
     walk(0, 0)
     return best, sorted(best_vectors)
+
+
+def _two_coloring(G: Graph) -> tuple[list[int], list[int]] | None:
+    """A bipartition of the vertices, or None if G has an odd cycle."""
+    adj = G.adjacency()
+    color = {}
+    for start in range(1, G.n + 1):
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    left = [v for v in range(1, G.n + 1) if color[v] == 0]
+    right = [v for v in range(1, G.n + 1) if color[v] == 1]
+    return left, right
+
+
+def delta_c_maxflow(G: Graph, c) -> int:
+    """delta_c of a bipartite graph as an integer max-flow value.
+
+    Raises ValueError on non-bipartite input.  A referee for the
+    branch-and-bound `bounded.delta_c`; needs scipy (the `test` extra).
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    c = tuple(c)
+    if len(c) != G.n or any(ci < 1 for ci in c):
+        raise ValueError("bad bound vector")
+    coloring = _two_coloring(G)
+    if coloring is None:
+        raise ValueError("graph is not bipartite")
+    left, right = coloring
+    # nodes: 0 = source, 1..n = vertices, n+1 = sink
+    n = G.n
+    source, sink = 0, n + 1
+    rows, cols, caps = [], [], []
+    for v in left:
+        rows.append(source)
+        cols.append(v)
+        caps.append(c[v - 1])
+    for v in right:
+        rows.append(v)
+        cols.append(sink)
+        caps.append(c[v - 1])
+    leftset = set(left)
+    for i, j in G.edge_list():
+        u, w = (i, j) if i in leftset else (j, i)
+        rows.append(u)
+        cols.append(w)
+        caps.append(min(c[u - 1], c[w - 1]))
+    mat = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
+    return int(maximum_flow(mat, source, sink).flow_value)
 
 
 def _volume(ineqs: list[tuple[tuple[Fraction, ...], Fraction]], dim: int) -> Fraction:

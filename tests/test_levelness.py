@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel.lattice import _structure
 from polylevel.levelness import (
     DEFAULT_TABLE_CAP,
-    _blocks,
     _degree_histogram,
     _iter_failing,
     _restrict,
     _split_exists_dfs,
     _split_feasible_laminar,
-    _structure,
 )
 from polylevel.oracle import (
     brute_interior_points,
@@ -251,6 +250,16 @@ def interior_products(draw):
     return _shuffled_product(draw, [(3, twins), (1, box)])
 
 
+def _plain_blocks(P):
+    """Connected components of the aggregate supports by repeated merging,
+    least member first."""
+    parts = [{i} for i in range(1, P.n + 1)]
+    for A, _t in P.upper_facets:
+        touched = [p for p in parts if p & set(A)]
+        parts = [p for p in parts if not p & set(A)] + [set().union(*touched)]
+    return tuple(sorted(tuple(sorted(p)) for p in parts))
+
+
 def _flat_histogram(P, levels):
     return dict(Counter((N, brute_reduced_degree(P, a, N))
                         for N in levels for a in brute_interior_points(P, N)))
@@ -260,7 +269,8 @@ def _flat_histogram(P, levels):
 @given(block_products())
 def test_degree_histogram_matches_flat_oracle(P):
     """Histogram by block and twin orbit vs the flat per-point oracle."""
-    assert len(_blocks(P)) >= 2
+    assert _structure(P).blocks == _plain_blocks(P)
+    assert len(_structure(P).blocks) >= 2
     assert not _structure(P).laminar
     hist, _parts = _degree_histogram(P, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
     assert hist == _flat_histogram(P, range(1, 4))
@@ -279,7 +289,8 @@ def test_degree_histogram_with_interior_matches_flat_oracle(P):
 @given(block_products())
 def test_degree_histogram_single_block(P):
     """One block alone: the histogram keeps only the least feasible degree."""
-    Q = _restrict(P, _blocks(P)[0])
+    Q = _restrict(P, _structure(P).blocks[0])
+    assert _structure(Q).blocks == _plain_blocks(Q) == (tuple(range(1, Q.n + 1)),)
     hist, _parts = _degree_histogram(Q, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
     assert hist == _flat_histogram(Q, range(1, 4))
 
@@ -323,3 +334,20 @@ def test_table_cap_not_hit_by_empty_interior_hull():
     assert (6, (1,) * 6) not in table  # beyond the scanned levels
     with pytest.raises(pl.BudgetExceededError, match="table_cap"):
         pl.analyze_polytope(P, table_cap=1000)
+
+
+def test_structure_built_once_per_polytope():
+    """One request builds the facet structure of the hull and of each
+    distinct block polytope once.  Path P4 with c = (1, 1, 2, 1): empty
+    interior, blocks {1, 3}, {2}, {4}, the last two alike."""
+    P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
+    assert pl.count_lattice_points(P, 1, "interior") == 0
+    blocks = _structure(P).blocks
+    assert blocks == ((1, 3), (2,), (4,))
+    distinct = {P} | {_restrict(P, members) for members in blocks}
+    assert len(distinct) == 3
+    _structure.cache_clear()
+    pl.analyze_polytope(P)
+    pl.delta_vector(P)
+    pl.lattice_points(P, 1, "interior")
+    assert _structure.cache_info().misses == len(distinct)
