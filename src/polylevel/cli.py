@@ -410,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--max-level", type=int, default=None,
-                      help="override the dilation scan bound (default max(2, n-1))")
+                      help="override the dilation scan bound (default max(2, n-1); "
+                           "max(1, n-1) for int-star-degree)")
 
     p = sub.add_parser("analyze", parents=[common, graphy, scan],
                        help="full report: facets, verdicts, delta vector")

@@ -179,9 +179,9 @@ def dilation_containment(G: Graph, c, N: int) -> tuple[bool, bool]:
     if N < 1:
         raise ValueError("dilation level must be >= 1")
     c = tuple(c)
-    P1 = facets(enumerate_bases(G, c))
-    P2 = facets(enumerate_bases(G, tuple(N * ci for ci in c)))
     B1 = enumerate_bases(G, c)
+    P1 = facets(B1)
+    P2 = facets(enumerate_bases(G, tuple(N * ci for ci in c)))
     holds = all(
         membership(P2, tuple(N * x for x in b), 1, "full") for b in B1.bases
     )

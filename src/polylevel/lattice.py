@@ -11,10 +11,27 @@ exclude a true interior point).
 `_structure` is the one place where a facet system is split into
 per-coordinate caps (the singleton facets) and aggregate facets (|A| >= 2),
 with the aggregates through each coordinate, the product blocks and the
-laminar forest; it is cached per polytope, and counting, enumeration and
-the splitting scans of `levelness` all read it.  Only per-point checks
-(`membership`, `_greedy_summand`, the reflexivity slack test) and the
-naive `oracle` read the facets directly.
+laminar forest; it is cached per polytope, and counting, enumeration, the
+split tests and the scans of `levelness` all read it.  It is the only code
+that tells singleton facets apart: the per-point checks (`membership`, the
+reflexivity slack test) and the naive `oracle` read every facet alike.
+
+Split tests in closed form.  Normality and the level* and reduced-degree
+scans ask one question of a lattice point a of N*P: is a = a0 + a' with
+a0 a lattice point of r*P and a' one of (N-r)*P?  The summand has a
+`slack`: 1 when a0 must be interior to r*P (the scans of `levelness`), 0
+when any lattice point of r*P will do (normality, at r = 1), the same
+convention as `lo` in the counting and enumeration below.  A candidate
+summand is constrained per coordinate to the window
+
+    max(slack, a_i - (N-r) u_i)  <=  a0_i  <=  min(a_i, r u_i - slack)
+
+(u_i the singleton bound, absent terms dropped) and per aggregate facet
+(A, t) to  sum_A a - (N-r) t <= sum_A a0 <= r t - slack.  When the
+aggregate facets are pairwise disjoint these constraints decouple, so
+existence is a per-aggregate interval intersection.  Nested (laminar)
+families use an exact interval propagation instead; anything else falls
+back to an explicit depth-first search per point.
 
 Counting uses a coordinate-by-coordinate dynamic program whose state is
 the vector of partial sums of the aggregate facets.  Enumeration is plain
@@ -80,7 +97,7 @@ class _Structure:
     """
 
     n: int
-    u: tuple[int | None, ...]              # tightest singleton bound per coordinate
+    u: tuple[int | None, ...]              # the singleton bound per coordinate
     aggs: tuple[tuple[tuple[int, ...], int], ...]
     agg_at: tuple[tuple[int, ...], ...]    # per coordinate: aggregates through it
     after: tuple[tuple[int, ...], ...]
@@ -104,10 +121,8 @@ def _structure(P: HPolytope) -> _Structure:
     u: list[int | None] = [None] * n
     aggs = []
     for A, t in P.upper_facets:
-        if len(A) == 1:
-            i = A[0] - 1
-            if u[i] is None or t < u[i]:
-                u[i] = t
+        if len(A) == 1:  # HPolytope admits one facet per subset
+            u[A[0] - 1] = t
         else:
             aggs.append((A, t))
     aggs.sort(key=lambda at: (len(at[0]), at[0]))
@@ -153,6 +168,116 @@ def _structure(P: HPolytope) -> _Structure:
                       blocks=tuple(map(tuple, blocks.values())),
                       disjoint=disjoint, laminar=laminar,
                       forest=tuple(forest), own=tuple(own))
+
+
+def _window(st: _Structure, a: ExponentVector, N: int, r: int,
+            slack: int) -> tuple[list[int], list[int]] | None:
+    """Per-coordinate bounds (lo, hi) on the summand, or None if one is empty."""
+    wlo, whi = [], []
+    for a_i, u_i in zip(a, st.u):
+        lo, hi = slack, a_i
+        if u_i is not None:
+            lo = max(lo, a_i - (N - r) * u_i)
+            hi = min(hi, r * u_i - slack)
+        if lo > hi:
+            return None
+        wlo.append(lo)
+        whi.append(hi)
+    return wlo, whi
+
+
+def _split_feasible_disjoint(st: _Structure, a: ExponentVector, N: int, r: int,
+                             slack: int) -> bool:
+    """Split-existence when aggregate facets are pairwise disjoint."""
+    w = _window(st, a, N, r, slack)
+    if w is None:
+        return False
+    wlo, whi = w
+    for A, t in st.aggs:
+        s_a = sum(a[i - 1] for i in A)
+        lo = max(s_a - (N - r) * t, sum(wlo[i - 1] for i in A))
+        hi = min(r * t - slack, sum(whi[i - 1] for i in A))
+        if lo > hi:
+            return False
+    return True
+
+
+def _split_feasible_laminar(st: _Structure, a: ExponentVector, N: int, r: int,
+                            slack: int) -> bool:
+    """Split-existence for a laminar aggregate family.
+
+    Interval propagation leaf-to-root: the achievable sum range of an
+    aggregate is the sum of its children's clipped ranges plus the
+    coordinate windows it owns, clipped to its own window; sums of
+    contiguous integer ranges over disjoint parts stay contiguous, so the
+    propagation is exact.
+    """
+    w = _window(st, a, N, r, slack)
+    if w is None:
+        return False
+    wlo, whi = w
+    k_lo = [0] * len(st.aggs)
+    k_hi = [0] * len(st.aggs)
+    for k, (A, t) in enumerate(st.aggs):  # sorted by size: children first
+        lo = sum(k_lo[ch] for ch in st.forest[k]) + sum(wlo[i - 1] for i in st.own[k])
+        hi = sum(k_hi[ch] for ch in st.forest[k]) + sum(whi[i - 1] for i in st.own[k])
+        s_a = sum(a[i - 1] for i in A)
+        lo = max(lo, s_a - (N - r) * t)
+        hi = min(hi, r * t - slack)
+        if lo > hi:
+            return False
+        k_lo[k], k_hi[k] = lo, hi
+    return True
+
+
+def _split_exists_dfs(st: _Structure, a: ExponentVector, N: int, r: int,
+                      slack: int) -> bool:
+    """Split-existence by depth-first search; valid for any facet structure."""
+    w = _window(st, a, N, r, slack)
+    if w is None:
+        return False
+    wlo, whi = w
+    n = st.n
+    aggs = []
+    for A, t in st.aggs:
+        s_a = sum(a[i - 1] for i in A)
+        need = s_a - (N - r) * t          # lower bound on the summand's A-sum
+        cap = r * t - slack               # upper bound
+        suf_lo = [0] * (n + 1)
+        suf_hi = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            inA = (i + 1) in A
+            suf_lo[i] = suf_lo[i + 1] + (wlo[i] if inA else 0)
+            suf_hi[i] = suf_hi[i + 1] + (whi[i] if inA else 0)
+        aggs.append((need, cap, suf_lo, suf_hi))
+
+    def rec(i: int, used: list[int]) -> bool:
+        if i == n:
+            return all(used[k] >= aggs[k][0] for k in range(len(aggs)))
+        lo, hi = wlo[i], whi[i]
+        for k in st.agg_at[i]:
+            need, cap, suf_lo, suf_hi = aggs[k]
+            hi = min(hi, cap - used[k] - suf_lo[i + 1])
+            lo = max(lo, need - used[k] - suf_hi[i + 1])
+        for v in range(lo, hi + 1):
+            for k in st.agg_at[i]:
+                used[k] += v
+            if rec(i + 1, used):
+                return True
+            for k in st.agg_at[i]:
+                used[k] -= v
+        return False
+
+    return rec(0, [0] * len(aggs))
+
+
+def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int, slack: int) -> bool:
+    """Is a = a0 + a' with a0 in r*P (interior for slack 1) and a' in (N-r)*P?"""
+    if st.disjoint:
+        return _split_feasible_disjoint(st, a, N, r, slack)
+    if st.laminar:
+        return _split_feasible_laminar(st, a, N, r, slack)
+    return _split_exists_dfs(st, a, N, r, slack)
 
 
 def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
@@ -297,69 +422,21 @@ def is_unimodal(d) -> bool:
     return peaked_at(n // 2) or peaked_at((n + 1) // 2)
 
 
-def _greedy_summand(P: HPolytope, a: ExponentVector, N: int) -> ExponentVector | None:
-    """A lattice point p of P with p <= a and a - p in (N-1)*P, or None.
-
-    Greedy: clamp a into the box, then shrink coordinates of violated
-    aggregate facets no further than the remainder constraints allow.
-    """
-    n = P.n
-    flo = [0] * n
-    p = list(a)
-    for A, t in P.upper_facets:
-        if len(A) == 1:
-            i = A[0] - 1
-            if p[i] > t:
-                p[i] = t
-            f = a[i] - (N - 1) * t
-            if f > flo[i]:
-                flo[i] = f
-    for A, t in P.upper_facets:
-        excess = sum(p[i - 1] for i in A) - t
-        if excess <= 0:
-            continue
-        for i in sorted(A, key=lambda i: -p[i - 1]):
-            give = min(excess, p[i - 1] - flo[i - 1])
-            if give > 0:
-                p[i - 1] -= give
-                excess -= give
-            if excess == 0:
-                break
-        if excess > 0:
-            return None
-    q = tuple(x - y for x, y in zip(a, p))
-    if membership(P, p, 1, "full") and (
-        N == 1 and all(v == 0 for v in q) or N > 1 and membership(P, q, N - 1, "full")
-    ):
-        return tuple(p)
-    return None
-
-
 def normality_check(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET):
     """Does every lattice point of N*P split into N points of P, N <= max_n?
 
     Checks level by level: once level N-1 is verified, a point of N*P
     decomposes iff it is p + q with p a point of P and q a point of
-    (N-1)*P, so a membership test replaces the explicit sumset.  Returns
-    (True, None) or (False, (N, witness_point)).
+    (N-1)*P, so the split test with slack 0 at r = 1 replaces the explicit
+    sumset.  Returns (True, None) or (False, (N, witness_point)), the
+    witness the lex-least point of the first level that fails.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    S1 = lattice_points(P, 1, "full", budget=budget)
-    # descending coordinate sums: large summands leave small remainders
-    S1_desc = sorted(S1, key=lambda p: (-sum(p), p))
+    st = _structure(P)
     for N in range(2, max_n + 1):
         for a in iter_lattice_points(P, N, "full", budget=budget):
-            if _greedy_summand(P, a, N) is not None:
-                continue
-            ok = False
-            for p in S1_desc:
-                if all(pi <= ai for pi, ai in zip(p, a)) and membership(
-                    P, tuple(ai - pi for ai, pi in zip(a, p)), N - 1, "full"
-                ):
-                    ok = True
-                    break
-            if not ok:
+            if not _split_exists(st, a, N, 1, 0):
                 return False, (N, a)
     return True, None
 

@@ -28,19 +28,11 @@ degree it reports may fall short of the true one (a known gap, kept as
 it is).  The bound is overridable for exploratory runs and recorded in
 reports.
 
-Split tests in closed form.  A candidate summand a0 for a at level N and
-degree r is constrained per coordinate to the window
-
-    max(1, a_i - (N-r) u_i)  <=  a0_i  <=  min(a_i, r u_i - 1)
-
-(u_i the singleton bound, absent terms dropped) and per aggregate facet
-(A, t) to  sum_A a - (N-r) t <= sum_A a0 <= r t - 1.  When the aggregate
-facets are pairwise disjoint these constraints decouple, so existence is
-a per-aggregate interval intersection; searches over failing points then
-run over aggregate coordinates only, with suffix tables of the two
-achievable extremes.  Nested (laminar) families use an exact interval
-propagation instead; anything else falls back to an explicit depth-first
-search per point.
+Split tests.  Whether a point splits at degree r is decided by
+`lattice._split_exists` with slack 1 (an interior summand), the closed
+forms that `lattice.normality_check` uses with slack 0.  With disjoint
+aggregates, searches over failing points run over aggregate coordinates
+only, with suffix tables of the two achievable extremes.
 
 Degree histogram by block and twin orbit.  With an empty interior of P
 no point of any dilate splits at r = 1, so every interior point has
@@ -95,6 +87,7 @@ from .errors import BudgetExceededError
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
+    _split_exists,
     _structure,
     count_lattice_points,
     iter_lattice_points,
@@ -114,114 +107,6 @@ def pseudo_gorenstein_star(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> b
     return count_lattice_points(P, 1, "interior", budget=budget) == 1
 
 
-def _window(a_i: int, u_i: int | None, N: int, r: int) -> tuple[int, int | None]:
-    """Feasible values of the summand coordinate; upper None means only a_i."""
-    lo = 1
-    hi = a_i
-    if u_i is not None:
-        lo = max(lo, a_i - (N - r) * u_i)
-        hi = min(hi, r * u_i - 1)
-    return lo, hi
-
-
-def _split_feasible_disjoint(st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
-    """Split-existence when aggregate facets are pairwise disjoint."""
-    wlo = [0] * st.n
-    whi = [0] * st.n
-    for i in range(st.n):
-        lo, hi = _window(a[i], st.u[i], N, r)
-        if lo > hi:
-            return False
-        wlo[i], whi[i] = lo, hi
-    for A, t in st.aggs:
-        s_a = sum(a[i - 1] for i in A)
-        lo = max(s_a - (N - r) * t, sum(wlo[i - 1] for i in A))
-        hi = min(r * t - 1, sum(whi[i - 1] for i in A))
-        if lo > hi:
-            return False
-    return True
-
-
-def _split_feasible_laminar(st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
-    """Split-existence for a laminar aggregate family.
-
-    Interval propagation leaf-to-root: the achievable sum range of an
-    aggregate is the sum of its children's clipped ranges plus the
-    coordinate windows it owns, clipped to its own window; sums of
-    contiguous integer ranges over disjoint parts stay contiguous, so the
-    propagation is exact.
-    """
-    wlo = [0] * st.n
-    whi = [0] * st.n
-    for i in range(st.n):
-        lo, hi = _window(a[i], st.u[i], N, r)
-        if lo > hi:
-            return False
-        wlo[i], whi[i] = lo, hi
-    k_lo = [0] * len(st.aggs)
-    k_hi = [0] * len(st.aggs)
-    for k, (A, t) in enumerate(st.aggs):  # sorted by size: children first
-        lo = sum(k_lo[ch] for ch in st.forest[k]) + sum(wlo[i - 1] for i in st.own[k])
-        hi = sum(k_hi[ch] for ch in st.forest[k]) + sum(whi[i - 1] for i in st.own[k])
-        s_a = sum(a[i - 1] for i in A)
-        lo = max(lo, s_a - (N - r) * t)
-        hi = min(hi, r * t - 1)
-        if lo > hi:
-            return False
-        k_lo[k], k_hi[k] = lo, hi
-    return True
-
-
-def _split_exists_dfs(st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
-    """Split-existence by depth-first search; valid for any facet structure."""
-    n = st.n
-    windows = []
-    for i in range(n):
-        lo, hi = _window(a[i], st.u[i], N, r)
-        if lo > hi:
-            return False
-        windows.append((lo, hi))
-    aggs = []
-    for A, t in st.aggs:
-        s_a = sum(a[i - 1] for i in A)
-        need = s_a - (N - r) * t          # lower bound on the summand's A-sum
-        cap = r * t - 1                   # upper bound
-        suf_lo = [0] * (n + 1)
-        suf_hi = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            inA = (i + 1) in A
-            suf_lo[i] = suf_lo[i + 1] + (windows[i][0] if inA else 0)
-            suf_hi[i] = suf_hi[i + 1] + (windows[i][1] if inA else 0)
-        aggs.append((need, cap, suf_lo, suf_hi))
-
-    def rec(i: int, used: list[int]) -> bool:
-        if i == n:
-            return all(used[k] >= aggs[k][0] for k in range(len(aggs)))
-        lo, hi = windows[i]
-        for k in st.agg_at[i]:
-            need, cap, suf_lo, suf_hi = aggs[k]
-            hi = min(hi, cap - used[k] - suf_lo[i + 1])
-            lo = max(lo, need - used[k] - suf_hi[i + 1])
-        for v in range(lo, hi + 1):
-            for k in st.agg_at[i]:
-                used[k] += v
-            if rec(i + 1, used):
-                return True
-            for k in st.agg_at[i]:
-                used[k] -= v
-        return False
-
-    return rec(0, [0] * len(aggs))
-
-
-def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int) -> bool:
-    if st.disjoint:
-        return _split_feasible_disjoint(st, a, N, r)
-    if st.laminar:
-        return _split_feasible_laminar(st, a, N, r)
-    return _split_exists_dfs(st, a, N, r)
-
-
 def reduced_degree(P: HPolytope, a, N: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Least r such that a splits off an interior lattice point of r*P."""
     a = tuple(a)
@@ -229,7 +114,7 @@ def reduced_degree(P: HPolytope, a, N: int, budget: int = DEFAULT_NODE_BUDGET) -
         raise ValueError(f"{a} is not an interior lattice point of the {N}-fold dilate")
     st = _structure(P)
     for r in range(1, N + 1):
-        if _split_exists(st, a, N, r):
+        if _split_exists(st, a, N, r, 1):
             return r
     raise RuntimeError("unreachable: r = N always splits")  # pragma: no cover
 
@@ -381,7 +266,7 @@ def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int,
     # fallback: plain interior enumeration with a per-point search
     first = None
     for a in iter_lattice_points(P, N, "interior", budget=budget):
-        if not _split_exists(st, a, N, 1):
+        if not _split_exists(st, a, N, 1, 1):
             if first is None:
                 first = a
             if collect is None:
@@ -473,7 +358,7 @@ class _OrbitScan:
                 a = tuple(point)
                 mask = top
                 for r in tests:
-                    if _split_exists(st, a, N, r):
+                    if _split_exists(st, a, N, r, 1):
                         mask |= 1 << (r - 1)
                         if not full:
                             break
@@ -635,7 +520,7 @@ def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
         _iter_failing(P, st, N, budget, collect=failing, cap=table_cap)
         for a in failing:
             r = 2
-            while not _split_exists(st, a, N, r):
+            while not _split_exists(st, a, N, r, 1):
                 r += 1
             found[(N, a)] = r
     degrees = set(found.values())

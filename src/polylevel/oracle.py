@@ -5,8 +5,9 @@ types with the main modules, and favors transparency over speed: the
 basis oracle enumerates every feasible edge-multiplicity vector, the
 max-flow oracle solves delta_c of bipartite graphs by another algorithm,
 the volume oracle runs the classical boundary-recursion with exact
-fractions, and the levelness oracle scans plain bounding boxes with no
-pruning.
+fractions, the levelness oracle scans plain bounding boxes with no
+pruning, and the normality oracle compares those scans with explicit
+sumsets.
 """
 
 from __future__ import annotations
@@ -237,6 +238,26 @@ def brute_level_star(P: HPolytope, max_n: int | None = None) -> bool:
             if not found:
                 return False
     return True
+
+
+def brute_normality(P: HPolytope, max_n: int):
+    """Normality up to level max_n by explicit sumsets; small instances only.
+
+    The N-fold sumset of the lattice points of P is built one summand at a
+    time and compared with a flat scan of N*P.  Returns (True, None) or
+    (False, (N, a)) with a the lex-least point of N*P outside the sumset
+    at the least such N.
+    """
+    if max_n < 2:
+        raise ValueError("max_n must be >= 2")
+    base = _box_points(P, 1, interior=False)
+    sums = set(base)
+    for N in range(2, max_n + 1):
+        sums = {tuple(x + y for x, y in zip(p, q)) for p in base for q in sums}
+        for a in _box_points(P, N, interior=False):
+            if a not in sums:
+                return False, (N, a)
+    return True, None
 
 
 def brute_interior_points(P: HPolytope, N: int = 1):

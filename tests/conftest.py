@@ -40,3 +40,22 @@ def graph_and_bounds(draw, max_n=5, max_c=3):
     G = pl.graph(n, edges)
     c = tuple(draw(st.integers(1, max_c)) for _ in range(n))
     return G, c
+
+
+@st.composite
+def facet_systems(draw, max_n=4, max_t=2, max_aggs=3):
+    """A hand-built facet system: optional singleton caps plus up to
+    `max_aggs` aggregate facets, which may cross (neither disjoint nor
+    nested), unlike the aggregates of a graph hull."""
+    n = draw(st.integers(2, max_n))
+    subsets = [A for k in range(2, n + 1)
+               for A in itertools.combinations(range(1, n + 1), k)]
+    aggs = draw(st.lists(st.sampled_from(subsets), min_size=1,
+                         max_size=max_aggs, unique=True))
+    caps = draw(st.lists(st.one_of(st.none(), st.integers(1, max_t)),
+                         min_size=n, max_size=n))
+    facets = [((i,), t) for i, t in enumerate(caps, 1) if t is not None]
+    facets += [(A, draw(st.integers(1, max_t))) for A in aggs]
+    covered = {i for A, _t in facets for i in A}
+    facets += [((i,), max_t) for i in range(1, n + 1) if i not in covered]
+    return pl.HPolytope(n, tuple(facets))

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
-from polylevel.oracle import brute_count, brute_volume
+from polylevel.oracle import brute_count, brute_normality, brute_volume
 
-from conftest import graph_and_bounds
+from conftest import facet_systems, graph_and_bounds
 
 
 def test_membership_examples(k34_hull):
@@ -106,6 +107,22 @@ def test_normality_detects_failure():
     P = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
     ok, wit = pl.normality_check(P, 2)
     assert not ok and wit == (2, (1, 1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=4, max_c=2).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=4, max_t=2),
+), st.integers(2, 3))
+@example(pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))), 3)
+@example(pl.HPolytope(4, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((4,), 2))), 2)
+@example(pl.HPolytope(3, (((1, 2), 2), ((1, 3), 2), ((2, 3), 2), ((1, 2, 3), 3))), 3)
+@example(pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 1))), 2)
+def test_normality_matches_oracle(P, max_n):
+    """The split test agrees with explicit sumsets, verdict and witness,
+    on graph hulls and on hand-built systems with nested or crossing
+    aggregates."""
+    assert pl.normality_check(P, max_n) == brute_normality(P, max_n)
 
 
 def test_reflexive_examples(k34_hull):

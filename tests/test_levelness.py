@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
-from polylevel.lattice import _structure
+from polylevel.lattice import (
+    _split_exists,
+    _split_exists_dfs,
+    _split_feasible_disjoint,
+    _split_feasible_laminar,
+    _structure,
+)
 from polylevel.levelness import (
     DEFAULT_TABLE_CAP,
     _degree_histogram,
     _iter_failing,
     _restrict,
-    _split_exists_dfs,
-    _split_feasible_laminar,
 )
 from polylevel.oracle import (
     brute_interior_points,
@@ -23,7 +27,7 @@ from polylevel.oracle import (
     brute_reduced_degree,
 )
 
-from conftest import graph_and_bounds
+from conftest import facet_systems, graph_and_bounds
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +141,7 @@ def test_fail_scan_on_two_disjoint_aggregates():
         got = []
         _iter_failing(P, st, N, 10**8, collect=got, cap=None)
         naive = [a for a in pl.lattice_points(P, N, "interior")
-                 if not _split_exists_dfs(st, a, N, 1)]
+                 if not _split_exists_dfs(st, a, N, 1, 1)]
         assert got == naive
 
 
@@ -154,25 +158,31 @@ def test_fail_scan_matches_naive(gc):
         collected = []
         _iter_failing(P, st, N, 10**8, collect=collected, cap=None)
         naive = [a for a in pl.lattice_points(P, N, "interior")
-                 if not _split_exists_dfs(st, a, N, 1)]
+                 if not _split_exists_dfs(st, a, N, 1, 1)]
         assert collected == naive
 
 
-@settings(max_examples=20, deadline=None)
-@given(graph_and_bounds(max_n=5, max_c=3))
-def test_split_paths_agree(gc):
-    """Closed-form split feasibility matches the generic search."""
-    G, c = gc
-    P = pl.facets(pl.enumerate_bases(G, c))
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=4, max_t=3),
+), st.sampled_from((0, 1)))
+def test_split_paths_agree(P, slack):
+    """Closed-form split feasibility matches the generic search, for an
+    interior summand (slack 1, the level* scans) and for any lattice point
+    as summand (slack 0, normality), on graph hulls and on hand-built
+    systems, whose aggregates nest more often."""
     st = _structure(P)
+    region = "interior" if slack else "full"
     for N in (2, 3):
-        for a in pl.lattice_points(P, N, "interior")[:15]:
+        for a in pl.lattice_points(P, N, region)[:15]:
             for r in range(1, N + 1):
-                dfs = _split_exists_dfs(st, a, N, r)
-                if st.disjoint or st.laminar:
-                    assert _split_feasible_laminar(st, a, N, r) == dfs
-                from polylevel.levelness import _split_exists
-                assert _split_exists(st, a, N, r) == dfs
+                dfs = _split_exists_dfs(st, a, N, r, slack)
+                if st.disjoint:
+                    assert _split_feasible_disjoint(st, a, N, r, slack) == dfs
+                if st.laminar:
+                    assert _split_feasible_laminar(st, a, N, r, slack) == dfs
+                assert _split_exists(st, a, N, r, slack) == dfs
 
 
 def test_analyze_report(k34_hull):

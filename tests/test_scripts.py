@@ -1,0 +1,31 @@
+"""The scripts under scripts/ call the public API; run each end to end."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("reproduce_reference_instances.py", ()),
+    ("degree_census.py", ("--nmax", "3", "--cmax", "3")),
+])
+def test_script_runs(name, args):
+    done = run_script(name, *args)
+    assert done.returncode == 0, done.stderr
+
+
+def test_tree_census_runs():
+    pytest.importorskip("networkx")
+    done = run_script("tree_census.py", "--nmax", "5")
+    assert done.returncode == 0, done.stderr
