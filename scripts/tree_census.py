@@ -3,9 +3,11 @@
 confirm each verdict with a direct bound-vector search.
 
 Run: python scripts/tree_census.py --nmax 7
+Exits 1 when some verdict and search disagree (the lines marked ???).
 """
 
 import argparse
+import sys
 
 import networkx as nx
 
@@ -18,20 +20,23 @@ def main():
     ap.add_argument("--cmax", type=int, default=2)
     args = ap.parse_args()
 
-    good = bad = 0
+    good = bad = mismatches = 0
     for n in range(2, args.nmax + 1):
         for T in nx.nonisomorphic_trees(n):
             G = pl.graph(n, [(u + 1, v + 1) for u, v in T.edges()])
             rule = pl.tree_labeling_pseudo_gorenstein(G)
             found = pl.search_labeling(G, args.cmax)
-            mark = "OK " if rule == (found is not None) else "???"
+            agree = rule == (found is not None)
+            mismatches += not agree
+            mark = "OK " if agree else "???"
             if rule:
                 good += 1
             else:
                 bad += 1
             print(f"{mark} n={n} edges={sorted(G.edges)} rule={rule} witness={found}")
     print(f"\nadmitting a witness: {good}, not admitting: {bad}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,6 +23,7 @@ describes by inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .graphs import Graph
@@ -103,6 +104,45 @@ def delta_c(G: Graph, c) -> int:
     return best
 
 
+# A search tests every candidate vector of every bound vector against one
+# graph; the cache lets those calls share one structure.  Small on purpose:
+# a request needs one graph, and a larger cache would keep earlier ones.
+_GRAPH_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
+def _graph_structure(G: Graph):
+    """What realizability reads of G, derived once per graph.
+
+    Returns (components, higher).  components: per connected component,
+    its vertices, their colour signs (+1 / -1 along a 2-colouring grown
+    from the least vertex) and whether that colouring is proper, i.e. the
+    component is bipartite.  higher: per vertex v, its neighbours above v
+    in increasing order (index 0 unused).
+    """
+    adj = G.adjacency()
+    color: dict[int, int] = {}
+    components = []
+    for start in range(1, G.n + 1):
+        if start in color:
+            continue
+        color[start] = 1
+        stack, comp, bipartite = [start], [start], True
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = -color[v]
+                    comp.append(w)
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    bipartite = False
+        components.append((tuple(comp), tuple(color[v] for v in comp), bipartite))
+    higher = ((),) + tuple(tuple(sorted(w for w in adj[v] if w > v))
+                           for v in range(1, G.n + 1))
+    return tuple(components), higher
+
+
 def realize_degree_sequence(G: Graph, a, q: int, return_witness: bool = False):
     """Decide whether `a` is the degree vector of a q-edge multiset of G.
 
@@ -119,30 +159,15 @@ def realize_degree_sequence(G: Graph, a, q: int, return_witness: bool = False):
     if sum(a) != 2 * q:
         raise ValueError(f"degree sum {sum(a)} does not match 2q = {2 * q}")
 
-    adj = G.adjacency()
+    components, higher = _graph_structure(G)
     # necessary component conditions: across a bipartition every edge feeds
     # both sides equally; in an odd-cycle component the total is just even
-    color: dict[int, int] = {}
-    for start in range(1, G.n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        stack, comp, bipartite = [start], [start], True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    comp.append(w)
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-        side = sum(a[v - 1] if color[v] == 0 else -a[v - 1] for v in comp)
+    for comp, signs, bipartite in components:
         total = sum(a[v - 1] for v in comp)
+        side = sum(s * a[v - 1] for v, s in zip(comp, signs))
         if (bipartite and side != 0) or total % 2:
             return (False, None) if return_witness else False
 
-    higher = [sorted(w for w in adj.get(v, ()) if w > v) for v in range(G.n + 1)]
     rem = [0] + list(a)
     weights: dict[tuple[int, int], int] = {}
 
@@ -209,7 +234,8 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
     n_candidates = _count_bounded_vectors(c, target)
     if n_candidates > candidate_cap:
         raise BudgetExceededError(
-            f"{n_candidates} candidate vectors exceed the cap {candidate_cap}"
+            f"{n_candidates} candidate vectors exceed the cap {candidate_cap}",
+            cap="candidate_cap", limit=candidate_cap,
         )
 
     suffix_caps = [0] * (G.n + 1)

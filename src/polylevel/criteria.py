@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounded import BasisSet, enumerate_bases
+from .bounded import DEFAULT_CANDIDATE_CAP, BasisSet, enumerate_bases
 from .graphs import Graph, leaf_distance_two_exists
 from .lattice import lattice_points, membership
 from .polymatroid import RankOracle, VeroneseSpec, facets
@@ -224,15 +224,22 @@ def _pseudo_gorenstein_from_bases(B: BasisSet) -> bool:
     return found == 1
 
 
-def search_labeling(G: Graph, c_max: int, candidate_cap: int = 10**7):
+def search_labeling(G: Graph, c_max: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     """First bound vector in [1..c_max]^n (lex order) with a
     pseudo-Gorenstein* hull, or None.
 
-    Absence only means no witness with entries up to c_max exists.
+    Vectors with some c_i < 2 are skipped before their bases are
+    enumerated, because their hull has no interior lattice point: an
+    interior point x has x_i >= 1, since x_i >= 0 is a facet, and
+    x_i < rank({i}) by the rank inequalities of the discrete polymatroid
+    (Herzog-Hibi, Discrete polymatroids, 2002), where rank({i}) <= c_i
+    because every basis is bounded by c.  The remaining vectors keep their
+    lex order, so the witness is the same.  Absence only means no witness
+    with entries up to c_max exists.
     """
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
-    for c in itertools.product(range(1, c_max + 1), repeat=G.n):
+    for c in itertools.product(range(2, c_max + 1), repeat=G.n):
         B = enumerate_bases(G, c, candidate_cap=candidate_cap)
         if _pseudo_gorenstein_from_bases(B):
             return c

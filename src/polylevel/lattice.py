@@ -313,7 +313,8 @@ def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
         for v in range(lo, hi + 1):
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(f"enumeration exceeded {budget} nodes")
+                raise BudgetExceededError(f"enumeration exceeded {budget} nodes",
+                                          cap="budget", limit=budget)
             point[i] = v
             for k in agg_at[i]:
                 used[k] += v
@@ -355,7 +356,8 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
             return got
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(f"counting exceeded {budget} states")
+            raise BudgetExceededError(f"counting exceeded {budget} states",
+                                      cap="budget", limit=budget)
         hi = caps[i]
         for k in agg_at[i]:
             room = limits[k] - used[k] - lo * after[k][i]

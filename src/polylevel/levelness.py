@@ -214,14 +214,16 @@ class _FailScanner:
         def rec(i: int) -> bool:
             self.nodes += 1
             if self.nodes > self.budget:
-                raise BudgetExceededError(f"level scan exceeded {self.budget} nodes")
+                raise BudgetExceededError(f"level scan exceeded {self.budget} nodes",
+                                          cap="budget", limit=self.budget)
             if i == n:
                 a = tuple(point)
                 if collect is not None:
                     collect.append(a)
                     if cap is not None and len(collect) > cap:
                         raise BudgetExceededError(
-                            f"more than table_cap = {cap} points without degree-1 split"
+                            f"more than table_cap = {cap} points without degree-1 split",
+                            cap="table_cap", limit=cap,
                         )
                 if not first:
                     first.append(a)
@@ -274,7 +276,8 @@ def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int,
             collect.append(a)
             if cap is not None and len(collect) > cap:
                 raise BudgetExceededError(
-                    f"more than table_cap = {cap} points without degree-1 split"
+                    f"more than table_cap = {cap} points without degree-1 split",
+                    cap="table_cap", limit=cap,
                 )
     return first
 
@@ -366,7 +369,8 @@ class _OrbitScan:
                 hist[mask] = hist.get(mask, 0) + weight
                 if held + len(masks) > table_cap:
                     raise BudgetExceededError(
-                        f"more than table_cap = {table_cap} orbit representatives held"
+                        f"more than table_cap = {table_cap} orbit representatives held",
+                        cap="table_cap", limit=table_cap,
                     )
                 return
             i = order[p]
@@ -378,7 +382,8 @@ class _OrbitScan:
             for v in range(lo, hi + 1):
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExceededError(f"orbit scan exceeded {budget} nodes")
+                    raise BudgetExceededError(f"orbit scan exceeded {budget} nodes",
+                                              cap="budget", limit=budget)
                 point[i] = v
                 for k, _ in self.aggs_at[p]:
                     used[k] += v

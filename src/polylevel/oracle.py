@@ -37,7 +37,8 @@ def brute_bases(G: Graph, c, q_max: int | None = None):
     for ci in c:
         guard *= ci + 1
         if guard > VERTEX_GUARD:
-            raise BudgetExceededError(f"vertex bound product exceeds {VERTEX_GUARD}")
+            raise BudgetExceededError(f"vertex bound product exceeds {VERTEX_GUARD}",
+                                      cap="VERTEX_GUARD", limit=VERTEX_GUARD)
     edges = G.edge_list()
     rem = [0] + list(c)
     best = 0
@@ -48,7 +49,8 @@ def brute_bases(G: Graph, c, q_max: int | None = None):
         nonlocal best, best_vectors, nodes
         nodes += 1
         if nodes > NODE_GUARD:
-            raise BudgetExceededError(f"edge enumeration exceeds {NODE_GUARD} nodes")
+            raise BudgetExceededError(f"edge enumeration exceeds {NODE_GUARD} nodes",
+                                      cap="NODE_GUARD", limit=NODE_GUARD)
         if k == len(edges):
             if total > best:
                 best = total
@@ -212,7 +214,8 @@ def _box_points(P: HPolytope, N: int, interior: bool):
     for ub in ubs:
         size *= ub - lo + 1
         if size > NODE_GUARD:
-            raise BudgetExceededError(f"flat box scan of {size}+ points")
+            raise BudgetExceededError(f"flat box scan of {size}+ points",
+                                      cap="NODE_GUARD", limit=NODE_GUARD)
     pts = []
     for x in itertools.product(*(range(lo, ub + 1) for ub in ubs)):
         if all(sum(x[i - 1] for i in A) <= N * t - slack for A, t in P.upper_facets):

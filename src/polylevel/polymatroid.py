@@ -168,7 +168,8 @@ def facets(B: BasisSet) -> HPolytope:
     """
     if B.n > FACET_SCAN_MAX_DIM:
         raise BudgetExceededError(
-            f"dimension {B.n} exceeds the facet scan cap {FACET_SCAN_MAX_DIM}"
+            f"dimension {B.n} exceeds the facet scan cap {FACET_SCAN_MAX_DIM}",
+            cap="FACET_SCAN_MAX_DIM", limit=FACET_SCAN_MAX_DIM,
         )
     R = RankOracle.from_basis_set(B)
     out: list[tuple[Subset, int]] = []

@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel.bounded import _graph_structure
 from polylevel.errors import BudgetExceededError
-from polylevel.oracle import delta_c_maxflow
+from polylevel.oracle import brute_bases, delta_c_maxflow
 
 from conftest import graph_and_bounds
 
@@ -82,8 +84,34 @@ def test_enumerate_bases_known():
 
 def test_enumerate_bases_budget():
     G = pl.complete_bipartite(3, 4)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         pl.enumerate_bases(G, (6,) * 7, candidate_cap=10)
+    assert (exc.value.cap, exc.value.limit) == ("candidate_cap", 10)
+
+
+def test_enumerate_bases_derives_graph_structure_once():
+    G = pl.complete_bipartite(2, 3)
+    _graph_structure.cache_clear()
+    pl.enumerate_bases(G, (3,) * 5)
+    info = _graph_structure.cache_info()
+    assert info.misses == 1 and info.hits > 1  # many candidates, one derivation
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5))
+@example((pl.graph(4, [(1, 2), (3, 4)]), (2, 1, 3, 2)), [3, 2, 2, 1, 1])
+@example((pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2)),
+         [3, 1, 2, 2, 3])
+def test_enumerate_bases_reuses_graph_structure_across_bounds(gc, more):
+    """Two bound vectors on one graph share its cached structure; both
+    basis sets must still match the brute-force enumeration.  The examples
+    pin a disconnected graph and an odd cycle with a tail."""
+    G, c = gc
+    for bounds in (c, tuple(more[:G.n])):
+        d, bases = brute_bases(G, bounds)
+        B = pl.enumerate_bases(G, bounds)
+        assert (B.delta_c, B.bases) == (d, tuple(bases))
 
 
 def test_divisor_set_examples():

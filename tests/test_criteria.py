@@ -1,9 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.criteria import _pseudo_gorenstein_from_bases
+
+from conftest import graph_and_bounds
 
 
 def test_bipartite_spec_normalization():
@@ -123,6 +127,41 @@ def test_search_labeling_examples():
     assert pl.search_labeling(pl.path(4), 2) == (2, 2, 2, 2)
     assert pl.search_labeling(pl.complete_bipartite(3, 4), 2) == (2,) * 7
     assert pl.search_labeling(pl.path(2), 2) == (2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3), st.data())
+def test_unit_bound_leaves_no_interior(gc, data):
+    """The search's prune: a bound c_i = 1 gives a hull without interior."""
+    G, c = gc
+    i = data.draw(st.integers(0, G.n - 1))
+    c = c[:i] + (1,) + c[i + 1:]
+    B = pl.enumerate_bases(G, c)
+    assert not _pseudo_gorenstein_from_bases(B)
+    assert not pl.pseudo_gorenstein_star(pl.facets(B))
+
+
+def _unpruned_search(G, c_max):
+    for c in itertools.product(range(1, c_max + 1), repeat=G.n):
+        if _pseudo_gorenstein_from_bases(pl.enumerate_bases(G, c)):
+            return c
+    return None
+
+
+SEARCH_GRAPHS = {
+    **{f"P{n}": pl.path(n) for n in (2, 3, 4, 5)},
+    **{f"C{n}": pl.cycle(n) for n in (3, 4, 5)},
+    **{f"K(1,{k})": pl.star(k) for k in (2, 3, 4)},
+    **{f"K({m},{k})": pl.complete_bipartite(m, k) for m, k in ((2, 2), (2, 3))},
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_GRAPHS)
+def test_search_labeling_matches_unpruned_search(name):
+    """Skipping the vectors with a unit bound changes no search result."""
+    G = SEARCH_GRAPHS[name]
+    for c_max in (1, 2, 3):
+        assert pl.search_labeling(G, c_max) == _unpruned_search(G, c_max)
 
 
 @settings(max_examples=40, deadline=None)

@@ -55,8 +55,12 @@ def test_count_against_flat_oracle(path3_hull, k34_hull):
 
 
 def test_enumeration_budget(cube4):
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         pl.lattice_points(cube4, 5, "full", budget=10)
+    assert (exc.value.cap, exc.value.limit) == ("budget", 10)
+    with pytest.raises(BudgetExceededError) as exc:
+        pl.count_lattice_points(cube4, 5, "full", budget=3)
+    assert (exc.value.cap, exc.value.limit) == ("budget", 3)
 
 
 def test_delta_vector_examples(cube4, path3_hull):

@@ -342,8 +342,9 @@ def test_table_cap_not_hit_by_empty_interior_hull():
             assert (N, a) not in table
     assert hits > 20
     assert (6, (1,) * 6) not in table  # beyond the scanned levels
-    with pytest.raises(pl.BudgetExceededError, match="table_cap"):
+    with pytest.raises(pl.BudgetExceededError, match="table_cap") as exc:
         pl.analyze_polytope(P, table_cap=1000)
+    assert (exc.value.cap, exc.value.limit) == ("table_cap", 1000)
 
 
 def test_structure_built_once_per_polytope():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.oracle import (
+    VERTEX_GUARD,
     brute_bases,
     brute_count,
     brute_interior_points,
@@ -33,8 +34,9 @@ def test_brute_bases_q_cap():
 
 
 def test_brute_bases_guard():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         brute_bases(pl.path(2), (10**4, 10**4))
+    assert (exc.value.cap, exc.value.limit) == ("VERTEX_GUARD", VERTEX_GUARD)
 
 
 @settings(max_examples=50, deadline=None)

@@ -65,8 +65,9 @@ def test_facets_known(path3_basis):
 
 def test_facets_dimension_cap():
     B = pl.BasisSet(n=17, delta_c=1, bases=(tuple([2] + [0] * 16),))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc:
         pl.facets(B)
+    assert (exc.value.cap, exc.value.limit) == ("FACET_SCAN_MAX_DIM", 16)
 
 
 def test_equal_side_sums_give_box():
