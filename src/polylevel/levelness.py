@@ -30,7 +30,7 @@ reports.
 
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
-forms that `lattice.normality_check` uses with slack 0.  With disjoint
+forms that `lattice._normality_scan` uses with slack 0.  With disjoint
 aggregates, searches over failing points run over aggregate coordinates
 only, with suffix tables of the two achievable extremes.
 

@@ -43,15 +43,23 @@ def graph_and_bounds(draw, max_n=5, max_c=3):
 
 
 @st.composite
-def facet_systems(draw, max_n=4, max_t=2, max_aggs=3):
+def facet_systems(draw, max_n=4, max_t=2, max_aggs=3, laminar=False):
     """A hand-built facet system: optional singleton caps plus up to
     `max_aggs` aggregate facets, which may cross (neither disjoint nor
-    nested), unlike the aggregates of a graph hull."""
+    nested), unlike the aggregates of a graph hull.  With `laminar`, an
+    aggregate that crosses an earlier one is dropped, so any two are
+    disjoint or nested."""
     n = draw(st.integers(2, max_n))
     subsets = [A for k in range(2, n + 1)
                for A in itertools.combinations(range(1, n + 1), k)]
     aggs = draw(st.lists(st.sampled_from(subsets), min_size=1,
                          max_size=max_aggs, unique=True))
+    if laminar:
+        kept = []
+        for A in map(set, aggs):
+            if all(not A & B or A <= B or B <= A for B in kept):
+                kept.append(A)
+        aggs = [tuple(sorted(A)) for A in kept]
     caps = draw(st.lists(st.one_of(st.none(), st.integers(1, max_t)),
                          min_size=n, max_size=n))
     facets = [((i,), t) for i, t in enumerate(caps, 1) if t is not None]

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
+from polylevel.lattice import _normality_scan, _structure
 from polylevel.oracle import brute_count, brute_normality, brute_volume
 
 from conftest import facet_systems, graph_and_bounds
@@ -127,6 +130,44 @@ def test_normality_matches_oracle(P, max_n):
     on graph hulls and on hand-built systems with nested or crossing
     aggregates."""
     assert pl.normality_check(P, max_n) == brute_normality(P, max_n)
+
+
+BOX_AND_CUTOFF = [pl.veronese_polytope(pl.VeroneseSpec(n=n, a=a, c=c))
+                  for n in (2, 3)
+                  for c in itertools.combinations_with_replacement((3, 2), n)
+                  for a in range(max(c[0] + 1, n + 1), sum(c))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=4, max_c=2).map(lambda gc: pl.facets(pl.enumerate_bases(*gc)))
+    .filter(lambda P: _structure(P).laminar),
+    facet_systems(max_n=4, max_t=2, laminar=True),
+    st.sampled_from(BOX_AND_CUTOFF),
+), st.integers(2, 3))
+@example(pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 1))), 3)
+def test_laminar_normality_matches_scan_and_oracle(P, max_n):
+    """On laminar facet systems the theorem, the enumerating scan and
+    explicit sumsets agree, verdict and witness: all say normal."""
+    assert _structure(P).laminar
+    assert pl.normality_check(P, max_n) == _normality_scan(P, max_n) \
+        == brute_normality(P, max_n) == (True, None)
+
+
+def test_laminar_normality_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+    monkeypatch.setattr("polylevel.lattice.iter_lattice_points", refuse)
+    box = pl.veronese_polytope(pl.VeroneseSpec(n=5, a=12, c=(5, 5, 5, 5, 5)))
+    nested = pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 1)))
+    for P in (box, nested):
+        assert pl.normality_check(P, 4) == (True, None)
+    crossing = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
+    with pytest.raises(AssertionError, match="enumerated"):
+        pl.normality_check(crossing, 2)
+    cube3 = pl.HPolytope(3, tuple(((i,), 2) for i in range(1, 4)))
+    with pytest.raises(ValueError):
+        pl.normality_check(cube3, 1)
 
 
 def test_reflexive_examples(k34_hull):
