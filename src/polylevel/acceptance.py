@@ -50,7 +50,7 @@ from . import (
 )
 from .criteria import dilation_containment
 from .lattice import _normality_scan
-from .oracle import brute_bases, brute_volume
+from .oracle import brute_bases, brute_count, brute_volume
 
 
 @dataclass(frozen=True)
@@ -337,7 +337,10 @@ def _delta_catalog():
 
 
 def criterion_13() -> tuple[bool, str]:
-    """Ehrhart sanity: coefficient identities, exact volumes, unimodal when level."""
+    """Ehrhart sanity: coefficient identities, exact volumes, unimodal when level.
+
+    For n <= 4 the counts at levels 1 and 2 are also refereed by a flat scan.
+    """
     failures: list[str] = []
     for name, P in _delta_catalog():
         dv = delta_vector(P)
@@ -347,6 +350,9 @@ def criterion_13() -> tuple[bool, str]:
                f"{name}: delta_n vs interior", failures)
         _check(all(d >= 0 for d in dv.delta), f"{name}: negative entry", failures)
         if P.n <= 4:
+            for N in (1, 2):
+                got, want = dv.counts[N], brute_count(P, N)
+                _check(got == want, f"{name}: count {got} != {want} at level {N}", failures)
             vol = brute_volume(P)
             _check(dv.normalized_volume == vol,
                    f"{name}: delta sum {dv.normalized_volume} != volume {vol}", failures)

@@ -45,10 +45,24 @@ for every N (Baum-Trotter, Integer rounding and polyhedral decomposition
 for totally unimodular systems, 1978).  So `normality_check` answers
 laminar systems without a scan; only crossing aggregates are scanned.
 
-Counting uses a coordinate-by-coordinate dynamic program whose state is
-the vector of partial sums of the aggregate facets.  Enumeration is plain
-recursive descent with partial-sum pruning, adequate at desk scale; both
-paths use exact Python integers throughout.
+Counting in closed form.  When the aggregate facets are pairwise
+disjoint, every facet lives in one block, so N*P and its interior are
+products of the block dilates (the product separability of the
+`levelness` docstring) and the count is a product over blocks.  A block
+is one coordinate with its cap u, holding N u - 2 lo + 1 points (lo = 0
+for N*P, 1 for the interior), or one aggregate (A, t) with m members.
+In y = x - lo the latter is y >= 0, y_i <= d_i = N u_i - 2 lo for the
+capped members, sum y <= R = N t - lo - m lo: compositions with upper
+bounds, counted by inclusion-exclusion over the capped members (Stanley,
+Enumerative Combinatorics I, sections 1.9 and 2.1),
+
+    sum_w c_w binom(R - w + m, m),   sum_w c_w z^w = prod (1 - z^(d_i+1)),
+
+the terms grouped by overshoot w <= R.  Nested or crossing aggregates
+are counted by `_count_dp`, a coordinate-by-coordinate dynamic program
+whose state is the vector of partial sums of the aggregate facets.
+Enumeration is plain recursive descent with partial-sum pruning,
+adequate at desk scale; all paths use exact Python integers.
 
 The Ehrhart counts i(P, N) for N = 0..n determine the delta vector
 
@@ -343,12 +357,71 @@ def lattice_points(P: HPolytope, N: int, region: str = "full",
 
 def count_lattice_points(P: HPolytope, N: int, region: str = "full",
                          budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """|N*P ∩ Z^n| (or the interior count); N = 0 counts 1 resp. 0."""
+    """|N*P ∩ Z^n| (or the interior count); N = 0 counts 1 resp. 0.
+
+    A system with pairwise disjoint aggregate facets (every box-and-cutoff
+    polytope, most graph hulls) is counted in closed form, a product over
+    its blocks as in the module docstring; one `budget` state there is one
+    single-coordinate block or one entry of a block's overshoot table.
+    Nested or crossing aggregates go through `_count_dp`, where one state
+    is one memoised (coordinate, partial sums) pair.  Either way more than
+    `budget` states raise BudgetExceededError.
+    """
     _check_region(region)
     if N < 0:
         raise ValueError("dilation level must be >= 0")
     if N == 0:
         return 1 if region == "full" else 0
+    st = _structure(P)
+    if not st.disjoint:
+        return _count_dp(P, N, region, budget)
+    lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
+    total, states = 1, 0
+    for block in st.blocks:
+        ks = st.agg_at[block[0] - 1]
+        if ks:
+            count, table = _aggregate_block_count(st, *st.aggs[ks[0]], N, lo)
+        else:  # one coordinate, bounded by its cap alone
+            count, table = max(0, N * st.u[block[0] - 1] - 2 * lo + 1), 1
+        states += table
+        if states > budget:
+            raise BudgetExceededError(f"counting exceeded {budget} states",
+                                      cap="budget", limit=budget)
+        total *= count
+    return total
+
+
+def _aggregate_block_count(st: _Structure, A: tuple[int, ...], t: int, N: int,
+                           lo: int) -> tuple[int, int]:
+    """Lattice points of the block of one aggregate (A, t), by inclusion-
+    exclusion over its capped members, and the size of the overshoot table."""
+    m = len(A)
+    # y = x - lo: y >= 0, y_i <= d_i where capped, sum_A y <= R
+    R = N * t - lo - m * lo
+    if R < 0:
+        return 0, 0
+    coef = {0: 1}  # Π (1 - z^(d_i+1)) over the capped members, degree <= R
+    for i in A:
+        if st.u[i - 1] is None:
+            continue
+        d = N * st.u[i - 1] - 2 * lo
+        if d < 0:
+            return 0, 0
+        nxt = dict(coef)
+        for w, c in coef.items():
+            if w + d + 1 <= R:
+                nxt[w + d + 1] = nxt.get(w + d + 1, 0) - c
+        coef = nxt
+    return sum(c * comb(R - w + m, m) for w, c in coef.items()), len(coef)
+
+
+def _count_dp(P: HPolytope, N: int, region: str = "full",
+              budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """`count_lattice_points` by a dynamic program, for any facet system.
+
+    Coordinate by coordinate, the state is the vector of partial sums of
+    the aggregate facets; one budget state is one memoised state.
+    """
     st = _structure(P)
     lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
     caps = [None if u is None else N * u - lo for u in st.u]

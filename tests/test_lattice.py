@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
-from polylevel.lattice import _normality_scan, _structure
+from polylevel.lattice import _count_dp, _normality_scan, _structure
 from polylevel.oracle import brute_count, brute_normality, brute_volume
 
 from conftest import facet_systems, graph_and_bounds
@@ -64,6 +64,55 @@ def test_enumeration_budget(cube4):
     with pytest.raises(BudgetExceededError) as exc:
         pl.count_lattice_points(cube4, 5, "full", budget=3)
     assert (exc.value.cap, exc.value.limit) == ("budget", 3)
+
+
+@st.composite
+def veronese_specs(draw):
+    """A box-and-cutoff spec in dimension 2-5, boxes small enough for a flat scan."""
+    n = draw(st.integers(2, 5))
+    c = sorted(draw(st.lists(st.integers(2, 7 - n), min_size=n, max_size=n)), reverse=True)
+    a = draw(st.integers(max(c[0] + 1, n + 1), sum(c) - 1))
+    return pl.VeroneseSpec(n=n, a=a, c=tuple(c))
+
+
+def _disjoint(P):
+    return _structure(P).disjoint
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    facet_systems(max_n=4, max_t=3, laminar=True).filter(_disjoint),
+    graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc)))
+    .filter(_disjoint),
+    veronese_specs().map(pl.veronese_polytope),
+), st.integers(0, 4), st.sampled_from(("full", "interior")))
+@example(pl.HPolytope(3, (((1, 2), 1), ((3,), 1))), 2, "interior")         # R < 0
+@example(pl.HPolytope(3, (((1, 2), 3), ((1,), 1), ((3,), 2))), 1, "interior")  # d_1 < 0
+@example(pl.HPolytope(3, (((1, 2), 3), ((3,), 1))), 1, "interior")         # empty cap block
+@example(pl.HPolytope(4, (((1, 2), 2), ((3, 4), 3), ((2,), 1))), 3, "interior")  # two aggregates
+def test_disjoint_counts_match_dp_and_oracle(P, N, region):
+    """With disjoint aggregate facets the closed form, the dynamic program
+    and a flat scan agree, on hand-built systems (uncapped aggregate
+    members included), graph hulls and box-and-cutoff polytopes."""
+    assert _structure(P).disjoint
+    assert pl.count_lattice_points(P, N, region) == _count_dp(P, N, region) \
+        == brute_count(P, N, region == "interior")
+
+
+def test_disjoint_counts_skip_the_dp(monkeypatch, cube4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dynamic program")
+    monkeypatch.setattr("polylevel.lattice._count_dp", refuse)
+    dv = pl.delta_vector(pl.veronese_polytope(pl.VeroneseSpec(n=8, a=20, c=(5,) * 8)))
+    assert dv.delta[0] == 1 and len(dv.counts) == 9
+    assert pl.count_lattice_points(cube4, 3) == 7 ** 4
+    crossing = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
+    with pytest.raises(AssertionError, match="dynamic program"):
+        pl.count_lattice_points(crossing, 2)
+    box = pl.veronese_polytope(pl.VeroneseSpec(n=3, a=4, c=(2, 2, 2)))
+    with pytest.raises(BudgetExceededError) as exc:
+        pl.count_lattice_points(box, 2, budget=1)
+    assert (exc.value.cap, exc.value.limit) == ("budget", 1)
 
 
 def test_delta_vector_examples(cube4, path3_hull):
