@@ -6,7 +6,7 @@ class BudgetExceededError(RuntimeError):
 
     Raised instead of silently truncating results; callers can retry with a
     larger explicit budget.  `cap` names the parameter or constant that set
-    the budget (such as "candidate_cap", "budget" or "table_cap") and
+    the budget (such as "candidate_cap" or "budget") and
     `limit` is its value.
     """
 

@@ -27,11 +27,11 @@ summand is constrained per coordinate to the window
     max(slack, a_i - (N-r) u_i)  <=  a0_i  <=  min(a_i, r u_i - slack)
 
 (u_i the singleton bound, absent terms dropped) and per aggregate facet
-(A, t) to  sum_A a - (N-r) t <= sum_A a0 <= r t - slack.  When the
-aggregate facets are pairwise disjoint these constraints decouple, so
-existence is a per-aggregate interval intersection.  Nested (laminar)
-families use an exact interval propagation instead; anything else falls
-back to an explicit depth-first search per point.
+(A, t) to  sum_A a - (N-r) t <= sum_A a0 <= r t - slack.  Laminar
+families (aggregates pairwise disjoint or nested) use an exact interval
+propagation from the innermost aggregates out; with pairwise disjoint
+aggregates it is a per-aggregate interval intersection.  Anything else
+falls back to an explicit depth-first search per point.
 
 Normality in closed form.  Let the 0/1 upper rows form a laminar family
 (any two supports disjoint or nested; singleton caps always qualify).
@@ -212,22 +212,6 @@ def _window(st: _Structure, a: ExponentVector, N: int, r: int,
     return wlo, whi
 
 
-def _split_feasible_disjoint(st: _Structure, a: ExponentVector, N: int, r: int,
-                             slack: int) -> bool:
-    """Split-existence when aggregate facets are pairwise disjoint."""
-    w = _window(st, a, N, r, slack)
-    if w is None:
-        return False
-    wlo, whi = w
-    for A, t in st.aggs:
-        s_a = sum(a[i - 1] for i in A)
-        lo = max(s_a - (N - r) * t, sum(wlo[i - 1] for i in A))
-        hi = min(r * t - slack, sum(whi[i - 1] for i in A))
-        if lo > hi:
-            return False
-    return True
-
-
 def _split_feasible_laminar(st: _Structure, a: ExponentVector, N: int, r: int,
                             slack: int) -> bool:
     """Split-existence for a laminar aggregate family.
@@ -244,15 +228,23 @@ def _split_feasible_laminar(st: _Structure, a: ExponentVector, N: int, r: int,
     wlo, whi = w
     k_lo = [0] * len(st.aggs)
     k_hi = [0] * len(st.aggs)
+    # plain loops: this is the hot path of the level* and degree scans
     for k, (A, t) in enumerate(st.aggs):  # sorted by size: children first
-        lo = sum(k_lo[ch] for ch in st.forest[k]) + sum(wlo[i - 1] for i in st.own[k])
-        hi = sum(k_hi[ch] for ch in st.forest[k]) + sum(whi[i - 1] for i in st.own[k])
-        s_a = sum(a[i - 1] for i in A)
+        lo = hi = s_a = 0
+        for ch in st.forest[k]:
+            lo += k_lo[ch]
+            hi += k_hi[ch]
+        for i in st.own[k]:
+            lo += wlo[i - 1]
+            hi += whi[i - 1]
+        for i in A:
+            s_a += a[i - 1]
         lo = max(lo, s_a - (N - r) * t)
         hi = min(hi, r * t - slack)
         if lo > hi:
             return False
-        k_lo[k], k_hi[k] = lo, hi
+        k_lo[k] = lo
+        k_hi[k] = hi
     return True
 
 
@@ -299,8 +291,6 @@ def _split_exists_dfs(st: _Structure, a: ExponentVector, N: int, r: int,
 
 def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int, slack: int) -> bool:
     """Is a = a0 + a' with a0 in r*P (interior for slack 1) and a' in (N-r)*P?"""
-    if st.disjoint:
-        return _split_feasible_disjoint(st, a, N, r, slack)
     if st.laminar:
         return _split_feasible_laminar(st, a, N, r, slack)
     return _split_exists_dfs(st, a, N, r, slack)

@@ -58,28 +58,32 @@ arguments that hold for every facet system of this form:
 
 No monotonicity in r is assumed.  A degree r is tested only when r*P has
 an interior point (the all-ones point is the least candidate), since a
-split at r needs one.  The report's table is a lazy view of the
-histogram: its length is a sum of counts, a lookup reads the block
-representatives' bitmasks, and points are listed only when iterated;
-`table_cap` bounds the representatives the scan holds.
+split at r needs one.
 
 Hulls with a nonempty interior keep the point-by-point scan of failing
-points, and `table_cap` bounds the points it holds.  Failing points need
-not be few there: the K(3,4) hull with c = 2 has 402,116 of them over
-levels 2..6.  That scan stays because it is output-sensitive: with
+points, which tallies each point's degree as it comes.  Failing points
+need not be few there: the K(3,4) hull with c = 2 has 402,116 of them
+over levels 2..6.  That scan stays because it is output-sensitive: with
 disjoint aggregates it prunes every subtree that cannot fail a degree-1
 split, so a level* hull costs about nothing, where a histogram visits
 every interior orbit.  For `level_star` on the 11 level* hulls with
 n = 7 in an eighth of acceptance check A05, a histogram-only scan took
 over 300 times as long as the pruned one, and the whole of A05 about 50
 times as long.
+
+Both counters return only the histogram {(N, r): count} of the degrees
+r >= 2, and the report's table is a lazy view of it that holds no point:
+its length is a sum of counts, a lookup tests the one point, and
+iterating re-runs the failing-point scan level by level (with an empty
+interior of P every interior point fails).  `budget` bounds the nodes
+of every scan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import BudgetExceededError
 # `lattice_points` is not called here; it stays bound because the
@@ -98,7 +102,6 @@ from .polymatroid import HPolytope
 
 ExponentVector = tuple[int, ...]
 
-DEFAULT_TABLE_CAP = 10**6
 _NEG = -(10**15)
 
 
@@ -112,11 +115,7 @@ def reduced_degree(P: HPolytope, a, N: int, budget: int = DEFAULT_NODE_BUDGET) -
     a = tuple(a)
     if not membership(P, a, N, "interior"):
         raise ValueError(f"{a} is not an interior lattice point of the {N}-fold dilate")
-    st = _structure(P)
-    for r in range(1, N + 1):
-        if _split_exists(st, a, N, r, 1):
-            return r
-    raise RuntimeError("unreachable: r = N always splits")  # pragma: no cover
+    return _least_split(_structure(P), a, N, 1)
 
 
 # --- enumeration of points with no degree-1 split -------------------------
@@ -200,34 +199,23 @@ class _FailScanner:
                 return True
         return False
 
-    def scan(self, collect: list | None, cap: int | None):
-        """Yield-style scan; returns the first failing point, filling `collect`
-        with every failing point when a list is passed."""
+    def scan(self):
+        """Yield the failing points in lex order."""
         st, N = self.st, self.N
         n = self.n
         point = [0] * n
         used = [0] * len(self.aggs)
         fixed1 = [0] * len(self.aggs)
         fixed2 = [0] * len(self.aggs)
-        first: list = []
 
-        def rec(i: int) -> bool:
+        def rec(i: int):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExceededError(f"level scan exceeded {self.budget} nodes",
                                           cap="budget", limit=self.budget)
             if i == n:
-                a = tuple(point)
-                if collect is not None:
-                    collect.append(a)
-                    if cap is not None and len(collect) > cap:
-                        raise BudgetExceededError(
-                            f"more than table_cap = {cap} points without degree-1 split",
-                            cap="table_cap", limit=cap,
-                        )
-                if not first:
-                    first.append(a)
-                return collect is None  # stop at the first hit unless collecting
+                yield tuple(point)
+                return
             ui = st.u[i]
             hi = None if ui is None else N * ui - 1
             k = st.agg_at[i][0] if st.agg_at[i] else None  # disjoint: at most one
@@ -244,42 +232,44 @@ class _FailScanner:
                     fixed1[k] += d1
                     fixed2[k] += d2
                 if self._alive(i + 1, used, fixed1, fixed2):
-                    if rec(i + 1):
-                        return True
+                    yield from rec(i + 1)
                 if k is not None:
                     used[k] -= v
                     fixed1[k] -= d1
                     fixed2[k] -= d2
-            return False
 
-        rec(0)
-        return first[0] if first else None
+        yield from rec(0)
 
 
-def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int,
-                  collect: list | None, cap: int | None):
-    """First (or all) interior points of N*P without a degree-1 split.
+def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int, interior1: int):
+    """Interior points of N*P without a degree-1 split, in lex order.
 
-    Needs a nonempty interior of P; otherwise every point fails, and the
-    degree scan takes the histogram path instead.
+    `interior1` is the number of interior points of P; without one no
+    point splits at r = 1, and every interior point of N*P is yielded.
     """
-    if st.disjoint:
-        return _FailScanner(st, N, budget).scan(collect, cap)
+    if interior1 and st.disjoint:
+        return _FailScanner(st, N, budget).scan()
+    points = iter_lattice_points(P, N, "interior", budget=budget)
+    if not interior1:
+        return points
     # fallback: plain interior enumeration with a per-point search
-    first = None
-    for a in iter_lattice_points(P, N, "interior", budget=budget):
-        if not _split_exists(st, a, N, 1, 1):
-            if first is None:
-                first = a
-            if collect is None:
-                return first
-            collect.append(a)
-            if cap is not None and len(collect) > cap:
-                raise BudgetExceededError(
-                    f"more than table_cap = {cap} points without degree-1 split",
-                    cap="table_cap", limit=cap,
-                )
-    return first
+    return (a for a in points if not _split_exists(st, a, N, 1, 1))
+
+
+def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
+    """Least degree >= r at which the interior point a of N*P splits."""
+    while not _split_exists(st, a, N, r, 1):
+        r += 1
+    return r
+
+
+def _failing_degrees(P: HPolytope, levels, budget: int, interior1: int):
+    """((N, a), r) for every interior point a of N*P of reduced degree
+    r >= 2, level by level and in lex order within a level."""
+    st = _structure(P)
+    for N in levels:
+        for a in _iter_failing(P, st, N, budget, interior1):
+            yield (N, a), _least_split(st, a, N, 2)
 
 
 # --- degree histogram by block and twin orbit -----------------------------
@@ -299,9 +289,8 @@ class _OrbitScan:
     aggregate memberships.  Coordinates are visited class by class, each
     class nondecreasing, and a representative is weighted by the number of
     distinct permutations of its values within the classes.  Per scanned
-    level N, `masks[N]` maps each representative to its feasible split
-    degrees (bit r-1 for r; only the least one when `full` is false) and
-    `hists[N]` sums the weights per mask.
+    level N, `hists[N]` sums the weights per mask of feasible split degrees
+    (bit r-1 for r; only the least one when `full` is false).
     """
 
     def __init__(self, Q: HPolytope, full: bool):
@@ -325,25 +314,10 @@ class _OrbitScan:
                     (k, sum(1 for m in st.aggs[k][0] if m - 1 in later))
                     for k in st.agg_at[i]
                 ))
-        self.masks: dict[int, dict[ExponentVector, int]] = {}
         self.hists: dict[int, dict[int, int]] = {}
 
-    def key(self, values) -> ExponentVector:
-        """The representative of a block point: values sorted within each class."""
-        rep = list(values)
-        for c in self.classes:
-            for i, v in zip(c, sorted(values[i] for i in c)):
-                rep[i] = v
-        return tuple(rep)
-
-    def scan_level(self, N: int, tests: tuple[int, ...], budget: int, held: int,
-                   table_cap: int) -> int:
-        """Fill masks[N] and hists[N], testing the split degrees `tests`;
-        returns the representatives held.
-
-        `held` representatives are already held elsewhere, and the total
-        may not exceed `table_cap`.
-        """
+    def scan_level(self, N: int, tests: tuple[int, ...], budget: int) -> None:
+        """Fill hists[N], testing the split degrees `tests`."""
         st, order, full = self.st, self.order, self.full
         m = len(order)
         caps = [None if u is None else N * u - 1 for u in st.u]
@@ -351,7 +325,6 @@ class _OrbitScan:
         top = 1 << (N - 1)                 # r = N always splits
         point = [0] * st.n
         used = [0] * len(st.aggs)
-        masks: dict[ExponentVector, int] = {}
         hist: dict[int, int] = {}
         nodes = 0
 
@@ -365,13 +338,7 @@ class _OrbitScan:
                         mask |= 1 << (r - 1)
                         if not full:
                             break
-                masks[a] = mask
                 hist[mask] = hist.get(mask, 0) + weight
-                if held + len(masks) > table_cap:
-                    raise BudgetExceededError(
-                        f"more than table_cap = {table_cap} orbit representatives held",
-                        cap="table_cap", limit=table_cap,
-                    )
                 return
             i = order[p]
             hi = caps[i]
@@ -395,14 +362,12 @@ class _OrbitScan:
                     used[k] -= v
 
         rec(0, 1, 1, 0)
-        self.masks[N], self.hists[N] = masks, hist
-        return len(masks)
+        self.hists[N] = hist
 
 
-def _degree_histogram(P: HPolytope, levels, budget: int, table_cap: int):
+def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int], int]:
     """Exact {(N, r): count} of reduced degrees over the interior of N*P.
 
-    Returns the histogram and the (members, scan) pair of every block.
     Identical block polytopes share one scan.
     """
     blocks = _structure(P).blocks
@@ -412,18 +377,17 @@ def _degree_histogram(P: HPolytope, levels, budget: int, table_cap: int):
         Q = _restrict(P, members)
         if Q.upper_facets not in scans:
             scans[Q.upper_facets] = _OrbitScan(Q, full=len(blocks) > 1)
-        parts.append((members, scans[Q.upper_facets]))
+        parts.append(scans[Q.upper_facets])
     hist: dict[tuple[int, int], int] = {}
-    held = 0
     for N in levels:
         # a split at r needs an interior point of r*P; the least candidate,
         # the all-ones point, settles whether there is one
         tests = tuple(r for r in range(1, N)
                       if all(len(A) <= r * t - 1 for A, t in P.upper_facets))
         combined = {(1 << N) - 1: 1}
-        for _members, scan in parts:
+        for scan in parts:
             if N not in scan.hists:
-                held += scan.scan_level(N, tests, budget, held, table_cap)
+                scan.scan_level(N, tests, budget)
             nxt: dict[int, int] = {}
             for m1, c1 in combined.items():
                 for m2, c2 in scan.hists[N].items():
@@ -434,28 +398,23 @@ def _degree_histogram(P: HPolytope, levels, budget: int, table_cap: int):
         for mask, count in combined.items():
             key = (N, (mask & -mask).bit_length())
             hist[key] = hist.get(key, 0) + count
-    return hist, parts
+    return hist
 
 
 class _DegreeTable(Mapping):
-    """Read-only view (N, point) -> reduced degree >= 2 of a histogram scan.
+    """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
 
-    Its length comes from the histogram; a lookup reads the block
-    representatives, and points are listed only when iterated.
+    It holds no point: its length is a sum of the scan's counts, a lookup
+    tests the one point, and iterating re-runs the failing-point scan level
+    by level, taking each degree from that scan.
     """
 
-    def __init__(self, P: HPolytope, levels, parts, hist, budget: int):
-        self._P, self._levels, self._parts, self._budget = P, levels, parts, budget
+    def __init__(self, P: HPolytope, levels, hist, budget: int, interior1: int):
+        self._P, self._levels, self._budget, self._interior1 = P, levels, budget, interior1
         self._len = sum(c for (_N, r), c in hist.items() if r >= 2)
 
     def __len__(self) -> int:
         return self._len
-
-    def _degree(self, N: int, a: ExponentVector) -> int:
-        mask = (1 << N) - 1
-        for members, scan in self._parts:
-            mask &= scan.masks[N][scan.key([a[i - 1] for i in members])]
-        return (mask & -mask).bit_length()
 
     def __getitem__(self, key):
         try:
@@ -465,16 +424,32 @@ class _DegreeTable(Mapping):
             raise KeyError(key) from None
         if (N in self._levels and len(a) == self._P.n
                 and membership(self._P, a, N, "interior")):
-            r = self._degree(N, a)
+            r = _least_split(_structure(self._P), a, N, 1)
             if r >= 2:
                 return r
         raise KeyError(key)
 
+    def _scan(self):
+        return _failing_degrees(self._P, self._levels, self._budget, self._interior1)
+
     def __iter__(self):
-        for N in self._levels:
-            for a in iter_lattice_points(self._P, N, "interior", budget=self._budget):
-                if self._degree(N, a) >= 2:
-                    yield (N, a)
+        return (key for key, _r in self._scan())
+
+    def items(self):
+        return _ScannedItems(self)
+
+    def values(self):
+        return _ScannedValues(self)
+
+
+class _ScannedItems(ItemsView):
+    def __iter__(self):
+        return self._mapping._scan()
+
+
+class _ScannedValues(ValuesView):
+    def __iter__(self):
+        return (r for _key, r in self._mapping._scan())
 
 
 def level_star(P: HPolytope, max_level: int | None = None,
@@ -490,21 +465,21 @@ def level_star(P: HPolytope, max_level: int | None = None,
     st = _structure(P)
     top = max_level if max_level is not None else max(2, P.n - 1)
     for N in range(2, top + 1):
-        w = _iter_failing(P, st, N, budget, collect=None, cap=None)
+        w = next(_iter_failing(P, st, N, budget, _interior1), None)
         if w is not None:
             return False, (N, w)
     return True, None
 
 
 def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
-                  table_cap: int, interior1: int | None = None):
+                  interior1: int | None = None):
     """Reduced degrees over the scanned dilation levels 2..top.
 
-    Returns (max_degree, table, degrees).  `table` maps (N, point) to the
-    reduced degree for every scanned point of degree >= 2 (degree-1 points
-    are the generic case and are left implicit) and `degrees` is the set of
-    those degrees.  `max_degree` is None when no scanned dilate, level 1
-    included, has an interior point.
+    Returns (max_degree, table, degrees).  `table` is a `_DegreeTable` of
+    every scanned point of degree >= 2 (degree-1 points are the generic
+    case and are left implicit) and `degrees` is the set of those degrees.
+    `max_degree` is None when no scanned dilate, level 1 included, has an
+    interior point.
     """
     if max_level is not None and max_level < 1:
         raise ValueError("max_level must be at least 1")
@@ -514,29 +489,18 @@ def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
     if interior1 == 0:
         # no point of any dilate splits at r = 1, so every interior point
         # has degree >= 2: count them by block and twin orbit
-        hist, parts = _degree_histogram(P, levels, budget, table_cap)
-        degrees = {r for _N, r in hist if r >= 2}
-        table = _DegreeTable(P, levels, parts, hist, budget)
-        return max((r for _N, r in hist), default=None), table, degrees
-    st = _structure(P)
-    found: dict[tuple[int, ExponentVector], int] = {}
-    for N in levels:
-        failing: list = []
-        _iter_failing(P, st, N, budget, collect=failing, cap=table_cap)
-        for a in failing:
-            r = 2
-            while not _split_exists(st, a, N, r, 1):
-                r += 1
-            found[(N, a)] = r
-    degrees = set(found.values())
-    return max(degrees, default=1), MappingProxyType(found), degrees
+        hist = _degree_histogram(P, levels, budget)
+    else:
+        hist = Counter((N, r) for (N, _a), r in _failing_degrees(P, levels, budget, interior1))
+    degrees = {r for _N, r in hist if r >= 2}
+    table = _DegreeTable(P, levels, hist, budget, interior1)
+    return max(degrees, default=1 if interior1 else None), table, degrees
 
 
 def int_star_degree(P: HPolytope, max_level: int | None = None,
-                    budget: int = DEFAULT_NODE_BUDGET,
-                    table_cap: int = DEFAULT_TABLE_CAP) -> int:
+                    budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest reduced degree over dilation levels 1..max(1, n-1)."""
-    max_degree, _table, _degrees = _scan_degrees(P, max_level, budget, table_cap)
+    max_degree, _table, _degrees = _scan_degrees(P, max_level, budget)
     if max_degree is None:
         top = max_level if max_level is not None else max(1, P.n - 1)
         raise ValueError(f"empty interior: no dilate up to level {top} has interior points")
@@ -544,10 +508,9 @@ def int_star_degree(P: HPolytope, max_level: int | None = None,
 
 
 def conjecture_spectrum(P: HPolytope, max_level: int | None = None,
-                        budget: int = DEFAULT_NODE_BUDGET,
-                        table_cap: int = DEFAULT_TABLE_CAP) -> bool:
+                        budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """With d the int* degree: is every degree 1 <= i < d realized in the scan?"""
-    max_degree, _table, degrees = _scan_degrees(P, max_level, budget, table_cap)
+    max_degree, _table, degrees = _scan_degrees(P, max_level, budget)
     if max_degree is None:
         raise ValueError("empty interior: spectrum undefined")
     return all(i in degrees for i in range(2, max_degree))
@@ -559,8 +522,9 @@ class LevelnessReport:
 
     `reduced_degree_table` is a read-only mapping of the scanned points of
     reduced degree at least 2 to their degree; degree-1 points are
-    ubiquitous and left implicit.  With an empty interior it is a lazy view
-    of the degree histogram.  `failure_witness` carries (level, point,
+    ubiquitous and left implicit.  It is a lazy view that holds no point:
+    its length comes from the scan's counts, a lookup tests the one point,
+    and iterating it re-runs the scan.  `failure_witness` carries (level, point,
     explanation) when level* fails with a witness; an empty interior fails
     without one.
     """
@@ -578,8 +542,7 @@ class LevelnessReport:
 
 
 def analyze_polytope(P: HPolytope, max_level: int | None = None,
-                     budget: int = DEFAULT_NODE_BUDGET,
-                     table_cap: int = DEFAULT_TABLE_CAP) -> LevelnessReport:
+                     budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
     from .lattice import reflexive_up_to_translation
 
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
@@ -589,7 +552,7 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
     if witness is not None:  # an empty interior fails without a pointwise witness
         witness = (witness[0], witness[1],
                    f"no interior summand of the base polytope splits off at level {witness[0]}")
-    max_degree, table, degrees = _scan_degrees(P, max_level, budget, table_cap, interior1)
+    max_degree, table, degrees = _scan_degrees(P, max_level, budget, interior1)
     spectrum = None if max_degree is None else all(i in degrees for i in range(2, max_degree))
     return LevelnessReport(
         n=P.n,

@@ -1,22 +1,22 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.lattice import (
     _split_exists,
     _split_exists_dfs,
-    _split_feasible_disjoint,
     _split_feasible_laminar,
     _structure,
 )
 from polylevel.levelness import (
-    DEFAULT_TABLE_CAP,
     _degree_histogram,
     _iter_failing,
     _restrict,
@@ -137,9 +137,10 @@ def test_fail_scan_on_two_disjoint_aggregates():
     P = pl.facets(pl.enumerate_bases(G, (3, 3, 2, 2, 2, 2)))
     st = _structure(P)
     assert [A for A, _ in st.aggs] == [(3, 4), (5, 6)] and st.disjoint
+    interior1 = pl.count_lattice_points(P, 1, "interior")
+    assert interior1 > 0
     for N in (2, 3):
-        got = []
-        _iter_failing(P, st, N, 10**8, collect=got, cap=None)
+        got = list(_iter_failing(P, st, N, 10**8, interior1))
         naive = [a for a in pl.lattice_points(P, N, "interior")
                  if not _split_exists_dfs(st, a, N, 1, 1)]
         assert got == naive
@@ -152,11 +153,11 @@ def test_fail_scan_matches_naive(gc):
     G, c = gc
     P = pl.facets(pl.enumerate_bases(G, c))
     st = _structure(P)
-    if not st.disjoint or pl.count_lattice_points(P, 1, "interior") == 0:
+    interior1 = pl.count_lattice_points(P, 1, "interior")
+    if not st.disjoint or interior1 == 0:
         return
     for N in (2, 3):
-        collected = []
-        _iter_failing(P, st, N, 10**8, collect=collected, cap=None)
+        collected = list(_iter_failing(P, st, N, 10**8, interior1))
         naive = [a for a in pl.lattice_points(P, N, "interior")
                  if not _split_exists_dfs(st, a, N, 1, 1)]
         assert collected == naive
@@ -178,8 +179,6 @@ def test_split_paths_agree(P, slack):
         for a in pl.lattice_points(P, N, region)[:15]:
             for r in range(1, N + 1):
                 dfs = _split_exists_dfs(st, a, N, r, slack)
-                if st.disjoint:
-                    assert _split_feasible_disjoint(st, a, N, r, slack) == dfs
                 if st.laminar:
                     assert _split_feasible_laminar(st, a, N, r, slack) == dfs
                 assert _split_exists(st, a, N, r, slack) == dfs
@@ -204,6 +203,47 @@ def test_analyze_report_empty_interior():
     assert rep.int_star_degree is None
     assert rep.conjecture_spectrum_holds is None
     assert rep.failure_witness is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=4),
+))
+@example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))    # empty interior
+# one interior point, and points of degree 2: one aggregate, then crossing ones
+@example(pl.HPolytope(3, (((1,), 3), ((2,), 2), ((3,), 2), ((1, 2, 3), 4))))
+@example(pl.HPolytope(3, (((2, 3), 3), ((1, 2), 4), ((1, 3), 4), ((1,), 2))))
+def test_degree_table_matches_flat_oracle(P):
+    """The report's table, entry by entry, against the flat per-point
+    oracle at levels 2..3: graph hulls and hand-built systems, crossing
+    ones included, with empty and nonempty interiors."""
+    table = pl.analyze_polytope(P, max_level=3).reduced_degree_table
+    want = {}
+    for N in (2, 3):
+        for a in brute_interior_points(P, N):
+            r = brute_reduced_degree(P, a, N)
+            if r >= 2:
+                want[(N, a)] = r
+    assert dict(table.items()) == want
+    assert len(table) == len(want)
+    assert {key: table[key] for key in table} == want
+
+
+def test_report_holds_no_points(k34_hull):
+    """The table is a view: a report of 2,608 points of degree 2 keeps
+    almost nothing allocated (a dict of those points holds over 150 kB)."""
+    pl.analyze_polytope(k34_hull, max_level=3)  # fill the caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = pl.analyze_polytope(k34_hull, max_level=3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rep.reduced_degree_table) == 2608
+    assert held < 32_000
 
 
 def test_scan_bound_override(veronese_5333):
@@ -282,7 +322,7 @@ def test_degree_histogram_matches_flat_oracle(P):
     assert _structure(P).blocks == _plain_blocks(P)
     assert len(_structure(P).blocks) >= 2
     assert not _structure(P).laminar
-    hist, _parts = _degree_histogram(P, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
+    hist = _degree_histogram(P, range(1, 4), 10**8)
     assert hist == _flat_histogram(P, range(1, 4))
 
 
@@ -291,7 +331,7 @@ def test_degree_histogram_matches_flat_oracle(P):
 def test_degree_histogram_with_interior_matches_flat_oracle(P):
     """Nonempty interior: every degree is tested, the block sets intersect."""
     assert pl.count_lattice_points(P, 1, "interior") > 0
-    hist, _parts = _degree_histogram(P, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
+    hist = _degree_histogram(P, range(1, 4), 10**8)
     assert hist == _flat_histogram(P, range(1, 4))
 
 
@@ -301,7 +341,7 @@ def test_degree_histogram_single_block(P):
     """One block alone: the histogram keeps only the least feasible degree."""
     Q = _restrict(P, _structure(P).blocks[0])
     assert _structure(Q).blocks == _plain_blocks(Q) == (tuple(range(1, Q.n + 1)),)
-    hist, _parts = _degree_histogram(Q, range(1, 4), 10**8, DEFAULT_TABLE_CAP)
+    hist = _degree_histogram(Q, range(1, 4), 10**8)
     assert hist == _flat_histogram(Q, range(1, 4))
 
 
@@ -327,7 +367,7 @@ def test_table_cap_not_hit_by_empty_interior_hull():
     assert rep.interior_count_1 == 0 and rep.int_star_degree == 2
     assert isinstance(table, Mapping) and not hasattr(table, "__setitem__")
     total = sum(pl.count_lattice_points(P, N, "interior") for N in range(2, 6))
-    assert len(table) == total > DEFAULT_TABLE_CAP
+    assert len(table) == total > 10**6
     for (N, a), r in itertools.islice(table.items(), 40):
         assert N == 2 and pl.reduced_degree(P, a, N) == r
     rng = random.Random(0)
@@ -342,9 +382,6 @@ def test_table_cap_not_hit_by_empty_interior_hull():
             assert (N, a) not in table
     assert hits > 20
     assert (6, (1,) * 6) not in table  # beyond the scanned levels
-    with pytest.raises(pl.BudgetExceededError, match="table_cap") as exc:
-        pl.analyze_polytope(P, table_cap=1000)
-    assert (exc.value.cap, exc.value.limit) == ("table_cap", 1000)
 
 
 def test_structure_built_once_per_polytope():
