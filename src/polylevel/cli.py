@@ -230,7 +230,7 @@ def cmd_int_star_degree(args) -> int:
 def cmd_reduced_degree(args) -> int:
     P = _polytope(args)
     point = _parse_int_list(args.point)
-    r = reduced_degree(P, point, args.level, budget=args.budget)
+    r = reduced_degree(P, point, args.level)
     payload = {"point": list(point), "level": args.level, "reduced_degree": r}
     _emit(args, payload, [f"reduced degree of {list(point)} at level {args.level}: {r}"])
     return 0

@@ -16,17 +16,19 @@ Definitions, for a full-dimensional lattice polytope P given by x >= 0 and
   r = N always works.  The int* degree of P is the largest reduced degree
   over all dilates, and P is level* exactly when that degree is 1.
 
-Finite scan bound.  The reduced degree never exceeds n - 1, and a point
-of reduced degree r >= 2 at level N > r yields one of reduced degree
-exactly r at level r: split off an interior summand a0 of r*P; were a0 =
-b0 + b' with b0 interior to s*P, s < r, then a itself would split at s.
-So the maximum is realized at level N = r <= n - 1, and scanning dilation
-levels 2..max(2, n-1) decides levelness.  The argument splits off an
-interior summand, so it assumes a nonempty interior of P; with an empty
-interior the scan still stops at the same default level, and the int*
-degree it reports may fall short of the true one (a known gap, kept as
-it is).  The bound is overridable for exploratory runs and recorded in
-reports.
+Finite scan bound.  What is proved: a point of reduced degree r >= 2 at
+level N > r yields one of reduced degree exactly r at level r: split off
+an interior summand a0 of r*P; were a0 = b0 + b' with b0 interior to s*P,
+s < r, then a itself would split at s.  So the int* degree, if finite, is
+reached at level N = r, and this needs no interior point of P.  What is
+tested, not proved: with an interior point of P the reduced degree never
+exceeds n - 1 (`test_reduced_degree_bounded` checks the per-point degrees
+and compares the int* degree against a scan to level n + 1 on graph hulls
+with n <= 5).  So scanning dilation levels 2..max(2, n-1) decides
+levelness.  With an empty interior the true degree can exceed n - 1, the
+scan still stops at the same default level, and the int* degree it
+reports may fall short of the true one (a known gap, kept as it is).
+The bound is overridable for exploratory runs and recorded in reports.
 
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
@@ -34,54 +36,45 @@ forms that `lattice._normality_scan` uses with slack 0.  With disjoint
 aggregates, searches over failing points run over aggregate coordinates
 only, with suffix tables of the two achievable extremes.
 
-Degree histogram by block and twin orbit.  With an empty interior of P
-no point of any dilate splits at r = 1, so every interior point has
-degree >= 2 and belongs to the degree table.  Those hulls are scanned as
-an exact histogram {(N, r): count} instead of point by point, on two
-arguments that hold for every facet system of this form:
-
-* Product separability.  The blocks are the connected components of the
-  aggregate facet supports.  Every facet lives in one block, so P is the
-  product of its block polytopes, the interior of N*P is the product of
-  the block interiors, and the summand window at (N, r) constrains each
-  block separately.  A point therefore splits at r exactly when each of
-  its block parts does: its set of feasible r is the intersection of the
-  block sets, and the histogram of a level is the product over blocks of
-  their histograms of feasible-r bitmasks, intersected.
-* Twin symmetry.  Twins are coordinates with the same singleton bound and
-  the same aggregate memberships.  Swapping two twins maps P onto itself,
-  hence every dilate's interior and every split onto themselves, so a
-  point has the degree of its sorted twin classes.  Each block is
-  enumerated one representative per orbit (nondecreasing within each
-  twin class) and the representative counts for its distinct
-  permutations.
-
-No monotonicity in r is assumed.  A degree r is tested only when r*P has
+Counting by block.  The int* degree, the spectrum and the table's length
+need only the histogram {(N, r): count}, and `_degree_histogram` counts
+it block by block.  The blocks are the connected components of the
+aggregate facet supports.  Every facet lives in one block, so P is the
+product of its block polytopes, the interior of N*P is the product of
+the block interiors, and the summand window at (N, r) constrains each
+block separately: a point splits at r exactly when each of its block
+parts does, and the histogram of a level is the product over blocks of
+their histograms of feasible-r bitmasks, intersected.  A laminar block
+is totally unimodular and so has the integer decomposition property (the
+`lattice` docstring cites both), hence a point that splits at r splits
+at every r' > r: move a lattice point of P from the other summand into
+the interior one.  So a point of degree r gets the bits r..N, and the
+points of degree <= r are counted without visiting them, by a dynamic
+program over the laminar forest that counts the interval propagation of
+`lattice._split_feasible_laminar` instead of testing it: per aggregate
+(A, t) the state is (s, lo, hi), s the sum over A and lo..hi the sums
+over A the summand can reach, pruned at s > N t - 1 and lo > r t - 1.
+A crossing block assumes no monotonicity: its interior points are
+enumerated and every r is tested.  A degree r counts only when r*P has
 an interior point (the all-ones point is the least candidate), since a
-split at r needs one.
+split at r needs one.  `budget` bounds the states of the dynamic
+programs and the nodes of every enumeration.
 
-Hulls with a nonempty interior keep the point-by-point scan of failing
-points, which tallies each point's degree as it comes.  Failing points
-need not be few there: the K(3,4) hull with c = 2 has 402,116 of them
-over levels 2..6.  That scan stays because it is output-sensitive: with
+The table's points.  The report's table is a lazy view of the histogram
+that holds no point: its length is a sum of counts, a lookup tests the
+one point, and iterating re-runs the scan of failing points (those
+without a degree-1 split) level by level; with an empty interior of P
+every interior point fails.  That scan also finds the lex-least witness
+of `level_star`, and it stays because it is output-sensitive: with
 disjoint aggregates it prunes every subtree that cannot fail a degree-1
-split, so a level* hull costs about nothing, where a histogram visits
-every interior orbit.  For `level_star` on the 11 level* hulls with
-n = 7 in an eighth of acceptance check A05, a histogram-only scan took
-over 300 times as long as the pruned one, and the whole of A05 about 50
-times as long.
-
-Both counters return only the histogram {(N, r): count} of the degrees
-r >= 2, and the report's table is a lazy view of it that holds no point:
-its length is a sum of counts, a lookup tests the one point, and
-iterating re-runs the failing-point scan level by level (with an empty
-interior of P every interior point fails).  `budget` bounds the nodes
-of every scan.
+split, so a level* hull costs about nothing, where plain enumeration
+visits every interior point: with plain enumeration in its place,
+acceptance check A05 and `test_analyze_report` together did not finish
+in 25 minutes, against about 27 s with it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
@@ -110,7 +103,7 @@ def pseudo_gorenstein_star(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> b
     return count_lattice_points(P, 1, "interior", budget=budget) == 1
 
 
-def reduced_degree(P: HPolytope, a, N: int, budget: int = DEFAULT_NODE_BUDGET) -> int:
+def reduced_degree(P: HPolytope, a, N: int) -> int:
     """Least r such that a splits off an interior lattice point of r*P."""
     a = tuple(a)
     if not membership(P, a, N, "interior"):
@@ -272,7 +265,7 @@ def _failing_degrees(P: HPolytope, levels, budget: int, interior1: int):
             yield (N, a), _least_split(st, a, N, 2)
 
 
-# --- degree histogram by block and twin orbit -----------------------------
+# --- degree histogram by block ---------------------------------------------
 
 def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
     """The block polytope: the facets supported in `members`, renumbered 1.."""
@@ -282,115 +275,115 @@ def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
     ))
 
 
-class _OrbitScan:
-    """Interior points of the dilates of one block Q, one per twin orbit.
+def _interior_at(Q: HPolytope, r: int) -> bool:
+    """Has r*Q an interior lattice point?  The all-ones point is the least
+    candidate, and a split at r needs one."""
+    return all(len(A) <= r * t - 1 for A, t in Q.upper_facets)
 
-    Twins are coordinates with the same singleton bound and the same
-    aggregate memberships.  Coordinates are visited class by class, each
-    class nondecreasing, and a representative is weighted by the number of
-    distinct permutations of its values within the classes.  Per scanned
-    level N, `hists[N]` sums the weights per mask of feasible split degrees
-    (bit r-1 for r; only the least one when `full` is false).
+
+def _coordinate_states(u: int | None, N: int, r: int, top: int) -> dict:
+    """(a, window lo, window hi) of one coordinate, a in 1..top and below its
+    cap, for the values whose summand window is nonempty."""
+    if u is None:
+        return {(a, 1, a): 1 for a in range(1, top + 1)}
+    cells = ((a, max(1, a - (N - r) * u), min(a, r * u - 1))
+             for a in range(1, min(N * u - 1, top) + 1))
+    return {c: 1 for c in cells if c[1] <= c[2]}
+
+
+def _subtree_states(st: _Structure, k: int, N: int, r: int, spend) -> dict:
+    """Count the parts over A of the interior points of N*P, aggregate k
+    being (A, t), by (s, lo, hi): s their sum over A, lo..hi the sums over
+    A that a summand interior to r*P can take, as `_split_feasible_laminar`
+    propagates them.  Parts with no such summand are dropped."""
+    _A, t = st.aggs[k]
+    top_s, top_x = N * t - 1, r * t - 1
+    parts = [_subtree_states(st, ch, N, r, spend) for ch in st.forest[k]]
+    parts += [_coordinate_states(st.u[i - 1], N, r, top_s) for i in st.own[k]]
+    states = {(0, 0, 0): 1}
+    for part in parts:
+        nxt: dict = {}
+        for (s1, lo1, hi1), c1 in states.items():
+            for (s2, lo2, hi2), c2 in part.items():
+                s, lo = s1 + s2, lo1 + lo2
+                if s <= top_s and lo <= top_x:
+                    key = (s, lo, min(hi1 + hi2, top_x))
+                    nxt[key] = nxt.get(key, 0) + c1 * c2
+        spend(len(nxt))
+        states = nxt
+    out: dict = {}
+    for (s, lo, hi), c in states.items():
+        lo = max(lo, s - (N - r) * t)
+        if lo <= hi:
+            out[(s, lo, hi)] = out.get((s, lo, hi), 0) + c
+    return out
+
+
+def _block_masks(Q: HPolytope, N: int, budget: int, spend) -> dict[int, int]:
+    """{mask: points} over the interior of N*Q, Q one block: bit r-1 of a
+    point's mask is set when it splits at r.
+
+    A laminar block splits monotonically in r, so a point of degree r gets
+    bits r..N, and the points of degree <= r are counted by the dynamic
+    program of `_subtree_states` rooted at the block's one maximal aggregate
+    (a lone coordinate splits wherever r*Q has an interior point).  A
+    crossing block is enumerated, and every feasible r is tested.
     """
-
-    def __init__(self, Q: HPolytope, full: bool):
-        st = self.st = _structure(Q)
-        self.full = full
-        classes: dict = {}
-        for i in range(st.n):
-            classes.setdefault((st.u[i], st.agg_at[i]), []).append(i)
-        self.classes = list(classes.values())
-        self.order = [i for c in self.classes for i in c]
-        # per visiting position: rank within its class, twins still to come,
-        # and per aggregate through it the other members still to come
-        self.rank, self.same_later, self.aggs_at = [], [], []
-        for c in self.classes:
-            for j, i in enumerate(c):
-                self.rank.append(j)
-                self.same_later.append(len(c) - 1 - j)
-                p = len(self.aggs_at)
-                later = set(self.order[p + 1:]) - set(c)
-                self.aggs_at.append(tuple(
-                    (k, sum(1 for m in st.aggs[k][0] if m - 1 in later))
-                    for k in st.agg_at[i]
-                ))
-        self.hists: dict[int, dict[int, int]] = {}
-
-    def scan_level(self, N: int, tests: tuple[int, ...], budget: int) -> None:
-        """Fill hists[N], testing the split degrees `tests`."""
-        st, order, full = self.st, self.order, self.full
-        m = len(order)
-        caps = [None if u is None else N * u - 1 for u in st.u]
-        limits = [N * t - 1 for _A, t in st.aggs]
-        top = 1 << (N - 1)                 # r = N always splits
-        point = [0] * st.n
-        used = [0] * len(st.aggs)
-        hist: dict[int, int] = {}
-        nodes = 0
-
-        def rec(p: int, lo: int, weight: int, run: int) -> None:
-            nonlocal nodes
-            if p == m:
-                a = tuple(point)
-                mask = top
-                for r in tests:
-                    if _split_exists(st, a, N, r, 1):
-                        mask |= 1 << (r - 1)
-                        if not full:
-                            break
-                hist[mask] = hist.get(mask, 0) + weight
-                return
-            i = order[p]
-            hi = caps[i]
-            for k, other in self.aggs_at[p]:
-                b = (limits[k] - used[k] - other) // (1 + self.same_later[p])
-                hi = b if hi is None else min(hi, b)
-            first = self.rank[p] == 0
-            for v in range(lo, hi + 1):
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceededError(f"orbit scan exceeded {budget} nodes",
-                                              cap="budget", limit=budget)
-                point[i] = v
-                for k, _ in self.aggs_at[p]:
-                    used[k] += v
-                # equal values sit at the end of the class: grow the multinomial
-                run_v = run + 1 if not first and v == lo else 1
-                w = weight * (self.rank[p] + 1) // run_v
-                rec(p + 1, v if self.same_later[p] else 1, w, run_v)
-                for k, _ in self.aggs_at[p]:
-                    used[k] -= v
-
-        rec(0, 1, 1, 0)
-        self.hists[N] = hist
+    st = _structure(Q)
+    full = (1 << N) - 1
+    hist: dict[int, int] = {}
+    if not st.laminar:
+        tests = [r for r in range(1, N) if _interior_at(Q, r)]
+        for a in iter_lattice_points(Q, N, "interior", budget=budget):
+            mask = 1 << (N - 1)                 # r = N always splits
+            for r in tests:
+                if _split_exists(st, a, N, r, 1):
+                    mask |= 1 << (r - 1)
+            hist[mask] = hist.get(mask, 0) + 1
+        return hist
+    total = count_lattice_points(Q, N, "interior", budget=budget)
+    below = 0                                   # points of degree < r
+    for r in range(1, N + 1):
+        if below == total:
+            break
+        if r < N and not _interior_at(Q, r):
+            continue
+        if r == N or not st.aggs:
+            upto = total
+        else:
+            upto = sum(_subtree_states(st, len(st.aggs) - 1, N, r, spend).values())
+        if upto > below:
+            hist[full >> (r - 1) << (r - 1)] = upto - below
+            below = upto
+    return hist
 
 
 def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int], int]:
     """Exact {(N, r): count} of reduced degrees over the interior of N*P.
 
-    Identical block polytopes share one scan.
+    Identical block polytopes share one count.  `budget` bounds the states
+    of the dynamic programs and the nodes of each enumeration.
     """
-    blocks = _structure(P).blocks
-    scans: dict = {}
-    parts = []
-    for members in blocks:
-        Q = _restrict(P, members)
-        if Q.upper_facets not in scans:
-            scans[Q.upper_facets] = _OrbitScan(Q, full=len(blocks) > 1)
-        parts.append(scans[Q.upper_facets])
+    parts = [_restrict(P, members) for members in _structure(P).blocks]
+    spent = 0
+
+    def spend(states: int) -> None:
+        nonlocal spent
+        spent += states
+        if spent > budget:
+            raise BudgetExceededError(f"degree count exceeded {budget} states",
+                                      cap="budget", limit=budget)
+
+    masks: dict = {}
     hist: dict[tuple[int, int], int] = {}
     for N in levels:
-        # a split at r needs an interior point of r*P; the least candidate,
-        # the all-ones point, settles whether there is one
-        tests = tuple(r for r in range(1, N)
-                      if all(len(A) <= r * t - 1 for A, t in P.upper_facets))
         combined = {(1 << N) - 1: 1}
-        for scan in parts:
-            if N not in scan.hists:
-                scan.scan_level(N, tests, budget)
+        for Q in parts:
+            if (Q, N) not in masks:
+                masks[Q, N] = _block_masks(Q, N, budget, spend)
             nxt: dict[int, int] = {}
             for m1, c1 in combined.items():
-                for m2, c2 in scan.hists[N].items():
+                for m2, c2 in masks[Q, N].items():
                     nxt[m1 & m2] = nxt.get(m1 & m2, 0) + c1 * c2
             combined = nxt
             if not combined:  # a block without interior points at this level
@@ -404,9 +397,9 @@ def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int]
 class _DegreeTable(Mapping):
     """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
 
-    It holds no point: its length is a sum of the scan's counts, a lookup
-    tests the one point, and iterating re-runs the failing-point scan level
-    by level, taking each degree from that scan.
+    It holds no point: its length is a sum of the histogram's counts, a
+    lookup tests the one point, and iterating re-runs the failing-point scan
+    level by level, taking each degree from that scan.
     """
 
     def __init__(self, P: HPolytope, levels, hist, budget: int, interior1: int):
@@ -486,12 +479,7 @@ def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
     levels = range(2, (max_level if max_level is not None else max(1, P.n - 1)) + 1)
     if interior1 is None:
         interior1 = count_lattice_points(P, 1, "interior", budget=budget)
-    if interior1 == 0:
-        # no point of any dilate splits at r = 1, so every interior point
-        # has degree >= 2: count them by block and twin orbit
-        hist = _degree_histogram(P, levels, budget)
-    else:
-        hist = Counter((N, r) for (N, _a), r in _failing_degrees(P, levels, budget, interior1))
+    hist = _degree_histogram(P, levels, budget)
     degrees = {r for _N, r in hist if r >= 2}
     table = _DegreeTable(P, levels, hist, budget, interior1)
     return max(degrees, default=1 if interior1 else None), table, degrees

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (
     _split_exists,
     _split_exists_dfs,
@@ -118,9 +119,11 @@ def test_level_agrees_with_flat_oracle(gc):
 
 
 @settings(max_examples=25, deadline=None)
-@given(graph_and_bounds(max_n=4, max_c=3))
+@given(graph_and_bounds(max_n=5, max_c=3))
 def test_reduced_degree_bounded(gc):
-    """Degree <= min(N, n-1); needs an interior point of the base polytope."""
+    """Degree <= min(N, n-1), and scanning to level n+1 finds no larger int*
+    degree than the default bound; needs an interior point of the base
+    polytope."""
     G, c = gc
     P = pl.facets(pl.enumerate_bases(G, c))
     if pl.count_lattice_points(P, 1, "interior") == 0:
@@ -129,6 +132,30 @@ def test_reduced_degree_bounded(gc):
         for a in pl.lattice_points(P, N, "interior")[:30]:
             r = pl.reduced_degree(P, a, N)
             assert 1 <= r <= min(N, max(1, P.n - 1))
+    assert pl.int_star_degree(P) == pl.int_star_degree(P, max_level=P.n + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=4, laminar=True),
+))
+def test_splits_are_monotone_in_degree(P):
+    """An interior point of N*P that splits at r also splits at r+1.
+
+    For a laminar system this is a theorem: the system is totally
+    unimodular (Schrijver, Theory of Linear and Integer Programming, 1986),
+    hence has the integer decomposition property (Baum-Trotter 1978), so
+    the summand a' of (N-r)*P contains a lattice point p of P, and
+    a = (a0 + p) + (a' - p) splits at r+1.  The degree count of laminar
+    blocks relies on it; crossing graph hulls are checked too.  Checked
+    with the direct search, level by level up to 3.
+    """
+    st_ = _structure(P)
+    for N in (2, 3):
+        for a in pl.lattice_points(P, N, "interior"):
+            feasible = [_split_exists_dfs(st_, a, N, r, 1) for r in range(1, N + 1)]
+            assert feasible == sorted(feasible), (N, a)
 
 
 def test_fail_scan_on_two_disjoint_aggregates():
@@ -254,7 +281,7 @@ def test_scan_bound_override(veronese_5333):
     assert rep.scan_bound == 2
 
 
-# --- degree histogram by block and twin orbit ------------------------------
+# --- degree histogram by block ---------------------------------------------
 
 def _shuffled_product(draw, blocks):
     """HPolytope of the product of (size, facets) blocks, with the
@@ -338,11 +365,48 @@ def test_degree_histogram_with_interior_matches_flat_oracle(P):
 @settings(max_examples=15, deadline=None)
 @given(block_products())
 def test_degree_histogram_single_block(P):
-    """One block alone: the histogram keeps only the least feasible degree."""
+    """One block alone, laminar or crossing."""
     Q = _restrict(P, _structure(P).blocks[0])
     assert _structure(Q).blocks == _plain_blocks(Q) == (tuple(range(1, Q.n + 1)),)
     hist = _degree_histogram(Q, range(1, 4), 10**8)
     assert hist == _flat_histogram(Q, range(1, 4))
+
+
+# nested aggregates with an interior point, and without one
+@example(pl.HPolytope(4, (((1,), 2), ((3,), 3), ((4,), 2), ((1, 2), 4), ((1, 2, 3, 4), 5))))
+@example(pl.HPolytope(5, (((1, 2), 2), ((3, 4), 2), ((1, 2, 3, 4), 3), ((1, 2, 3, 4, 5), 4))))
+@settings(max_examples=40, deadline=None)
+@given(facet_systems(max_n=5, laminar=True))
+def test_degree_histogram_of_laminar_systems(P):
+    """The dynamic program over the laminar forest vs the flat per-point
+    oracle, with nested aggregates, empty and nonempty interiors."""
+    assert _structure(P).laminar
+    hist = _degree_histogram(P, range(1, 4), 10**8)
+    assert hist == _flat_histogram(P, range(1, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3))
+def test_degree_histogram_of_graph_hulls(gc):
+    """Graph hulls: laminar blocks counted, crossing blocks enumerated."""
+    P = pl.facets(pl.enumerate_bases(*gc))
+    hist = _degree_histogram(P, range(1, 4), 10**8)
+    assert hist == _flat_histogram(P, range(1, 4))
+
+
+def test_degree_count_budget():
+    """The budget bounds the states of the degree count, and never
+    truncates it.  Nested aggregates, one interior point, degree 2: each
+    interior count up to level 3 needs at most 27 states, the dynamic
+    programs of levels 2..3 need 228 in all."""
+    P = pl.HPolytope(4, (((1,), 2), ((3,), 3), ((4,), 2), ((1, 2), 4), ((1, 2, 3, 4), 5)))
+    assert not _structure(P).disjoint
+    for N in (1, 2, 3):
+        pl.count_lattice_points(P, N, "interior", budget=100)
+    with pytest.raises(BudgetExceededError, match="degree count") as err:
+        pl.int_star_degree(P, budget=100)
+    assert err.value.cap == "budget" and err.value.limit == 100
+    assert pl.int_star_degree(P, budget=228) == 2
 
 
 def test_twin_permutation_keeps_reduced_degree(veronese_5333):
