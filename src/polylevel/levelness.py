@@ -20,15 +20,19 @@ Finite scan bound.  What is proved: a point of reduced degree r >= 2 at
 level N > r yields one of reduced degree exactly r at level r: split off
 an interior summand a0 of r*P; were a0 = b0 + b' with b0 interior to s*P,
 s < r, then a itself would split at s.  So the int* degree, if finite, is
-reached at level N = r, and this needs no interior point of P.  What is
-tested, not proved: with an interior point of P the reduced degree never
-exceeds n - 1 (`test_reduced_degree_bounded` checks the per-point degrees
-and compares the int* degree against a scan to level n + 1 on graph hulls
-with n <= 5).  So scanning dilation levels 2..max(2, n-1) decides
-levelness.  With an empty interior the true degree can exceed n - 1, the
-scan still stops at the same default level, and the int* degree it
-reports may fall short of the true one (a known gap, kept as it is).
-The bound is overridable for exploratory runs and recorded in reports.
+reached at level N = r, and this needs no interior point of P.  The
+degree scan uses it: where splits are monotone in r (laminar systems,
+below) the degrees >= 2 over the levels 2..top are exactly the levels N
+there at which some interior point of N*P does not split at N - 1.
+What is tested, not proved: with an interior point of P the reduced
+degree never exceeds n - 1 (`test_reduced_degree_bounded` checks the
+per-point degrees and compares the int* degree against a scan to level
+n + 1 on graph hulls with n <= 5).  So scanning dilation levels
+2..max(2, n-1) decides levelness.  With an empty interior the true
+degree can exceed n - 1, the scan still stops at the same default level,
+and the int* degree it reports may fall short of the true one (a known
+gap, kept as it is).  The bound is overridable for exploratory runs and
+recorded in reports.
 
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
@@ -36,12 +40,31 @@ forms that `lattice._normality_scan` uses with slack 0.  With disjoint
 aggregates, searches over failing points run over aggregate coordinates
 only, with suffix tables of the two achievable extremes.
 
-Counting by block.  The int* degree, the spectrum and the table's length
-need only the histogram {(N, r): count}, and `_degree_histogram` counts
-it block by block.  The blocks are the connected components of the
-aggregate facet supports.  Every facet lives in one block, so P is the
-product of its block polytopes, the interior of N*P is the product of
-the block interiors, and the summand window at (N, r) constrains each
+Degrees by one test per level.  With pairwise disjoint aggregates
+(`_failing_levels`), whether some interior point of N*P fails to split
+at r = N - 1 is one exact test.  If N*P has no interior point (the
+all-ones test) the answer is no; if r*P has none it is yes.  Otherwise
+a coordinate window is never empty, a lone coordinate always splits, and
+a point fails exactly when, for some aggregate (A, t) with m members,
+
+    top:     sum_A (a_i - (r u_i - 1))^+     >  (N - r) t,   or
+    bottom:  sum_A max(1, a_i - (N - r) u_i) >  r t - 1,
+
+an uncapped member adding 0 to the top sum and 1 to the bottom one.  Put
+every member at 1 except a set S of capped ones pushed past their
+threshold: a condition can be met under sum_A a <= N t - 1 exactly when
+some S has sum_S mx_i >= need and sum_S cost_i + need <= N t - 1 - m,
+with cost_i = r u_i - 2, mx_i = (N - r) u_i, need = (N - r) t + 1 for
+the top and cost_i = (N - r) u_i, mx_i = r u_i - 2, need = r t - m for
+the bottom: a 0/1 knapsack in O(m N t) per aggregate.
+
+Counting by block.  The table's length needs the histogram {(N, r):
+count}, and so do the degrees of a hull whose aggregates are not
+disjoint; `_degree_histogram` counts it block by block, for the table
+only on its first `len()`.  The blocks are the connected components of
+the aggregate facet supports.  Every facet lives in one block, so P is
+the product of its block polytopes, the interior of N*P is the product
+of the block interiors, and the summand window at (N, r) constrains each
 block separately: a point splits at r exactly when each of its block
 parts does, and the histogram of a level is the product over blocks of
 their histograms of feasible-r bitmasks, intersected.  A laminar block
@@ -53,24 +76,25 @@ points of degree <= r are counted without visiting them, by a dynamic
 program over the laminar forest that counts the interval propagation of
 `lattice._split_feasible_laminar` instead of testing it: per aggregate
 (A, t) the state is (s, lo, hi), s the sum over A and lo..hi the sums
-over A the summand can reach, pruned at s > N t - 1 and lo > r t - 1.
-A crossing block assumes no monotonicity: its interior points are
+over A the summand can reach, pruned at s > N t - 1 and lo > r t - 1.  A
+crossing block assumes no monotonicity: its interior points are
 enumerated and every r is tested.  A degree r counts only when r*P has
 an interior point (the all-ones point is the least candidate), since a
 split at r needs one.  `budget` bounds the states of the dynamic
 programs and the nodes of every enumeration.
 
 The table's points.  The report's table is a lazy view of the histogram
-that holds no point: its length is a sum of counts, a lookup tests the
-one point, and iterating re-runs the scan of failing points (those
-without a degree-1 split) level by level; with an empty interior of P
-every interior point fails.  That scan also finds the lex-least witness
-of `level_star`, and it stays because it is output-sensitive: with
-disjoint aggregates it prunes every subtree that cannot fail a degree-1
-split, so a level* hull costs about nothing, where plain enumeration
-visits every interior point: with plain enumeration in its place,
-acceptance check A05 and `test_analyze_report` together did not finish
-in 25 minutes, against about 27 s with it.
+that holds no point: its length is a sum of counts, taken on demand, a
+lookup tests the one point, and iterating re-runs the scan of failing
+points (those without a degree-1 split) level by level; with an empty
+interior of P every interior point fails.  That scan also finds the
+lex-least witness of `level_star`, and it stays because it is
+output-sensitive: with disjoint aggregates it prunes every subtree that
+cannot fail a degree-1 split, so a level* hull costs about nothing,
+where plain enumeration visits every interior point: with plain
+enumeration in its place, acceptance check A05 and
+`test_analyze_report` together did not finish in 25 minutes, against
+about 27 s with it.
 """
 
 from __future__ import annotations
@@ -394,19 +418,71 @@ def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int]
     return hist
 
 
+# --- degree set by one knapsack per aggregate ------------------------------
+
+def _least_cost(items, need: int) -> int | None:
+    """Least sum of cost over a set of (cost, mx) items whose mx sum to at
+    least need >= 1, by a 0/1 knapsack over the capped sum; None if no set
+    reaches need."""
+    best: list = [0] + [None] * need    # best[c]: least cost for min(sum mx, need) = c
+    for cost, mx in items:
+        for c in range(need, -1, -1):
+            if best[c] is not None:
+                d = min(need, c + mx)
+                if best[d] is None or best[c] + cost < best[d]:
+                    best[d] = best[c] + cost
+    return best[need]
+
+
+def _aggregate_fails(st: _Structure, A: tuple[int, ...], t: int, N: int, r: int) -> bool:
+    """Has the block of the aggregate (A, t) a part, interior to N*P, with no
+    summand at r?  Valid when r*P has an interior point: top and bottom
+    sums of the module docstring, each a knapsack over the capped members."""
+    m = len(A)
+    room = N * t - 1 - m
+    caps = [st.u[i - 1] for i in A if st.u[i - 1] is not None]
+    top = [(r * u - 2, (N - r) * u) for u in caps], (N - r) * t + 1
+    bottom = [((N - r) * u, r * u - 2) for u in caps], r * t - m
+    for items, need in (top, bottom):
+        cost = _least_cost(items, need)
+        if cost is not None and cost + need <= room:
+            return True
+    return False
+
+
+def _failing_levels(P: HPolytope, levels) -> set[int]:
+    """The levels N among `levels` at which some interior point of N*P has
+    no split at N - 1, i.e. has reduced degree N; for a facet system with
+    pairwise disjoint aggregates, where the set of reduced degrees >= 2 is
+    exactly this set."""
+    st = _structure(P)
+    out = set()
+    for N in levels:
+        if not _interior_at(P, N):
+            continue
+        if not _interior_at(P, N - 1) or any(
+                _aggregate_fails(st, A, t, N, N - 1) for A, t in st.aggs):
+            out.add(N)
+    return out
+
+
 class _DegreeTable(Mapping):
     """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
 
-    It holds no point: its length is a sum of the histogram's counts, a
-    lookup tests the one point, and iterating re-runs the failing-point scan
-    level by level, taking each degree from that scan.
+    It holds no point: its length is a sum of the histogram's counts,
+    counted by `_degree_histogram` on the first `len()` and then kept, a
+    lookup tests the one point, and iterating re-runs the failing-point
+    scan level by level, taking each degree from that scan.
     """
 
-    def __init__(self, P: HPolytope, levels, hist, budget: int, interior1: int):
+    def __init__(self, P: HPolytope, levels, budget: int, interior1: int):
         self._P, self._levels, self._budget, self._interior1 = P, levels, budget, interior1
-        self._len = sum(c for (_N, r), c in hist.items() if r >= 2)
+        self._len = None
 
     def __len__(self) -> int:
+        if self._len is None:
+            hist = _degree_histogram(self._P, self._levels, self._budget)
+            self._len = sum(c for (_N, r), c in hist.items() if r >= 2)
         return self._len
 
     def __getitem__(self, key):
@@ -470,18 +546,22 @@ def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
 
     Returns (max_degree, table, degrees).  `table` is a `_DegreeTable` of
     every scanned point of degree >= 2 (degree-1 points are the generic
-    case and are left implicit) and `degrees` is the set of those degrees.
-    `max_degree` is None when no scanned dilate, level 1 included, has an
-    interior point.
+    case and are left implicit) and `degrees` is the set of those degrees:
+    one knapsack test per level with disjoint aggregates
+    (`_failing_levels`), else read off `_degree_histogram`.  `max_degree`
+    is None when no scanned dilate, level 1 included, has an interior
+    point.
     """
     if max_level is not None and max_level < 1:
         raise ValueError("max_level must be at least 1")
     levels = range(2, (max_level if max_level is not None else max(1, P.n - 1)) + 1)
     if interior1 is None:
         interior1 = count_lattice_points(P, 1, "interior", budget=budget)
-    hist = _degree_histogram(P, levels, budget)
-    degrees = {r for _N, r in hist if r >= 2}
-    table = _DegreeTable(P, levels, hist, budget, interior1)
+    if _structure(P).disjoint:
+        degrees = _failing_levels(P, levels)
+    else:
+        degrees = {r for _N, r in _degree_histogram(P, levels, budget) if r >= 2}
+    table = _DegreeTable(P, levels, budget, interior1)
     return max(degrees, default=1 if interior1 else None), table, degrees
 
 
@@ -511,10 +591,11 @@ class LevelnessReport:
     `reduced_degree_table` is a read-only mapping of the scanned points of
     reduced degree at least 2 to their degree; degree-1 points are
     ubiquitous and left implicit.  It is a lazy view that holds no point:
-    its length comes from the scan's counts, a lookup tests the one point,
-    and iterating it re-runs the scan.  `failure_witness` carries (level, point,
-    explanation) when level* fails with a witness; an empty interior fails
-    without one.
+    its length is counted by block on the first `len()` and kept (so a
+    `budget` too small for that count raises there), a lookup tests the
+    one point, and iterating it re-runs the scan.  `failure_witness`
+    carries (level, point, explanation) when level* fails with a witness;
+    an empty interior fails without one.
     """
 
     n: int

@@ -280,7 +280,8 @@ def brute_reduced_degree(P: HPolytope, a, N: int) -> int:
 
     Flat search: for each r, every lattice point 1 <= a0 <= a that is
     interior to r*P, then a membership test of a - a0 in the (N-r)-fold
-    dilate.
+    dilate.  An r at which the all-ones point, the least candidate, is not
+    interior to r*P is skipped: no a0 is then.
     """
     a = tuple(a)
     if any(v < 1 for v in a) or any(
@@ -288,6 +289,8 @@ def brute_reduced_degree(P: HPolytope, a, N: int) -> int:
     ):
         raise ValueError(f"{a} is not an interior lattice point of the {N}-fold dilate")
     for r in range(1, N + 1):
+        if any(len(A) > r * t - 1 for A, t in P.upper_facets):
+            continue
         for a0 in itertools.product(*(range(1, v + 1) for v in a)):
             if any(sum(a0[i - 1] for i in A) > r * t - 1 for A, t in P.upper_facets):
                 continue

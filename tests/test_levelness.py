@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel import levelness
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (
     _split_exists,
@@ -19,6 +20,7 @@ from polylevel.lattice import (
 )
 from polylevel.levelness import (
     _degree_histogram,
+    _failing_levels,
     _iter_failing,
     _restrict,
 )
@@ -385,7 +387,7 @@ def test_degree_histogram_of_laminar_systems(P):
     assert hist == _flat_histogram(P, range(1, 4))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(graph_and_bounds(max_n=5, max_c=3))
 def test_degree_histogram_of_graph_hulls(gc):
     """Graph hulls: laminar blocks counted, crossing blocks enumerated."""
@@ -407,6 +409,73 @@ def test_degree_count_budget():
         pl.int_star_degree(P, budget=100)
     assert err.value.cap == "budget" and err.value.limit == 100
     assert pl.int_star_degree(P, budget=228) == 2
+
+
+# --- degree set by one knapsack per aggregate ------------------------------
+
+def _histogram_degrees(P, levels):
+    return {r for _N, r in _degree_histogram(P, levels, 10**8) if r >= 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    facet_systems(max_n=5, max_t=4, laminar=True),
+    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+))
+def test_failing_levels_match_histogram(P):
+    """With disjoint aggregates the degree set is read off one knapsack
+    test per level; it must equal the degrees of the block-by-block
+    histogram at levels 2..4, on hand-built systems with uncapped aggregate
+    members and on graph hulls."""
+    if not _structure(P).disjoint:
+        return
+    levels = range(2, 5)
+    assert _failing_levels(P, levels) == _histogram_degrees(P, levels)
+
+
+def test_failing_levels_examples():
+    """Against the flat per-point oracle at levels 2..4."""
+    # u_1 = 1: P has no interior point, so at N = 2 the window of x_1 at
+    # r = 1 is empty and every interior point of 2P has degree 2
+    P = pl.HPolytope(2, (((1,), 1), ((2,), 3), ((1, 2), 3)))
+    assert _failing_levels(P, range(2, 5)) == {2}
+    # x2 and x3 are uncapped aggregate members; one interior point
+    Q = pl.HPolytope(3, (((1,), 3), ((1, 2, 3), 4)))
+    assert pl.count_lattice_points(Q, 1, "interior") == 1
+    assert _failing_levels(Q, range(2, 5)) == {2}
+    # the simplex: 2S and 3S have no interior point, 4S has one, of degree 4
+    S = pl.HPolytope(3, (((1, 2, 3), 1),))
+    assert [pl.count_lattice_points(S, N, "interior") for N in (2, 3, 4)] == [0, 0, 1]
+    assert _failing_levels(S, range(2, 5)) == {4}
+    for R in (P, Q, S):
+        flat = {r for (_N, r) in _flat_histogram(R, range(2, 5)) if r >= 2}
+        assert _failing_levels(R, range(2, 5)) == flat
+
+
+def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
+    """A disjoint hull's report runs no dynamic program of the degree
+    count; the table's length is counted on the first `len()` and kept,
+    and a budget too small for that count raises there."""
+    assert _structure(veronese_5333).disjoint
+
+    def no_dp(*args):
+        raise AssertionError("the degree count ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(levelness, "_subtree_states", no_dp)
+        rep = pl.analyze_polytope(veronese_5333)
+        small = pl.analyze_polytope(veronese_5333, budget=200)
+    assert (rep.int_star_degree, rep.level, rep.conjecture_spectrum_holds) == (3, False, True)
+    assert rep.failure_witness[:2] == (2, (8, 1, 1, 1))
+    calls = []
+    histogram = levelness._degree_histogram
+    monkeypatch.setattr(levelness, "_degree_histogram",
+                        lambda *args: calls.append(args) or histogram(*args))
+    assert len(rep.reduced_degree_table) == len(rep.reduced_degree_table) == 6
+    assert len(calls) == 1
+    assert len(dict(rep.reduced_degree_table.items())) == 6
+    with pytest.raises(BudgetExceededError, match="degree count"):
+        len(small.reduced_degree_table)
 
 
 def test_twin_permutation_keeps_reduced_degree(veronese_5333):
@@ -451,7 +520,9 @@ def test_table_cap_not_hit_by_empty_interior_hull():
 def test_structure_built_once_per_polytope():
     """One request builds the facet structure of the hull and of each
     distinct block polytope once.  Path P4 with c = (1, 1, 2, 1): empty
-    interior, blocks {1, 3}, {2}, {4}, the last two alike."""
+    interior, blocks {1, 3}, {2}, {4}, the last two alike.  The aggregates
+    are disjoint, so the report alone needs only the hull's structure; the
+    table's length counts by block."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     assert pl.count_lattice_points(P, 1, "interior") == 0
     blocks = _structure(P).blocks
@@ -459,7 +530,9 @@ def test_structure_built_once_per_polytope():
     distinct = {P} | {_restrict(P, members) for members in blocks}
     assert len(distinct) == 3
     _structure.cache_clear()
-    pl.analyze_polytope(P)
+    rep = pl.analyze_polytope(P)
+    assert _structure.cache_info().misses == 1
+    len(rep.reduced_degree_table)
     pl.delta_vector(P)
     pl.lattice_points(P, 1, "interior")
     assert _structure.cache_info().misses == len(distinct)

@@ -90,3 +90,9 @@ def test_brute_reduced_degree_examples():
     assert brute_reduced_degree(Q, (2, 1, 1, 1), 2) == 1
     with pytest.raises(ValueError, match="interior"):
         brute_reduced_degree(Q, (9, 1, 1, 1), 2)   # on the boundary sum
+    # degrees at which the all-ones point is not interior are skipped
+    S = pl.HPolytope(3, (((1, 2, 3), 1),))         # interior first at 4S
+    assert brute_reduced_degree(S, (1, 1, 1), 4) == 4
+    assert brute_reduced_degree(S, (2, 1, 1), 5) == 4
+    R = pl.HPolytope(2, (((1,), 1), ((2,), 3), ((1, 2), 3)))   # P has none
+    assert brute_reduced_degree(R, (1, 1), 2) == 2
