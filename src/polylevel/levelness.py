@@ -37,8 +37,8 @@ recorded in reports.
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
 forms that `lattice._normality_scan` uses with slack 0.  With disjoint
-aggregates, searches over failing points run over aggregate coordinates
-only, with suffix tables of the two achievable extremes.
+aggregates, the search for failing points prunes with the knapsack rows
+below, at r = 1.
 
 Degrees by one test per level.  With pairwise disjoint aggregates
 (`_failing_levels`), whether some interior point of N*P fails to split
@@ -56,7 +56,15 @@ threshold: a condition can be met under sum_A a <= N t - 1 exactly when
 some S has sum_S mx_i >= need and sum_S cost_i + need <= N t - 1 - m,
 with cost_i = r u_i - 2, mx_i = (N - r) u_i, need = (N - r) t + 1 for
 the top and cost_i = (N - r) u_i, mx_i = r u_i - 2, need = r t - m for
-the bottom: a 0/1 knapsack in O(m N t) per aggregate.
+the bottom, both written once, in `_met_conditions`.  One suffix
+knapsack serves every test: rows[j][c] is the least cost of a set of
+the capped members j.. whose mx sum to at least c, O(m N t) per
+aggregate and condition.  The degree test reads row 0 at r = N - 1.  The
+same rows prune the scan of failing points at r = 1: with the first j
+members placed, a member at value v gains (v - 1 - cost_i)^+ (an
+uncapped one nothing), the need drops by the gains, and the room is
+N t - 1 less the placed sum and the m - j members left; some completion
+meets the condition exactly when rows[j][need] + need fits the room.
 
 Counting by block.  The table's length needs the histogram {(N, r):
 count}, and so do the degrees of a hull whose aggregates are not
@@ -89,12 +97,15 @@ lookup tests the one point, and iterating re-runs the scan of failing
 points (those without a degree-1 split) level by level; with an empty
 interior of P every interior point fails.  That scan also finds the
 lex-least witness of `level_star`, and it stays because it is
-output-sensitive: with disjoint aggregates it prunes every subtree that
-cannot fail a degree-1 split, so a level* hull costs about nothing,
-where plain enumeration visits every interior point: with plain
+output-sensitive: with disjoint aggregates it enters a subtree only while
+some aggregate can still fail, so a level with no failing point walks no
+point, where plain enumeration visits every interior point: with plain
 enumeration in its place, acceptance check A05 and
 `test_analyze_report` together did not finish in 25 minutes, against
-about 27 s with it.
+about 27 s with it.  A laminar hull with nested aggregates has no such
+pruning, so a level at which its degree count (at that level alone) has
+no degree >= 2 is skipped before any point is walked; there `budget`
+bounds the states of that count as well as the enumeration.
 """
 
 from __future__ import annotations
@@ -119,8 +130,6 @@ from .polymatroid import HPolytope
 
 ExponentVector = tuple[int, ...]
 
-_NEG = -(10**15)
-
 
 def pseudo_gorenstein_star(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Exactly one interior lattice point?"""
@@ -135,127 +144,105 @@ def reduced_degree(P: HPolytope, a, N: int) -> int:
     return _least_split(_structure(P), a, N, 1)
 
 
+# --- the failure conditions of an aggregate --------------------------------
+
+def _cost_rows(items, need: int, cap: int) -> list[list[int]]:
+    """Suffix knapsack: rows[j][c], for c in 0..need, is the least sum of
+    cost over a set of the capped items j.. whose mx sum to at least c;
+    a value of at least `cap` means that sum is `cap` or more, or that no
+    set reaches c.  Costs are nonnegative."""
+    rows = [[0] + [cap] * need]
+    for item in reversed(items):
+        row = rows[-1]
+        if item is not None:                    # without the item, or with it
+            cost, mx = item
+            nxt, row = row, row[:]
+            for c in range(1, need + 1):
+                with_item = cost + nxt[c - mx if c > mx else 0]
+                if with_item < row[c]:
+                    row[c] = with_item
+        rows.append(row)
+    rows.reverse()
+    return rows
+
+
+def _met_conditions(st: _Structure, A: tuple[int, ...], t: int, N: int, r: int):
+    """Yield (need, items, rows) for each of the top and bottom conditions
+    of the module docstring that some part over the aggregate (A, t),
+    interior to N*P, meets at r: items[j] is (cost, mx) for a capped
+    member A[j], None for an uncapped one, which gains nothing.  Rows are
+    built one condition at a time, so a caller that stops at the first
+    condition met never builds the other's.  Valid when r*P has an
+    interior point."""
+    us = [st.u[i - 1] for i in A]
+    room = N * t - 1 - len(A)
+    top = (N - r) * t + 1, [None if u is None else (r * u - 2, (N - r) * u) for u in us]
+    bottom = r * t - len(A), [None if u is None else ((N - r) * u, r * u - 2) for u in us]
+    for need, items in (top, bottom):   # need >= 1, as r*P has an interior point
+        if need <= room:
+            rows = _cost_rows(items, need, room + 1)
+            if rows[0][need] + need <= room:
+                yield need, items, rows
+
+
 # --- enumeration of points with no degree-1 split -------------------------
 
-def _gain_tables(members, u, t, N, cond: int):
-    """Suffix DP tables for the best achievable aggregate statistics.
+def _scan_disjoint(st: _Structure, N: int, budget: int):
+    """Interior points of N*P with no degree-1 split, in lex order.
 
-    For a run over the aggregate's coordinates k.. with value budget b,
-    table[k][b] is the maximum of sum phi(v_i) over choices 1 <= v_i
-    (capped by N*u_i - 1 when u_i is finite) with sum v_i <= b, where
-
-        cond 1:  phi(v) = v - min(v, u - 1)   (excess over the box interior)
-        cond 2:  phi(v) = max(1, v - (N-1) u) (forced remainder floor)
-
-    A point's aggregate fails its degree-1 split iff condition 1 exceeds
-    (N-1) t or condition 2 exceeds t - 1.
+    Only valid when the aggregate facets are pairwise disjoint and P has
+    an interior point: then no coordinate window can be empty and failure
+    is a per-aggregate threshold event.  A subtree is entered only while
+    some aggregate can still fail given its members placed so far, read
+    off the suffix rows of its conditions; a level with no failing point
+    walks none.
     """
-    budget = N * t - 1
-    m = len(members)
-    table = [[_NEG] * (budget + 1) for _ in range(m + 1)]
-    table[m] = [0] * (budget + 1)
-    for k in range(m - 1, -1, -1):
-        ui = u[members[k] - 1]
-        cap = budget if ui is None else min(budget, N * ui - 1)
-        row = table[k]
-        nxt = table[k + 1]
-        for b in range(budget + 1):
-            best = _NEG
-            for v in range(1, min(cap, b) + 1):
-                base = nxt[b - v]
-                if base == _NEG:
-                    continue
-                if cond == 1:
-                    g = base + (0 if ui is None else max(0, v - ui + 1))
-                else:
-                    g = base + (1 if ui is None else max(1, v - (N - 1) * ui))
-                if g > best:
-                    best = g
-            row[b] = best
-    return table
+    conds = [list(_met_conditions(st, A, t, N, 1)) for A, t in st.aggs]
+    alive = [bool(c) for c in conds]    # can aggregate k still fail?
+    used = [0] * len(conds)             # sum of its members placed so far
+    gains = [[0] * len(c) for c in conds]
+    point = [0] * st.n
+    nodes = 0
 
-
-class _FailScanner:
-    """Lex-order enumeration of interior points of N*P with no degree-1 split.
-
-    Only valid when the aggregate facets are pairwise disjoint and the
-    interior of P is nonempty (then no coordinate window can be empty and
-    failure is a per-aggregate threshold event).  Subtrees that cannot
-    reach any aggregate's threshold are pruned via the suffix tables.
-    """
-
-    def __init__(self, st: _Structure, N: int, budget: int):
-        self.st, self.N, self.budget = st, N, budget
-        self.n = st.n
-        self.aggs = []
-        for A, t in st.aggs:
-            self.aggs.append({
-                "t": t,
-                "limit": N * t - 1,
-                "phi1": _gain_tables(A, st.u, t, N, cond=1),
-                "phi2": _gain_tables(A, st.u, t, N, cond=2),
-                # upto[i] = members with vertex number <= i
-                "upto": [sum(1 for m in A if m <= i) for i in range(st.n + 1)],
-            })
-        self.nodes = 0
-
-    def _alive(self, i: int, used, fixed1, fixed2) -> bool:
-        """Can some completion of the current prefix fail its split?"""
-        N = self.N
-        for k, agg in enumerate(self.aggs):
-            t = agg["t"]
-            nxt = agg["upto"][i]
-            b = agg["limit"] - used[k]
-            if b < 0:
-                continue
-            best1 = agg["phi1"][nxt][b]
-            if best1 != _NEG and fixed1[k] + best1 > (N - 1) * t:
-                return True
-            best2 = agg["phi2"][nxt][b]
-            if best2 != _NEG and fixed2[k] + best2 > t - 1:
-                return True
-        return False
-
-    def scan(self):
-        """Yield the failing points in lex order."""
-        st, N = self.st, self.N
-        n = self.n
-        point = [0] * n
-        used = [0] * len(self.aggs)
-        fixed1 = [0] * len(self.aggs)
-        fixed2 = [0] * len(self.aggs)
-
-        def rec(i: int):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExceededError(f"level scan exceeded {self.budget} nodes",
-                                          cap="budget", limit=self.budget)
-            if i == n:
-                yield tuple(point)
-                return
-            ui = st.u[i]
-            hi = None if ui is None else N * ui - 1
-            k = st.agg_at[i][0] if st.agg_at[i] else None  # disjoint: at most one
-            if k is not None:
-                room = self.aggs[k]["limit"] - used[k] - st.after[k][i]
-                hi = room if hi is None else min(hi, room)
-            for v in range(1, hi + 1):
+    def rec(i: int, live: int):         # live: aggregates that can still fail
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"level scan exceeded {budget} nodes",
+                                      cap="budget", limit=budget)
+        if i == st.n:
+            yield tuple(point)
+            return
+        u = st.u[i]
+        if not st.agg_at[i]:
+            for v in range(1, N * u):
                 point[i] = v
-                if k is not None:
-                    uv = st.u[i]
-                    used[k] += v
-                    d1 = 0 if uv is None else max(0, v - uv + 1)
-                    d2 = 1 if uv is None else max(1, v - (N - 1) * uv)
-                    fixed1[k] += d1
-                    fixed2[k] += d2
-                if self._alive(i + 1, used, fixed1, fixed2):
-                    yield from rec(i + 1)
-                if k is not None:
-                    used[k] -= v
-                    fixed1[k] -= d1
-                    fixed2[k] -= d2
+                yield from rec(i + 1, live)
+            return
+        k = st.agg_at[i][0]                     # disjoint: the only one
+        A, t = st.aggs[k]
+        left = st.after[k][i]                   # members still to place
+        j = len(A) - left                       # this is member j - 1 of A
+        room = N * t - 1 - used[k] - left
+        was, old = alive[k], gains[k][:]
+        for v in range(1, (room if u is None else min(N * u - 1, room)) + 1):
+            point[i] = v
+            now = False
+            if was:
+                for c, (need, items, rows) in enumerate(conds[k]):
+                    item = items[j - 1]
+                    gains[k][c] = old[c] + (0 if item is None else max(0, v - 1 - item[0]))
+                    rest = max(0, need - gains[k][c])
+                    now = now or rows[j][rest] + rest <= room - v
+            if live - was + now:
+                alive[k] = now
+                used[k] += v
+                yield from rec(i + 1, live - was + now)
+                used[k] -= v
+        alive[k], gains[k][:] = was, old
 
-        yield from rec(0)
+    if any(alive):
+        yield from rec(0, sum(alive))
 
 
 def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int, interior1: int):
@@ -263,9 +250,13 @@ def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int, interior1: 
 
     `interior1` is the number of interior points of P; without one no
     point splits at r = 1, and every interior point of N*P is yielded.
+    A laminar hull whose degree count at N has no degree >= 2 walks none.
     """
     if interior1 and st.disjoint:
-        return _FailScanner(st, N, budget).scan()
+        return _scan_disjoint(st, N, budget)
+    if interior1 and st.laminar and all(
+            r < 2 for _N, r in _degree_histogram(P, (N,), budget)):
+        return iter(())
     points = iter_lattice_points(P, N, "interior", budget=budget)
     if not interior1:
         return points
@@ -418,37 +409,7 @@ def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int]
     return hist
 
 
-# --- degree set by one knapsack per aggregate ------------------------------
-
-def _least_cost(items, need: int) -> int | None:
-    """Least sum of cost over a set of (cost, mx) items whose mx sum to at
-    least need >= 1, by a 0/1 knapsack over the capped sum; None if no set
-    reaches need."""
-    best: list = [0] + [None] * need    # best[c]: least cost for min(sum mx, need) = c
-    for cost, mx in items:
-        for c in range(need, -1, -1):
-            if best[c] is not None:
-                d = min(need, c + mx)
-                if best[d] is None or best[c] + cost < best[d]:
-                    best[d] = best[c] + cost
-    return best[need]
-
-
-def _aggregate_fails(st: _Structure, A: tuple[int, ...], t: int, N: int, r: int) -> bool:
-    """Has the block of the aggregate (A, t) a part, interior to N*P, with no
-    summand at r?  Valid when r*P has an interior point: top and bottom
-    sums of the module docstring, each a knapsack over the capped members."""
-    m = len(A)
-    room = N * t - 1 - m
-    caps = [st.u[i - 1] for i in A if st.u[i - 1] is not None]
-    top = [(r * u - 2, (N - r) * u) for u in caps], (N - r) * t + 1
-    bottom = [((N - r) * u, r * u - 2) for u in caps], r * t - m
-    for items, need in (top, bottom):
-        cost = _least_cost(items, need)
-        if cost is not None and cost + need <= room:
-            return True
-    return False
-
+# --- degree set by one knapsack test per level ----------------------------
 
 def _failing_levels(P: HPolytope, levels) -> set[int]:
     """The levels N among `levels` at which some interior point of N*P has
@@ -460,8 +421,9 @@ def _failing_levels(P: HPolytope, levels) -> set[int]:
     for N in levels:
         if not _interior_at(P, N):
             continue
+        # the first condition met stops the search
         if not _interior_at(P, N - 1) or any(
-                _aggregate_fails(st, A, t, N, N - 1) for A, t in st.aggs):
+                True for A, t in st.aggs for _ in _met_conditions(st, A, t, N, N - 1)):
             out.add(N)
     return out
 

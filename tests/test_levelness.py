@@ -19,6 +19,7 @@ from polylevel.lattice import (
     _structure,
 )
 from polylevel.levelness import (
+    _cost_rows,
     _degree_histogram,
     _failing_levels,
     _iter_failing,
@@ -113,11 +114,28 @@ def test_level_iff_degree_one(gc):
 
 
 @settings(max_examples=25, deadline=None)
-@given(graph_and_bounds(max_n=4, max_c=3))
-def test_level_agrees_with_flat_oracle(gc):
-    G, c = gc
-    P = pl.facets(pl.enumerate_bases(G, c))
-    assert pl.level_star(P)[0] == brute_level_star(P)
+@given(st.one_of(
+    graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=4, max_t=3, laminar=True),
+))
+# nested aggregates with interior points, which the draws above never give:
+# level*, then failing
+@example(pl.HPolytope(4, (((1, 3), 5), ((1, 2, 3), 4), ((1,), 2), ((3,), 4), ((4,), 3))))
+@example(pl.HPolytope(4, (((1,), 3), ((2,), 3), ((4,), 3), ((1, 3, 4), 4), ((1, 4), 4))))
+@example(pl.HPolytope(3, (((2,), 4), ((1, 2, 3), 5), ((1, 3), 5))))
+def test_level_agrees_with_flat_oracle(P):
+    """Verdict and witness against flat scans, on graph hulls and on
+    laminar systems, whose aggregates nest: the witness is the lex-first
+    interior point of degree >= 2 at the first level that has one."""
+    level, witness = pl.level_star(P)
+    assert level == brute_level_star(P)
+    if not brute_interior_points(P, 1):
+        assert witness is None
+        return
+    first = next(((N, a) for N in range(2, max(2, P.n - 1) + 1)
+                  for a in brute_interior_points(P, N)
+                  if brute_reduced_degree(P, a, N) >= 2), None)
+    assert witness == first
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,21 +193,31 @@ def test_fail_scan_on_two_disjoint_aggregates():
         assert got == naive
 
 
-@settings(max_examples=15, deadline=None)
-@given(graph_and_bounds(max_n=5, max_c=3))
-def test_fail_scan_matches_naive(gc):
-    """The pruned failing-point scan returns exactly the naive failing set."""
-    G, c = gc
-    P = pl.facets(pl.enumerate_bases(G, c))
+def _disjoint_with_interior(P):
+    return _structure(P).disjoint and pl.count_lattice_points(P, 1, "interior") > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=5, max_t=3, laminar=True).filter(_disjoint_with_interior),
+))
+@example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 3), ((2,), 3), ((3,), 2))))
+@example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 2), ((3,), 3))))   # x2 uncapped
+def test_fail_scan_matches_naive(P):
+    """The pruned failing-point scan returns exactly the naive failing set,
+    on graph hulls and on hand-built systems with uncapped aggregate
+    members, and its pruning is exact: it enters only the prefixes of
+    failing points, so a budget of that many nodes suffices."""
     st = _structure(P)
     interior1 = pl.count_lattice_points(P, 1, "interior")
     if not st.disjoint or interior1 == 0:
         return
     for N in (2, 3):
-        collected = list(_iter_failing(P, st, N, 10**8, interior1))
         naive = [a for a in pl.lattice_points(P, N, "interior")
                  if not _split_exists_dfs(st, a, N, 1, 1)]
-        assert collected == naive
+        prefixes = {a[:i] for a in naive for i in range(P.n + 1)}
+        assert list(_iter_failing(P, st, N, len(prefixes), interior1)) == naive
 
 
 @settings(max_examples=100, deadline=None)
@@ -211,6 +239,41 @@ def test_split_paths_agree(P, slack):
                 if st.laminar:
                     assert _split_feasible_laminar(st, a, N, r, slack) == dfs
                 assert _split_exists(st, a, N, r, slack) == dfs
+
+
+def test_level_scan_budget(k34_hull):
+    """The failing-point scan counts its nodes against `budget`."""
+    with pytest.raises(BudgetExceededError, match="level scan") as err:
+        pl.level_star(k34_hull, budget=5)
+    assert err.value.cap == "budget" and err.value.limit == 5
+    assert pl.level_star(k34_hull, budget=10**4)[0] is False
+
+
+def _nested_hull(edges, c):
+    P = pl.facets(pl.enumerate_bases(pl.graph(6, edges), c))
+    st_ = _structure(P)
+    assert st_.laminar and not st_.disjoint
+    assert pl.count_lattice_points(P, 1, "interior") > 0
+    return P
+
+
+def test_nested_level_decided_before_its_points(monkeypatch):
+    """A laminar hull with nested aggregates and interior points: a level
+    whose degree count has no degree >= 2 walks no point (walking them
+    took tens of seconds on this hull), and a failing level keeps its
+    lex-least witness."""
+    level_star_hull = _nested_hull(
+        [(1, 3), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)], (2, 3, 3, 2, 3, 3))
+    failing_hull = _nested_hull(
+        [(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
+
+    def no_points(*args, **kwargs):
+        raise AssertionError("interior points enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(levelness, "iter_lattice_points", no_points)
+        assert pl.level_star(level_star_hull) == (True, None)
+    assert pl.level_star(failing_hull) == (False, (2, (1, 3, 3, 5, 4, 1)))
 
 
 def test_analyze_report(k34_hull):
@@ -411,7 +474,29 @@ def test_degree_count_budget():
     assert pl.int_star_degree(P, budget=228) == 2
 
 
-# --- degree set by one knapsack per aggregate ------------------------------
+# --- degree set by one knapsack test per level ----------------------------
+
+_items = st.lists(st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0, 5))),
+                  max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_items, st.integers(0, 8), st.integers(1, 20))
+@example([(0, 0), None, (0, 3), (2, 0), (4, 2)], 5, 6)    # cost 0 and mx 0 items
+def test_cost_rows_match_subsets(items, need, cap):
+    """Each suffix row against the least cost over every subset of the
+    capped items from that row on, both read up to `cap`."""
+    rows = _cost_rows(items, need, cap)
+    assert len(rows) == len(items) + 1
+    for j in range(len(items) + 1):
+        capped = [item for item in items[j:] if item is not None]
+        subsets = [S for k in range(len(capped) + 1)
+                   for S in itertools.combinations(capped, k)]
+        for c in range(need + 1):
+            least = min((sum(cost for cost, _mx in S) for S in subsets
+                         if sum(mx for _cost, mx in S) >= c), default=cap)
+            assert min(rows[j][c], cap) == min(least, cap), (j, c)
+
 
 def _histogram_degrees(P, levels):
     return {r for _N, r in _degree_histogram(P, levels, 10**8) if r >= 2}
