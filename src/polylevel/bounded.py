@@ -18,12 +18,43 @@ at or below c_i.  Two quantities drive everything downstream:
 The divisor set collects every componentwise divisor of a basis vector;
 it is the full discrete polymatroid whose convex hull the facet module
 describes by inequalities.
+
+Enumerating the bases
+---------------------
+`enumerate_bases` never lists candidate vectors.  It runs one dynamic
+program over the edges in `edge_list()` order.  A state is the residual
+capacity vector r = c - (degrees placed so far), packed into one int with
+max(c).bit_length() bits per vertex, so placing weight w on edge {i, j}
+subtracts w times a fixed step; residuals never go negative, so the
+subtraction never borrows.  Each layer keeps its states in a dict, which
+merges the paths that reach the same r.  The bases are c - r over the
+final states.
+
+* Merging is exact.  What the edges ahead can still place depends on r
+  alone, so two paths that reach one r have the same completions.
+* Pruning is exact.  Let R be the residual sum and L the part of it on
+  vertices with no edge ahead.  The edges ahead lower R by an even amount
+  of at most R - L, so a state can only end at a residual sum of at least
+  R - 2*floor((R - L)/2): the headroom bound of `delta_c`.  A maximum
+  weighting ends at R = sum(c) - 2*delta_c (the slack) and no weighting
+  ends below it, so a state is kept only while that bound is at most the
+  slack, and every final state kept is a basis.  Every maximum weighting
+  passes the test at each of its layers, so every basis is found.
+* The weights on an edge are tried in descending order, and the bound
+  never decreases as w falls (it equals L + ((R - L) mod 2), and one unit
+  less weight raises L by 0, 1 or 2 while flipping the parity of R - L
+  only when L rises by 1), so the first w that fails ends the loop.
+
+Every final state is a distinct vector a <= c with coordinate sum
+2*delta_c, so `candidate_cap`, which bounds the number of such vectors and
+is checked before any work of the dynamic program, bounds the output too.
+`realize_degree_sequence` decides a single vector; `enumerate_bases` does
+not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .graphs import Graph
@@ -104,15 +135,8 @@ def delta_c(G: Graph, c) -> int:
     return best
 
 
-# A search tests every candidate vector of every bound vector against one
-# graph; the cache lets those calls share one structure.  Small on purpose:
-# a request needs one graph, and a larger cache would keep earlier ones.
-_GRAPH_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _graph_structure(G: Graph):
-    """What realizability reads of G, derived once per graph.
+    """What realizability reads of G.
 
     Returns (components, higher).  components: per connected component,
     its vertices, their colour signs (+1 / -1 along a 2-colouring grown
@@ -223,42 +247,52 @@ def _count_bounded_vectors(caps: tuple[int, ...], total: int) -> int:
 def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> BasisSet:
     """All degree vectors of maximum-size c-bounded edge multisets.
 
-    Candidates a <= c with coordinate sum 2*delta_c are generated by
-    recursive descent with remaining-sum pruning, then filtered by
-    realizability.  Raises BudgetExceededError when the candidate count
-    would exceed `candidate_cap`.
+    One dynamic program over the edges in `edge_list()` order, whose state
+    is the residual capacity vector r = c - (degrees placed so far),
+    packed into one int; the bases are c - r over the final states.  See
+    "Enumerating the bases" in the module docstring for why the merging
+    and the pruning are exact.
+
+    Raises BudgetExceededError, before any work of the dynamic program,
+    when the number of vectors a <= c with coordinate sum 2*delta_c (a
+    bound on the number of bases) exceeds `candidate_cap`.
     """
     c = _check_bounds(G, c)
     d = delta_c(G, c)
-    target = 2 * d
-    n_candidates = _count_bounded_vectors(c, target)
+    n_candidates = _count_bounded_vectors(c, 2 * d)
     if n_candidates > candidate_cap:
         raise BudgetExceededError(
             f"{n_candidates} candidate vectors exceed the cap {candidate_cap}",
             cap="candidate_cap", limit=candidate_cap,
         )
 
-    suffix_caps = [0] * (G.n + 1)
-    for i in range(G.n - 1, -1, -1):
-        suffix_caps[i] = suffix_caps[i + 1] + c[i]
+    edges = G.edge_list()
+    slack = sum(c) - 2 * d
+    bits = max(c).bit_length()
+    mask = (1 << bits) - 1
+    shifts = [bits * v for v in range(G.n)]
+    last = {v: k for k, e in enumerate(edges) for v in e}
+    # code -> (residual sum R, residual L on vertices with no edge ahead);
+    # L starts at 0 because a Graph has no isolated vertex
+    states = {sum(ci << s for ci, s in zip(c, shifts)): (sum(c), 0)}
+    for k, (i, j) in enumerate(edges):
+        si, sj = shifts[i - 1], shifts[j - 1]
+        step = (1 << si) + (1 << sj)
+        dies_i, dies_j = last[i] == k, last[j] == k
+        layer: dict[int, tuple[int, int]] = {}
+        for code, (R, L) in states.items():
+            ri, rj = (code >> si) & mask, (code >> sj) & mask
+            for w in range(min(ri, rj), -1, -1):
+                R2 = R - 2 * w
+                L2 = L + dies_i * (ri - w) + dies_j * (rj - w)
+                # the edges ahead lower R2 by at most 2*floor((R2-L2)/2)
+                if R2 - 2 * ((R2 - L2) // 2) > slack:
+                    break
+                layer[code - w * step] = (R2, L2)
+        states = layer
 
-    bases: list[ExponentVector] = []
-    prefix: list[int] = []
-
-    def descend(i: int, remaining: int) -> None:
-        if i == G.n:
-            a = tuple(prefix)
-            if realize_degree_sequence(G, a, d):
-                bases.append(a)
-            return
-        lo = max(0, remaining - suffix_caps[i + 1])
-        hi = min(c[i], remaining)
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            descend(i + 1, remaining - v)
-            prefix.pop()
-
-    descend(0, target)
+    bases = [tuple(ci - ((code >> s) & mask) for ci, s in zip(c, shifts))
+             for code in states]
     return BasisSet(n=G.n, delta_c=d, bases=tuple(sorted(bases)))
 
 

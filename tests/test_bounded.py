@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
-from polylevel.bounded import _graph_structure
 from polylevel.errors import BudgetExceededError
 from polylevel.oracle import brute_bases, delta_c_maxflow
 
@@ -89,12 +88,41 @@ def test_enumerate_bases_budget():
     assert (exc.value.cap, exc.value.limit) == ("candidate_cap", 10)
 
 
-def test_enumerate_bases_derives_graph_structure_once():
-    G = pl.complete_bipartite(2, 3)
-    _graph_structure.cache_clear()
-    pl.enumerate_bases(G, (3,) * 5)
-    info = _graph_structure.cache_info()
-    assert info.misses == 1 and info.hits > 1  # many candidates, one derivation
+@settings(max_examples=60, deadline=None)
+@given(graph_and_bounds(max_n=6, max_c=3))
+@example((pl.complete_bipartite(4, 4), (2,) * 8))
+@example((pl.complete(6), (3,) * 6))
+@example((pl.graph(4, [(1, 2), (3, 4)]), (2, 1, 3, 2)))
+@example((pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2)))
+def test_enumerate_bases_matches_candidate_filter(gc):
+    """The dynamic program finds exactly the vectors a <= c with coordinate
+    sum 2*delta_c that `realize_degree_sequence` accepts.  The examples pin
+    a perfect b-matching on K(4,4), K6 with slack 0, a disconnected graph
+    and an odd cycle with a tail."""
+    import itertools
+
+    G, c = gc
+    d = pl.delta_c(G, c)
+    expected = tuple(
+        a for a in itertools.product(*(range(ci + 1) for ci in c))
+        if sum(a) == 2 * d and pl.realize_degree_sequence(G, a, d)
+    )
+    B = pl.enumerate_bases(G, c)
+    assert (B.delta_c, B.bases) == (d, expected)
+
+
+@pytest.mark.parametrize("c", [
+    (2,) * 8, (3,) * 8, (2, 3) * 4, (3, 2) * 4,
+    (2, 2, 3, 3, 2, 3, 2, 3), (3, 3, 2, 3, 2, 2, 3, 3),
+])
+def test_enumerate_bases_on_tree_with_many_rejected_candidates(c):
+    """On this 8-vertex tree almost every vector a <= c with the right
+    coordinate sum is no degree vector, so a candidate filter rejects most
+    of what it tests; the bases must match the brute-force enumeration."""
+    T = pl.tree_from_parents((1, 1, 1, 4, 1, 4, 4))
+    d, bases = brute_bases(T, c)
+    B = pl.enumerate_bases(T, c)
+    assert (B.delta_c, B.bases) == (d, tuple(bases))
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,10 +131,10 @@ def test_enumerate_bases_derives_graph_structure_once():
 @example((pl.graph(4, [(1, 2), (3, 4)]), (2, 1, 3, 2)), [3, 2, 2, 1, 1])
 @example((pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2)),
          [3, 1, 2, 2, 3])
-def test_enumerate_bases_reuses_graph_structure_across_bounds(gc, more):
-    """Two bound vectors on one graph share its cached structure; both
-    basis sets must still match the brute-force enumeration.  The examples
-    pin a disconnected graph and an odd cycle with a tail."""
+def test_enumerate_bases_matches_brute_force_on_two_bounds(gc, more):
+    """Two bound vectors on one graph: both basis sets must match the
+    brute-force enumeration.  The examples pin a disconnected graph and an
+    odd cycle with a tail."""
     G, c = gc
     for bounds in (c, tuple(more[:G.n])):
         d, bases = brute_bases(G, bounds)
