@@ -45,22 +45,29 @@ for every N (Baum-Trotter, Integer rounding and polyhedral decomposition
 for totally unimodular systems, 1978).  So `normality_check` answers
 laminar systems without a scan; only crossing aggregates are scanned.
 
-Counting in closed form.  When the aggregate facets are pairwise
-disjoint, every facet lives in one block, so N*P and its interior are
-products of the block dilates (the product separability of the
-`levelness` docstring) and the count is a product over blocks.  A block
-is one coordinate with its cap u, holding N u - 2 lo + 1 points (lo = 0
-for N*P, 1 for the interior), or one aggregate (A, t) with m members.
-In y = x - lo the latter is y >= 0, y_i <= d_i = N u_i - 2 lo for the
-capped members, sum y <= R = N t - lo - m lo: compositions with upper
-bounds, counted by inclusion-exclusion over the capped members (Stanley,
-Enumerative Combinatorics I, sections 1.9 and 2.1),
+Counting by blocks.  Every facet lives in one block, so N*P and its
+interior are products of the block dilates (the product separability of
+the `levelness` docstring) and the count is a product over blocks.  In a
+laminar system each block is one coordinate or the tree of one root
+aggregate.  A lone coordinate with its cap u holds N u - 2 lo + 1 points
+(lo = 0 for N*P, 1 for the interior).  A root (A, t) with m members and
+no child aggregate is counted in closed form: in y = x - lo it is
+y >= 0, y_i <= d_i = N u_i - 2 lo for the capped members,
+sum y <= R = N t - lo - m lo, compositions with upper bounds, counted by
+inclusion-exclusion over the capped members (Stanley, Enumerative
+Combinatorics I, sections 1.9 and 2.1),
 
     sum_w c_w binom(R - w + m, m),   sum_w c_w z^w = prod (1 - z^(d_i+1)),
 
-the terms grouped by overshoot w <= R.  Nested or crossing aggregates
-are counted by `_count_dp`, a coordinate-by-coordinate dynamic program
-whose state is the vector of partial sums of the aggregate facets.
+the terms grouped by overshoot w <= R.  A root with children is counted
+by one pass over its laminar forest, children first.  The children and
+the owned coordinates of an aggregate (A, t) are constrained
+independently, so the generating polynomial of sum_A x is the product of
+the children's polynomials and of one indicator of [lo, N u_i - lo] per
+owned coordinate, truncated at degree N t - lo.  The block count is the
+sum of the root's coefficients.  Only crossing aggregates are counted by
+`_count_dp`, a coordinate-by-coordinate dynamic program whose state is
+the vector of partial sums of the aggregate facets.
 Enumeration is plain recursive descent with partial-sum pruning,
 adequate at desk scale; all paths use exact Python integers.
 
@@ -78,6 +85,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .errors import BudgetExceededError
@@ -349,13 +357,14 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
                          budget: int = DEFAULT_NODE_BUDGET) -> int:
     """|N*P ∩ Z^n| (or the interior count); N = 0 counts 1 resp. 0.
 
-    A system with pairwise disjoint aggregate facets (every box-and-cutoff
-    polytope, most graph hulls) is counted in closed form, a product over
+    A laminar system (every box-and-cutoff polytope, every graph hull whose
+    aggregate facets are disjoint or nested) is counted as a product over
     its blocks as in the module docstring; one `budget` state there is one
-    single-coordinate block or one entry of a block's overshoot table.
-    Nested or crossing aggregates go through `_count_dp`, where one state
-    is one memoised (coordinate, partial sums) pair.  Either way more than
-    `budget` states raise BudgetExceededError.
+    single-coordinate block, one entry of a childless root's overshoot
+    table or one entry of a list of the laminar-forest pass.  Crossing
+    aggregates go through `_count_dp`, where one state is one memoised
+    (coordinate, partial sums) pair.  Either way more than `budget` states
+    raise BudgetExceededError.
     """
     _check_region(region)
     if N < 0:
@@ -363,16 +372,18 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
     if N == 0:
         return 1 if region == "full" else 0
     st = _structure(P)
-    if not st.disjoint:
+    if not st.laminar:
         return _count_dp(P, N, region, budget)
     lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
     total, states = 1, 0
     for block in st.blocks:
-        ks = st.agg_at[block[0] - 1]
-        if ks:
-            count, table = _aggregate_block_count(st, *st.aggs[ks[0]], N, lo)
-        else:  # one coordinate, bounded by its cap alone
+        ks = st.agg_at[block[0] - 1]  # a chain, the block's root last
+        if not ks:  # one coordinate, bounded by its cap alone
             count, table = max(0, N * st.u[block[0] - 1] - 2 * lo + 1), 1
+        elif st.forest[ks[-1]]:
+            count, table = _forest_block_count(st, ks[-1], N, lo)
+        else:
+            count, table = _aggregate_block_count(st, *st.aggs[ks[-1]], N, lo)
         states += table
         if states > budget:
             raise BudgetExceededError(f"counting exceeded {budget} states",
@@ -405,9 +416,39 @@ def _aggregate_block_count(st: _Structure, A: tuple[int, ...], t: int, N: int,
     return sum(c * comb(R - w + m, m) for w, c in coef.items()), len(coef)
 
 
+def _forest_block_count(st: _Structure, root: int, N: int, lo: int) -> tuple[int, int]:
+    """Lattice points of the block of a root aggregate with child aggregates,
+    by one pass over its laminar forest, and the number of list entries."""
+    entries = 0
+
+    def sums(k: int) -> list[int]:
+        # f[s]: the ways the members of aggregate k sum to s <= N t - lo
+        nonlocal entries
+        L = N * st.aggs[k][1] - lo
+        f = [1]
+        for ch in st.forest[k]:
+            g = sums(ch)
+            h = [0] * max(0, min(L + 1, len(f) + len(g) - 1))
+            for j, c in enumerate(f):
+                for s, d in enumerate(g[:len(h) - j], j):
+                    h[s] += c * d
+            f = h
+        for i in st.own[k]:  # convolve with the indicator of [lo, hi]
+            u = st.u[i - 1]
+            hi = L if u is None else N * u - lo
+            top, pre = len(f) - 1, [0, *accumulate(f)]
+            f = [pre[min(s - lo, top) + 1] - pre[max(s - hi, 0)] if s >= lo else 0
+                 for s in range(min(L, top + hi) + 1)] if hi >= lo else []
+        entries += len(f)
+        return f
+
+    return sum(sums(root)), entries
+
+
 def _count_dp(P: HPolytope, N: int, region: str = "full",
               budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """`count_lattice_points` by a dynamic program, for any facet system.
+    """`count_lattice_points` by a dynamic program, valid for any facet
+    system; `count_lattice_points` calls it only for crossing ones.
 
     Coordinate by coordinate, the state is the vector of partial sums of
     the aggregate facets; one budget state is one memoised state.
@@ -465,6 +506,12 @@ class DeltaVector:
 
 
 def delta_vector(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> DeltaVector:
+    """The Ehrhart counts i(P, N) for N = 0..n and the delta vector.
+
+    Also counts the interior of P (N = 1) to check delta_n against it, as
+    in the module docstring; `budget` bounds each of these n + 2 counts
+    separately.
+    """
     n = P.n
     counts = tuple(count_lattice_points(P, N, "full", budget=budget) for N in range(n + 1))
     delta = tuple(

@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
-from polylevel.lattice import _count_dp, _normality_scan, _structure
+from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_count,
+                               _normality_scan, _structure)
 from polylevel.oracle import brute_count, brute_normality, brute_volume
 
 from conftest import facet_systems, graph_and_bounds
@@ -75,28 +76,57 @@ def veronese_specs(draw):
     return pl.VeroneseSpec(n=n, a=a, c=tuple(c))
 
 
-def _disjoint(P):
-    return _structure(P).disjoint
+def _nested(P):
+    st_ = _structure(P)
+    return st_.laminar and not st_.disjoint
 
 
-@settings(max_examples=300, deadline=None)
+def _graph_hull(gc):
+    return pl.facets(pl.enumerate_bases(*gc))
+
+
+# the seed-1 `analyze` pool's nested hull, and an n = 6 nested hull with
+# interior points
+NESTED_POOL_HULL = pl.HPolytope(5, (((1,), 1), ((2,), 2), ((4,), 2), ((5,), 1),
+                                    ((3, 5), 2), ((3, 4, 5), 3)))
+NESTED_INTERIOR_GRAPH = (pl.graph(6, [(1, 3), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6),
+                                      (4, 5), (5, 6)]), (2, 3, 3, 2, 3, 3))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.one_of(
-    facet_systems(max_n=4, max_t=3, laminar=True).filter(_disjoint),
-    graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc)))
-    .filter(_disjoint),
+    facet_systems(max_n=5, max_t=3, max_aggs=4, laminar=True),
+    graph_and_bounds(max_n=4, max_c=3).map(_graph_hull),
+    graph_and_bounds(max_n=5, max_c=3).map(_graph_hull).filter(_nested),
     veronese_specs().map(pl.veronese_polytope),
 ), st.integers(0, 4), st.sampled_from(("full", "interior")))
 @example(pl.HPolytope(3, (((1, 2), 1), ((3,), 1))), 2, "interior")         # R < 0
 @example(pl.HPolytope(3, (((1, 2), 3), ((1,), 1), ((3,), 2))), 1, "interior")  # d_1 < 0
 @example(pl.HPolytope(3, (((1, 2), 3), ((3,), 1))), 1, "interior")         # empty cap block
 @example(pl.HPolytope(4, (((1, 2), 2), ((3, 4), 3), ((2,), 1))), 3, "interior")  # two aggregates
-def test_disjoint_counts_match_dp_and_oracle(P, N, region):
-    """With disjoint aggregate facets the closed form, the dynamic program
-    and a flat scan agree, on hand-built systems (uncapped aggregate
-    members included), graph hulls and box-and-cutoff polytopes."""
-    assert _structure(P).disjoint
+@example(NESTED_POOL_HULL, 3, "full")
+@example(pl.HPolytope(5, (((1,), 3), ((2,), 2), ((3,), 1), ((4,), 2),
+                          ((3, 5), 2), ((1, 3, 5), 4))), 4, "full")  # a graph hull
+@example(pl.HPolytope(3, (((1, 2), 2), ((1, 2, 3), 3))), 2, "interior")   # uncapped, owned by the root
+@example(pl.HPolytope(3, (((1, 2), 3), ((1, 2, 3), 2), ((1,), 1))), 2, "full")  # child above the root's room
+@example(pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 3))), 1, "interior")   # empty child, no interior point
+@example(pl.HPolytope(4, (((1, 2), 2), ((3, 4), 2), ((1, 2, 3, 4), 3))), 2, "full")  # root owns nothing
+def test_laminar_counts_match_dp_and_oracle(P, N, region):
+    """On laminar facet systems (hand-built, nested included; graph hulls,
+    nested ones filtered in; box-and-cutoff polytopes) the block count, the
+    dynamic program and a flat scan agree, and on every childless root the
+    forest pass agrees with the closed form."""
+    st_ = _structure(P)
+    assert st_.laminar
     assert pl.count_lattice_points(P, N, region) == _count_dp(P, N, region) \
         == brute_count(P, N, region == "interior")
+    lo = 0 if region == "full" else 1
+    for block in st_.blocks:
+        ks = st_.agg_at[block[0] - 1]
+        if ks and not st_.forest[ks[-1]]:
+            assert _forest_block_count(st_, ks[-1], N, lo)[0] \
+                == _aggregate_block_count(st_, *st_.aggs[ks[-1]], N, lo)[0]
 
 
 def test_disjoint_counts_skip_the_dp(monkeypatch, cube4):
@@ -113,6 +143,37 @@ def test_disjoint_counts_skip_the_dp(monkeypatch, cube4):
     with pytest.raises(BudgetExceededError) as exc:
         pl.count_lattice_points(box, 2, budget=1)
     assert (exc.value.cap, exc.value.limit) == ("budget", 1)
+
+
+def test_nested_counts_skip_the_dp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dynamic program")
+    monkeypatch.setattr("polylevel.lattice._count_dp", refuse)
+    nested = pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 1)))
+    assert [pl.count_lattice_points(nested, N) for N in range(4)] \
+        == [brute_count(nested, N) for N in range(4)]
+    assert pl.delta_vector(_graph_hull(NESTED_INTERIOR_GRAPH)).delta[6] == 16
+    crossing = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
+    with pytest.raises(AssertionError, match="dynamic program"):
+        pl.count_lattice_points(crossing, 2)
+    # at N = 3 the forest pass builds two lists of 4 entries, one per aggregate
+    assert pl.count_lattice_points(nested, 3, budget=8) == brute_count(nested, 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        pl.count_lattice_points(nested, 3, budget=7)
+    assert (exc.value.cap, exc.value.limit) == ("budget", 7)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(graph_and_bounds(max_n=6, max_c=3).map(_graph_hull).filter(_nested))
+@example(_graph_hull(NESTED_INTERIOR_GRAPH))
+def test_nested_graph_hull_counts_match_dp(P):
+    """Graph hulls with nested aggregates, interior points included: the
+    delta vector's counts and the interior counts agree with the dynamic
+    program."""
+    assert pl.delta_vector(P).counts == (1, *(_count_dp(P, N) for N in range(1, P.n + 1)))
+    for N in range(1, P.n + 1):
+        assert pl.count_lattice_points(P, N, "interior") == _count_dp(P, N, "interior")
 
 
 def test_delta_vector_examples(cube4, path3_hull):
