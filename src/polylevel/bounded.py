@@ -21,33 +21,42 @@ describes by inequalities.
 
 Enumerating the bases
 ---------------------
-`enumerate_bases` never lists candidate vectors.  It runs one dynamic
-program over the edges in `edge_list()` order.  A state is the residual
-capacity vector r = c - (degrees placed so far), packed into one int with
+`enumerate_bases` never lists candidate vectors, and it learns delta_c
+from its own final states.  It runs one dynamic program over the edges in
+`edge_list()` order.  A state is the residual capacity vector
+r = c - (degrees placed so far), packed into one int with
 max(c).bit_length() bits per vertex, so placing weight w on edge {i, j}
 subtracts w times a fixed step; residuals never go negative, so the
 subtraction never borrows.  Each layer keeps its states in a dict, which
-merges the paths that reach the same r.  The bases are c - r over the
-final states.
+merges the paths that reach the same r.
 
 * Merging is exact.  What the edges ahead can still place depends on r
   alone, so two paths that reach one r have the same completions.
-* Pruning is exact.  Let R be the residual sum and L the part of it on
-  vertices with no edge ahead.  The edges ahead lower R by an even amount
-  of at most R - L, so a state can only end at a residual sum of at least
-  R - 2*floor((R - L)/2): the headroom bound of `delta_c`.  A maximum
-  weighting ends at R = sum(c) - 2*delta_c (the slack) and no weighting
-  ends below it, so a state is kept only while that bound is at most the
-  slack, and every final state kept is a basis.  Every maximum weighting
-  passes the test at each of its layers, so every basis is found.
+* The incumbent.  Before the dynamic program, one greedy pass places
+  w = min(r_i, r_j) on each edge in turn (`_first_descent`).  Its weight
+  d0 is at most delta_c, so slack0 = sum(c) - 2*d0 is an upper bound on
+  the slack sum(c) - 2*delta_c, the residual sum at which a maximum
+  weighting ends and below which no weighting ends.
+* Pruning is exact with any upper bound on the slack.  Let R be the
+  residual sum and L the part of it on vertices with no edge ahead.  The
+  edges ahead lower R by an even amount of at most R - L, so a state can
+  only end at a residual sum of at least R - 2*floor((R - L)/2).  A state
+  is kept only while that bound is at most slack0.  Every maximum
+  weighting passes the test at each of its layers, since its bound is at
+  most the slack, which is at most slack0; so every basis is found.  The
+  greedy path passes it too, so the final states are never empty.
+* delta_c from the least final R.  Every final state ends at R at least
+  the slack, and the maximum weightings end at the slack itself, so
+  delta_c = (sum(c) - min R) / 2, and the bases are c - r over the final
+  states with R = min R.  The others (min R < R <= slack0) are dropped.
 * The weights on an edge are tried in descending order, and the bound
   never decreases as w falls (it equals L + ((R - L) mod 2), and one unit
   less weight raises L by 0, 1 or 2 while flipping the parity of R - L
   only when L rises by 1), so the first w that fails ends the loop.
 
-Every final state is a distinct vector a <= c with coordinate sum
-2*delta_c, so `candidate_cap`, which bounds the number of such vectors and
-is checked before any work of the dynamic program, bounds the output too.
+`candidate_cap` bounds the number of states that one layer holds, the
+last one included, so it bounds both the work of the dynamic program and
+the number of bases; it is checked as each layer is built.
 `realize_degree_sequence` decides a single vector; `enumerate_bases` does
 not call it.
 """
@@ -96,43 +105,11 @@ def _check_bounds(G: Graph, c) -> tuple[int, ...]:
 def delta_c(G: Graph, c) -> int:
     """Maximum total multiplicity of a c-bounded edge multiset.
 
-    Branch and bound over edges in index order.  The bound prunes with
-    current total + floor(remaining capacity incident to unprocessed
-    edges / 2); weights are tried in descending order so a strong
-    incumbent appears on the first descent.
+    Read off `enumerate_bases` (see "Enumerating the bases" in the module
+    docstring), so it raises BudgetExceededError where that does at the
+    default `candidate_cap`.
     """
-    c = _check_bounds(G, c)
-    edges = G.edge_list()
-    m = len(edges)
-    # vertices incident to some edge in the suffix edges[k:]
-    suffix_support: list[tuple[int, ...]] = [()] * (m + 1)
-    seen: set[int] = set()
-    for k in range(m - 1, -1, -1):
-        seen.update(edges[k])
-        suffix_support[k] = tuple(seen)
-
-    rem = [0] + list(c)
-    best = 0
-
-    def descend(k: int, total: int) -> None:
-        nonlocal best
-        if total > best:
-            best = total
-        if k == m:
-            return
-        headroom = sum(rem[v] for v in suffix_support[k]) // 2
-        if total + headroom <= best:
-            return
-        i, j = edges[k]
-        for w in range(min(rem[i], rem[j]), -1, -1):
-            rem[i] -= w
-            rem[j] -= w
-            descend(k + 1, total + w)
-            rem[i] += w
-            rem[j] += w
-
-    descend(0, 0)
-    return best
+    return enumerate_bases(G, c).delta_c
 
 
 def _graph_structure(G: Graph):
@@ -227,21 +204,17 @@ def realize_degree_sequence(G: Graph, a, q: int, return_witness: bool = False):
     return (True, full) if return_witness else True
 
 
-def _count_bounded_vectors(caps: tuple[int, ...], total: int) -> int:
-    """Number of integer vectors 0 <= a <= caps with sum(a) == total."""
-    counts = [0] * (total + 1)
-    counts[0] = 1
-    for cap in caps:
-        nxt = [0] * (total + 1)
-        running = 0
-        # sliding window sum of the previous `cap+1` entries
-        for s in range(total + 1):
-            running += counts[s]
-            if s - cap - 1 >= 0:
-                running -= counts[s - cap - 1]
-            nxt[s] = running
-        counts = nxt
-    return counts[total]
+def _first_descent(edges, c) -> int:
+    """Weight of the greedy weighting that places min(r_i, r_j) on each
+    edge in turn; a lower bound on delta_c."""
+    rem = [0] + list(c)
+    total = 0
+    for i, j in edges:
+        w = min(rem[i], rem[j])
+        rem[i] -= w
+        rem[j] -= w
+        total += w
+    return total
 
 
 def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> BasisSet:
@@ -249,25 +222,17 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
 
     One dynamic program over the edges in `edge_list()` order, whose state
     is the residual capacity vector r = c - (degrees placed so far),
-    packed into one int; the bases are c - r over the final states.  See
-    "Enumerating the bases" in the module docstring for why the merging
-    and the pruning are exact.
+    packed into one int, pruned with the slack of a greedy first descent.
+    delta_c is read off the least final residual sum, and the bases are
+    c - r over the final states that reach it.  See "Enumerating the
+    bases" in the module docstring for why this is exact.
 
-    Raises BudgetExceededError, before any work of the dynamic program,
-    when the number of vectors a <= c with coordinate sum 2*delta_c (a
-    bound on the number of bases) exceeds `candidate_cap`.
+    Raises BudgetExceededError once a layer of the dynamic program holds
+    more than `candidate_cap` states; a result is never truncated.
     """
     c = _check_bounds(G, c)
-    d = delta_c(G, c)
-    n_candidates = _count_bounded_vectors(c, 2 * d)
-    if n_candidates > candidate_cap:
-        raise BudgetExceededError(
-            f"{n_candidates} candidate vectors exceed the cap {candidate_cap}",
-            cap="candidate_cap", limit=candidate_cap,
-        )
-
     edges = G.edge_list()
-    slack = sum(c) - 2 * d
+    slack0 = sum(c) - 2 * _first_descent(edges, c)
     bits = max(c).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * v for v in range(G.n)]
@@ -286,14 +251,21 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
                 R2 = R - 2 * w
                 L2 = L + dies_i * (ri - w) + dies_j * (rj - w)
                 # the edges ahead lower R2 by at most 2*floor((R2-L2)/2)
-                if R2 - 2 * ((R2 - L2) // 2) > slack:
+                if R2 - 2 * ((R2 - L2) // 2) > slack0:
                     break
                 layer[code - w * step] = (R2, L2)
+        if len(layer) > candidate_cap:
+            raise BudgetExceededError(
+                f"{len(layer)} states after edge {k + 1} of {len(edges)} "
+                f"exceed the cap {candidate_cap}",
+                cap="candidate_cap", limit=candidate_cap,
+            )
         states = layer
 
+    slack = min(R for R, _L in states.values())
     bases = [tuple(ci - ((code >> s) & mask) for ci, s in zip(c, shifts))
-             for code in states]
-    return BasisSet(n=G.n, delta_c=d, bases=tuple(sorted(bases)))
+             for code, (R, _L) in states.items() if R == slack]
+    return BasisSet(n=G.n, delta_c=(sum(c) - slack) // 2, bases=tuple(sorted(bases)))
 
 
 def divisor_set(B: BasisSet) -> list[ExponentVector]:

@@ -98,8 +98,9 @@ def _two_coloring(G: Graph) -> tuple[list[int], list[int]] | None:
 def delta_c_maxflow(G: Graph, c) -> int:
     """delta_c of a bipartite graph as an integer max-flow value.
 
-    Raises ValueError on non-bipartite input.  A referee for the
-    branch-and-bound `bounded.delta_c`; needs scipy (the `test` extra).
+    Raises ValueError on non-bipartite input.  A referee for
+    `bounded.delta_c`, which reads delta_c off the residual-capacity
+    dynamic program of `enumerate_bases`; needs scipy (the `test` extra).
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel.bounded import _first_descent
 from polylevel.errors import BudgetExceededError
 from polylevel.oracle import brute_bases, delta_c_maxflow
 
@@ -26,6 +27,31 @@ def test_delta_maxflow_agrees_on_bipartite():
     for G in (pl.path(4), pl.cycle(4)):
         for c in itertools.product((1, 2, 3), repeat=G.n):
             assert pl.delta_c(G, c) == delta_c_maxflow(G, c)
+
+
+@st.composite
+def bipartite_and_bounds(draw, max_side=4, max_c=6):
+    """A bipartite graph with sides {1..m} and {m+1..m+k}, no isolated
+    vertex and at most 7 vertices, plus a bound vector."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, max_side))
+    pairs = [(i, m + j) for i in range(1, m + 1) for j in range(1, k + 1)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    edges |= {(1, v) for v in range(m + 1, m + k + 1) if not any(v in e for e in edges)}
+    edges |= {(v, m + 1) for v in range(1, m + 1) if not any(v in e for e in edges)}
+    c = tuple(draw(st.integers(1, max_c)) for _ in range(m + k))
+    return pl.graph(m + k, edges), c
+
+
+@settings(max_examples=60, deadline=None)
+@given(bipartite_and_bounds())
+@example((pl.complete_bipartite(3, 4), (6,) * 7))
+def test_delta_matches_maxflow_on_random_bipartite(gc):
+    """delta_c, read off the bases dynamic program, equals the max-flow
+    value on bipartite graphs with bounds up to 6.  The example pins the
+    largest such input, K(3,4) with every bound 6."""
+    G, c = gc
+    assert pl.delta_c(G, c) == delta_c_maxflow(G, c)
 
 
 def test_delta_maxflow_rejects_odd_cycle():
@@ -88,6 +114,51 @@ def test_enumerate_bases_budget():
     assert (exc.value.cap, exc.value.limit) == ("candidate_cap", 10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3), st.integers(0, 30))
+@example((pl.complete_bipartite(3, 4), (2,) * 7), 9)
+@example((pl.path(3), (2, 3, 2)), 2)
+def test_candidate_cap_never_truncates(gc, cap):
+    """The last layer of the dynamic program holds every basis, so a cap
+    below the number of bases raises, with the cap's name and limit; a
+    result returned under any cap equals the uncapped one."""
+    G, c = gc
+    B = pl.enumerate_bases(G, c)
+    try:
+        capped = pl.enumerate_bases(G, c, candidate_cap=cap)
+    except BudgetExceededError as exc:
+        assert (exc.cap, exc.limit) == ("candidate_cap", cap)
+    else:
+        assert capped == B
+        assert cap >= len(B.bases)
+
+
+def test_candidate_cap_bounds_every_layer():
+    """K(3,4) with c = 2 has ten bases, but an earlier layer of the
+    dynamic program holds more states than that, so a cap of 10 raises."""
+    G, c = pl.complete_bipartite(3, 4), (2,) * 7
+    assert len(pl.enumerate_bases(G, c).bases) == 10
+    with pytest.raises(BudgetExceededError) as exc:
+        pl.enumerate_bases(G, c, candidate_cap=10)
+    assert (exc.value.cap, exc.value.limit) == ("candidate_cap", 10)
+
+
+@pytest.mark.parametrize("G, c, greedy, delta", [
+    (pl.cycle(7), (3,) * 7, 9, 10),
+    (pl.complete(5), (3,) * 5, 6, 7),
+    (pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2), 3, 4),
+], ids=["cycle7", "K5", "odd-cycle-with-tail"])
+def test_enumerate_bases_beyond_a_weak_incumbent(G, c, greedy, delta):
+    """Inputs where the greedy first descent falls short of delta_c, so the
+    dynamic program prunes with a slack larger than the true one and must
+    drop the final states above the least residual sum."""
+    assert _first_descent(G.edge_list(), c) == greedy < delta
+    d, bases = brute_bases(G, c)
+    B = pl.enumerate_bases(G, c)
+    assert d == delta
+    assert (B.delta_c, B.bases) == (d, tuple(bases))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_and_bounds(max_n=6, max_c=3))
 @example((pl.complete_bipartite(4, 4), (2,) * 8))
@@ -96,17 +167,22 @@ def test_enumerate_bases_budget():
 @example((pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2)))
 def test_enumerate_bases_matches_candidate_filter(gc):
     """The dynamic program finds exactly the vectors a <= c with coordinate
-    sum 2*delta_c that `realize_degree_sequence` accepts.  The examples pin
+    sum 2*delta_c that `realize_degree_sequence` accepts, where delta_c is
+    the largest q at which it accepts some vector.  The examples pin
     a perfect b-matching on K(4,4), K6 with slack 0, a disconnected graph
     and an odd cycle with a tail."""
     import itertools
 
     G, c = gc
-    d = pl.delta_c(G, c)
-    expected = tuple(
-        a for a in itertools.product(*(range(ci + 1) for ci in c))
-        if sum(a) == 2 * d and pl.realize_degree_sequence(G, a, d)
-    )
+    by_sum: dict[int, list] = {}
+    for a in itertools.product(*(range(ci + 1) for ci in c)):
+        by_sum.setdefault(sum(a), []).append(a)
+    # delta_c is the largest q at which some vector is realizable
+    for d in range(sum(c) // 2, 0, -1):
+        expected = tuple(a for a in by_sum.get(2 * d, ())
+                         if pl.realize_degree_sequence(G, a, d))
+        if expected:
+            break
     B = pl.enumerate_bases(G, c)
     assert (B.delta_c, B.bases) == (d, expected)
 
