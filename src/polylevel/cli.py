@@ -33,6 +33,7 @@ from .criteria import (
 from .errors import BudgetExceededError
 from .graphs import Graph, graph, is_tree
 from .lattice import (
+    DEFAULT_NODE_BUDGET,
     count_lattice_points,
     delta_vector,
     is_unimodal,
@@ -46,8 +47,6 @@ from .levelness import (
     reduced_degree,
 )
 from .polymatroid import HPolytope, VeroneseSpec, facets, veronese_polytope
-
-DEFAULT_BUDGET = 10**8
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -393,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                         help="work cap for enumerations (default %(default)s)")
     common.add_argument("--strict", action="store_true",
                         help="exit 1 when the main verdict is negative")

@@ -91,21 +91,20 @@ an interior point (the all-ones point is the least candidate), since a
 split at r needs one.  `budget` bounds the states of the dynamic
 programs and the nodes of every enumeration.
 
-The table's points.  The report's table is a lazy view of the histogram
-that holds no point: its length is a sum of counts, taken on demand, a
-lookup tests the one point, and iterating re-runs the scan of failing
-points (those without a degree-1 split) level by level; with an empty
-interior of P every interior point fails.  That scan also finds the
-lex-least witness of `level_star`, and it stays because it is
-output-sensitive: with disjoint aggregates it enters a subtree only while
-some aggregate can still fail, so a level with no failing point walks no
-point, where plain enumeration visits every interior point: with plain
-enumeration in its place, acceptance check A05 and
-`test_analyze_report` together did not finish in 25 minutes, against
-about 27 s with it.  A laminar hull with nested aggregates has no such
-pruning, so a level at which its degree count (at that level alone) has
-no degree >= 2 is skipped before any point is walked; there `budget`
-bounds the states of that count as well as the enumeration.
+The table's points.  A degree r >= 2 is met at level r (above), so the
+least degree in `_degree_set` is the first level holding a failing point
+(one without a degree-1 split): P is level* when it has an interior
+point and the set is empty, the witness is the lex-least failing point
+of that level, and the report's table starts there.  The table is a lazy
+view of the histogram that holds no point: its length is a sum of
+counts, taken on demand, a lookup tests the one point, and iterating
+re-runs the scan of failing points level by level; with an empty
+interior of P every interior point fails.  That scan stays because it is
+output-sensitive: with disjoint aggregates it enters a subtree only
+while some aggregate can still fail, where plain enumeration visits
+every interior point: with plain enumeration in its place, acceptance
+check A05 and `test_analyze_report` together did not finish in 25
+minutes, against about 27 s with it.
 """
 
 from __future__ import annotations
@@ -245,23 +244,19 @@ def _scan_disjoint(st: _Structure, N: int, budget: int):
         yield from rec(0, sum(alive))
 
 
-def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int, interior1: int):
+def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int):
     """Interior points of N*P without a degree-1 split, in lex order.
 
-    `interior1` is the number of interior points of P; without one no
-    point splits at r = 1, and every interior point of N*P is yielded.
-    A laminar hull whose degree count at N has no degree >= 2 walks none.
+    Without an interior point of P no point splits at r = 1, and every
+    interior point of N*P is yielded.
     """
-    if interior1 and st.disjoint:
+    if not _interior_at(P, 1):
+        return iter_lattice_points(P, N, "interior", budget=budget)
+    if st.disjoint:
         return _scan_disjoint(st, N, budget)
-    if interior1 and st.laminar and all(
-            r < 2 for _N, r in _degree_histogram(P, (N,), budget)):
-        return iter(())
-    points = iter_lattice_points(P, N, "interior", budget=budget)
-    if not interior1:
-        return points
     # fallback: plain interior enumeration with a per-point search
-    return (a for a in points if not _split_exists(st, a, N, 1, 1))
+    return (a for a in iter_lattice_points(P, N, "interior", budget=budget)
+            if not _split_exists(st, a, N, 1, 1))
 
 
 def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
@@ -271,12 +266,12 @@ def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
     return r
 
 
-def _failing_degrees(P: HPolytope, levels, budget: int, interior1: int):
+def _failing_degrees(P: HPolytope, levels, budget: int):
     """((N, a), r) for every interior point a of N*P of reduced degree
     r >= 2, level by level and in lex order within a level."""
     st = _structure(P)
     for N in levels:
-        for a in _iter_failing(P, st, N, budget, interior1):
+        for a in _iter_failing(P, st, N, budget):
             yield (N, a), _least_split(st, a, N, 2)
 
 
@@ -428,6 +423,32 @@ def _failing_levels(P: HPolytope, levels) -> set[int]:
     return out
 
 
+def _degree_set(P: HPolytope, levels, budget: int) -> set[int]:
+    """The reduced degrees >= 2 over the interior points of N*P, N in
+    `levels`, for `levels` 2..top or one level above levels that have
+    none: one knapsack test per level with disjoint aggregates
+    (`_failing_levels`), else read off `_degree_histogram`."""
+    if _structure(P).disjoint:
+        return _failing_levels(P, levels)
+    return {r for _N, r in _degree_histogram(P, levels, budget) if r >= 2}
+
+
+def _top_level(P: HPolytope, max_level: int | None, least: int) -> int:
+    """The last scanned level: `max_level`, or by default max(least, n - 1)."""
+    if max_level is None:
+        return max(least, P.n - 1)
+    if max_level < least:
+        raise ValueError(f"max_level must be at least {least}")
+    return max_level
+
+
+def _int_star(P: HPolytope, degrees: set[int]):
+    """(int* degree, spectrum verdict) read off the degree set of levels
+    2..top; (None, None) when no dilate up to top has interior points."""
+    d = max(degrees, default=1 if _interior_at(P, 1) else None)
+    return d, None if d is None else all(i in degrees for i in range(2, d))
+
+
 class _DegreeTable(Mapping):
     """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
 
@@ -437,8 +458,8 @@ class _DegreeTable(Mapping):
     scan level by level, taking each degree from that scan.
     """
 
-    def __init__(self, P: HPolytope, levels, budget: int, interior1: int):
-        self._P, self._levels, self._budget, self._interior1 = P, levels, budget, interior1
+    def __init__(self, P: HPolytope, levels, budget: int):
+        self._P, self._levels, self._budget = P, levels, budget
         self._len = None
 
     def __len__(self) -> int:
@@ -450,18 +471,15 @@ class _DegreeTable(Mapping):
     def __getitem__(self, key):
         try:
             N, a = key
-            a = tuple(a)
+            r = reduced_degree(self._P, a, N) if N in self._levels else 1
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        if (N in self._levels and len(a) == self._P.n
-                and membership(self._P, a, N, "interior")):
-            r = _least_split(_structure(self._P), a, N, 1)
-            if r >= 2:
-                return r
-        raise KeyError(key)
+        if r < 2:
+            raise KeyError(key)
+        return r
 
     def _scan(self):
-        return _failing_degrees(self._P, self._levels, self._budget, self._interior1)
+        return _failing_degrees(self._P, self._levels, self._budget)
 
     def __iter__(self):
         return (key for key, _r in self._scan())
@@ -484,80 +502,56 @@ class _ScannedValues(ValuesView):
 
 
 def level_star(P: HPolytope, max_level: int | None = None,
-               budget: int = DEFAULT_NODE_BUDGET, *, _interior1: int | None = None):
+               budget: int = DEFAULT_NODE_BUDGET):
     """Decide level*; returns (verdict, witness) with the lex-least failing
     (N, point) on the negative side, or (False, None) for empty interior."""
-    if max_level is not None and max_level < 2:
-        raise ValueError("max_level must be at least 2")
-    if _interior1 is None:
-        _interior1 = count_lattice_points(P, 1, "interior", budget=budget)
-    if _interior1 == 0:
+    top = _top_level(P, max_level, 2)
+    if not _interior_at(P, 1):
         return False, None
-    st = _structure(P)
-    top = max_level if max_level is not None else max(2, P.n - 1)
     for N in range(2, top + 1):
-        w = next(_iter_failing(P, st, N, budget, _interior1), None)
-        if w is not None:
-            return False, (N, w)
+        if _degree_set(P, (N,), budget):
+            return False, (N, next(_iter_failing(P, _structure(P), N, budget)))
     return True, None
-
-
-def _scan_degrees(P: HPolytope, max_level: int | None, budget: int,
-                  interior1: int | None = None):
-    """Reduced degrees over the scanned dilation levels 2..top.
-
-    Returns (max_degree, table, degrees).  `table` is a `_DegreeTable` of
-    every scanned point of degree >= 2 (degree-1 points are the generic
-    case and are left implicit) and `degrees` is the set of those degrees:
-    one knapsack test per level with disjoint aggregates
-    (`_failing_levels`), else read off `_degree_histogram`.  `max_degree`
-    is None when no scanned dilate, level 1 included, has an interior
-    point.
-    """
-    if max_level is not None and max_level < 1:
-        raise ValueError("max_level must be at least 1")
-    levels = range(2, (max_level if max_level is not None else max(1, P.n - 1)) + 1)
-    if interior1 is None:
-        interior1 = count_lattice_points(P, 1, "interior", budget=budget)
-    if _structure(P).disjoint:
-        degrees = _failing_levels(P, levels)
-    else:
-        degrees = {r for _N, r in _degree_histogram(P, levels, budget) if r >= 2}
-    table = _DegreeTable(P, levels, budget, interior1)
-    return max(degrees, default=1 if interior1 else None), table, degrees
 
 
 def int_star_degree(P: HPolytope, max_level: int | None = None,
                     budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Largest reduced degree over dilation levels 1..max(1, n-1)."""
-    max_degree, _table, _degrees = _scan_degrees(P, max_level, budget)
-    if max_degree is None:
-        top = max_level if max_level is not None else max(1, P.n - 1)
+    top = _top_level(P, max_level, 1)
+    degree, _spectrum = _int_star(P, _degree_set(P, range(2, top + 1), budget))
+    if degree is None:
         raise ValueError(f"empty interior: no dilate up to level {top} has interior points")
-    return max_degree
+    return degree
 
 
 def conjecture_spectrum(P: HPolytope, max_level: int | None = None,
                         budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """With d the int* degree: is every degree 1 <= i < d realized in the scan?"""
-    max_degree, _table, degrees = _scan_degrees(P, max_level, budget)
-    if max_degree is None:
+    top = _top_level(P, max_level, 1)
+    _degree, spectrum = _int_star(P, _degree_set(P, range(2, top + 1), budget))
+    if spectrum is None:
         raise ValueError("empty interior: spectrum undefined")
-    return all(i in degrees for i in range(2, max_degree))
+    return spectrum
 
 
 @dataclass(frozen=True)
 class LevelnessReport:
     """Verdicts and witnesses for one polytope.
 
-    `reduced_degree_table` is a read-only mapping of the scanned points of
-    reduced degree at least 2 to their degree; degree-1 points are
-    ubiquitous and left implicit.  It is a lazy view that holds no point:
-    its length is counted by block on the first `len()` and kept (so a
-    `budget` too small for that count raises there), a lookup tests the
-    one point, and iterating it re-runs the scan.  `failure_witness`
-    carries (level, point, explanation) when level* fails with a witness;
-    an empty interior fails without one.
+    Every levelness answer is read off one set, the reduced degrees >= 2
+    over levels 2..scan_bound; its least element is the first level with a
+    point that has no degree-1 split (the module docstring).  P is level*
+    when it has an interior point and the set is empty.  Otherwise
+    `failure_witness` carries (level, point, explanation) for the lex-least
+    such point at that level; an empty interior fails without one.  The
+    int* degree, the spectrum and `reduced_degree_table` read the degrees
+    up to max(1, n - 1), or `max_level`.  The table is a read-only mapping
+    of the scanned points of reduced degree at least 2 to their degree,
+    from the least degree on; degree-1 points are ubiquitous and left
+    implicit.  It is a lazy view that holds no point: its length is counted
+    by block on the first `len()` and kept (so a `budget` too small for
+    that count raises there), a lookup tests the one point, and iterating
+    it re-runs the scan.
     """
 
     n: int
@@ -576,24 +570,27 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
                      budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
     from .lattice import reflexive_up_to_translation
 
+    scan_bound = _top_level(P, max_level, 2)
+    top = _top_level(P, max_level, 1)       # differs only when n <= 2
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
     reflexive = reflexive_up_to_translation(P, budget=budget) if pg else None
-    level, witness = level_star(P, max_level=max_level, budget=budget, _interior1=interior1)
-    if witness is not None:  # an empty interior fails without a pointwise witness
-        witness = (witness[0], witness[1],
-                   f"no interior summand of the base polytope splits off at level {witness[0]}")
-    max_degree, table, degrees = _scan_degrees(P, max_level, budget, interior1)
-    spectrum = None if max_degree is None else all(i in degrees for i in range(2, max_degree))
+    degrees = _degree_set(P, range(2, scan_bound + 1), budget)
+    first = min(degrees, default=top + 1)
+    witness = None
+    if degrees and _interior_at(P, 1):
+        witness = (first, next(_iter_failing(P, _structure(P), first, budget)),
+                   f"no interior summand of the base polytope splits off at level {first}")
+    int_star, spectrum = _int_star(P, {r for r in degrees if r <= top})
     return LevelnessReport(
         n=P.n,
         interior_count_1=interior1,
         pseudo_gorenstein=pg,
-        level=level,
+        level=not degrees and _interior_at(P, 1),
         reflexive_up_to_translation=reflexive,
-        int_star_degree=max_degree,
+        int_star_degree=int_star,
         failure_witness=witness,
-        reduced_degree_table=table,
+        reduced_degree_table=_DegreeTable(P, range(first, top + 1), budget),
         conjecture_spectrum_holds=spectrum,
-        scan_bound=max_level if max_level is not None else max(2, P.n - 1),
+        scan_bound=scan_bound,
     )

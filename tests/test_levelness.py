@@ -187,7 +187,7 @@ def test_fail_scan_on_two_disjoint_aggregates():
     interior1 = pl.count_lattice_points(P, 1, "interior")
     assert interior1 > 0
     for N in (2, 3):
-        got = list(_iter_failing(P, st, N, 10**8, interior1))
+        got = list(_iter_failing(P, st, N, 10**8))
         naive = [a for a in pl.lattice_points(P, N, "interior")
                  if not _split_exists_dfs(st, a, N, 1, 1)]
         assert got == naive
@@ -217,7 +217,7 @@ def test_fail_scan_matches_naive(P):
         naive = [a for a in pl.lattice_points(P, N, "interior")
                  if not _split_exists_dfs(st, a, N, 1, 1)]
         prefixes = {a[:i] for a in naive for i in range(P.n + 1)}
-        assert list(_iter_failing(P, st, N, len(prefixes), interior1)) == naive
+        assert list(_iter_failing(P, st, N, len(prefixes))) == naive
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,6 +257,10 @@ def _nested_hull(edges, c):
     return P
 
 
+# a laminar graph hull with nested aggregates and interior points, not level*
+_FAILING_NESTED = ([(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
+
+
 def test_nested_level_decided_before_its_points(monkeypatch):
     """A laminar hull with nested aggregates and interior points: a level
     whose degree count has no degree >= 2 walks no point (walking them
@@ -264,8 +268,7 @@ def test_nested_level_decided_before_its_points(monkeypatch):
     lex-least witness."""
     level_star_hull = _nested_hull(
         [(1, 3), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)], (2, 3, 3, 2, 3, 3))
-    failing_hull = _nested_hull(
-        [(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
+    failing_hull = _nested_hull(*_FAILING_NESTED)
 
     def no_points(*args, **kwargs):
         raise AssertionError("interior points enumerated")
@@ -274,6 +277,39 @@ def test_nested_level_decided_before_its_points(monkeypatch):
         m.setattr(levelness, "iter_lattice_points", no_points)
         assert pl.level_star(level_star_hull) == (True, None)
     assert pl.level_star(failing_hull) == (False, (2, (1, 3, 3, 5, 4, 1)))
+
+
+def test_analyze_walks_only_the_witness_level(monkeypatch, k34_hull):
+    """The report reads level* and the witness level off its degree set:
+    it never calls `level_star`, and it walks one level, the witness's,
+    for failing points; on a disjoint hull and on a nested one."""
+    def no_level_star(*args, **kwargs):
+        raise AssertionError("level_star called")
+
+    walked = []
+    iter_failing = levelness._iter_failing
+    monkeypatch.setattr(levelness, "level_star", no_level_star)
+    monkeypatch.setattr(levelness, "_iter_failing",
+                        lambda P, st, N, budget: walked.append(N) or iter_failing(P, st, N, budget))
+    for P, witness in ((k34_hull, (2, (1, 1, 1, 2, 3, 3, 3))),
+                       (_nested_hull(*_FAILING_NESTED), (2, (1, 3, 3, 5, 4, 1)))):
+        walked.clear()
+        rep = pl.analyze_polytope(P)
+        assert rep.failure_witness[:2] == witness
+        assert walked == [rep.failure_witness[0]]
+
+
+def test_level_star_counts_no_point(monkeypatch, path3_hull, k34_hull):
+    """`level_star` asks the all-ones test whether P has an interior point
+    and counts no lattice point."""
+    def no_count(*args, **kwargs):
+        raise AssertionError("lattice points counted")
+
+    monkeypatch.setattr(levelness, "count_lattice_points", no_count)
+    square = pl.HPolytope(2, (((1,), 1), ((2,), 1)))
+    assert pl.level_star(path3_hull) == (True, None)
+    assert pl.level_star(k34_hull) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
+    assert pl.level_star(square) == (False, None)
 
 
 def test_analyze_report(k34_hull):
@@ -295,6 +331,34 @@ def test_analyze_report_empty_interior():
     assert rep.int_star_degree is None
     assert rep.conjecture_spectrum_holds is None
     assert rep.failure_witness is None
+
+
+def _or_none(f, P):
+    """f(P), or None where f raises for an empty interior."""
+    try:
+        return f(P)
+    except ValueError as err:
+        assert "empty interior" in str(err)
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    facet_systems(max_n=4),
+    facet_systems(max_n=2),
+))
+# n = 2, where the report scans level 2 for level* but not for the int*
+# degree: with an interior point, and without one (level 2 holds degree 2)
+@example(pl.HPolytope(2, (((1,), 3), ((2,), 2), ((1, 2), 4))))
+@example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))
+def test_report_matches_the_verdict_functions(P):
+    """The report's verdicts, read off one degree set, against the
+    functions that decide each one alone."""
+    rep = pl.analyze_polytope(P)
+    assert (rep.level, rep.failure_witness and rep.failure_witness[:2]) == pl.level_star(P)
+    assert rep.int_star_degree == _or_none(pl.int_star_degree, P)
+    assert rep.conjecture_spectrum_holds == _or_none(pl.conjecture_spectrum, P)
 
 
 @settings(max_examples=60, deadline=None)

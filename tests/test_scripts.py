@@ -18,7 +18,6 @@ def run_script(name, *args):
 
 @pytest.mark.parametrize("name, args", [
     ("reproduce_reference_instances.py", ()),
-    ("degree_census.py", ("--nmax", "3", "--cmax", "3")),
 ])
 def test_script_runs(name, args):
     done = run_script(name, *args)
