@@ -37,14 +37,15 @@ merges the paths that reach the same r.
   d0 is at most delta_c, so slack0 = sum(c) - 2*d0 is an upper bound on
   the slack sum(c) - 2*delta_c, the residual sum at which a maximum
   weighting ends and below which no weighting ends.
-* Pruning is exact with any upper bound on the slack.  Let R be the
-  residual sum and L the part of it on vertices with no edge ahead.  The
-  edges ahead lower R by an even amount of at most R - L, so a state can
-  only end at a residual sum of at least R - 2*floor((R - L)/2).  A state
-  is kept only while that bound is at most slack0.  Every maximum
-  weighting passes the test at each of its layers, since its bound is at
-  most the slack, which is at most slack0; so every basis is found.  The
-  greedy path passes it too, so the final states are never empty.
+* Pruning keeps every path that can still end at a residual sum at most
+  slack0.  Let R be the residual sum and L the part of it on vertices
+  with no edge ahead.  The edges ahead lower R by an even amount of at
+  most R - L, so a state can only end at a residual sum of at least
+  R - 2*floor((R - L)/2).  A state is kept only while that bound is at
+  most slack0.  A weighting that ends at residual sum R_end passes the
+  test at each of its layers, since each bound is at most R_end; so with
+  slack0 at least the slack, every basis is found.  The greedy path
+  passes it too, so the final states are never empty.
 * delta_c from the least final R.  Every final state ends at R at least
   the slack, and the maximum weightings end at the slack itself, so
   delta_c = (sum(c) - min R) / 2, and the bases are c - r over the final
@@ -57,12 +58,21 @@ merges the paths that reach the same r.
 `candidate_cap` bounds the number of states that one layer holds, the
 last one included, so it bounds both the work of the dynamic program and
 the number of bases; it is checked as each layer is built.
-`realize_degree_sequence` decides a single vector; `enumerate_bases` does
-not call it.
+
+One vector
+----------
+`realize_degree_sequence(G, a, q)` runs the same program with bounds a
+and slack0 = 0.  A weighting ends at residual sum 0 exactly when its
+degree vector is a (its weight is then sum(a)/2 = q), and the pruning
+keeps every such path, so a is realizable iff a final state survives.
+Zero entries of a are fine: the program needs only L = 0 at the start,
+i.e. every vertex on an edge, as in every Graph.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -93,8 +103,17 @@ class BasisSet:
                 raise ValueError(f"basis {a} does not have coordinate sum {2 * self.delta_c}")
 
 
+def _integers(v, what: str) -> tuple[int, ...]:
+    """`v` as a tuple of ints; anything `operator.index` accepts passes."""
+    v = tuple(v)
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise ValueError(f"{what} must hold integers, got {v}") from None
+
+
 def _check_bounds(G: Graph, c) -> tuple[int, ...]:
-    c = tuple(c)
+    c = _integers(c, "bound vector")
     if len(c) != G.n:
         raise ValueError(f"bound vector has length {len(c)}, graph has {G.n} vertices")
     if any(ci < 1 for ci in c):
@@ -112,96 +131,18 @@ def delta_c(G: Graph, c) -> int:
     return enumerate_bases(G, c).delta_c
 
 
-def _graph_structure(G: Graph):
-    """What realizability reads of G.
-
-    Returns (components, higher).  components: per connected component,
-    its vertices, their colour signs (+1 / -1 along a 2-colouring grown
-    from the least vertex) and whether that colouring is proper, i.e. the
-    component is bipartite.  higher: per vertex v, its neighbours above v
-    in increasing order (index 0 unused).
-    """
-    adj = G.adjacency()
-    color: dict[int, int] = {}
-    components = []
-    for start in range(1, G.n + 1):
-        if start in color:
-            continue
-        color[start] = 1
-        stack, comp, bipartite = [start], [start], True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = -color[v]
-                    comp.append(w)
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    bipartite = False
-        components.append((tuple(comp), tuple(color[v] for v in comp), bipartite))
-    higher = ((),) + tuple(tuple(sorted(w for w in adj[v] if w > v))
-                           for v in range(1, G.n + 1))
-    return tuple(components), higher
-
-
-def realize_degree_sequence(G: Graph, a, q: int, return_witness: bool = False):
-    """Decide whether `a` is the degree vector of a q-edge multiset of G.
-
-    Processes vertices in order: the residual demand of vertex v (after
-    weights from lower vertices) is distributed over its higher-numbered
-    neighbors, pruning when the remaining demands cannot absorb it.  On a
-    tree every distribution step is forced, so the witness is unique.
-    """
-    a = tuple(a)
+def realize_degree_sequence(G: Graph, a, q: int) -> bool:
+    """Is `a` the degree vector of a q-edge multiset of G?  See "One vector"
+    in the module docstring; raises BudgetExceededError where that program
+    holds more than `DEFAULT_CANDIDATE_CAP` states in a layer."""
+    a = _integers(a, "exponent vector")
     if len(a) != G.n or any(x < 0 for x in a):
         raise ValueError("exponent vector must be componentwise nonnegative of length n")
     if q < 1:
         raise ValueError("q must be positive")
     if sum(a) != 2 * q:
         raise ValueError(f"degree sum {sum(a)} does not match 2q = {2 * q}")
-
-    components, higher = _graph_structure(G)
-    # necessary component conditions: across a bipartition every edge feeds
-    # both sides equally; in an odd-cycle component the total is just even
-    for comp, signs, bipartite in components:
-        total = sum(a[v - 1] for v in comp)
-        side = sum(s * a[v - 1] for v, s in zip(comp, signs))
-        if (bipartite and side != 0) or total % 2:
-            return (False, None) if return_witness else False
-
-    rem = [0] + list(a)
-    weights: dict[tuple[int, int], int] = {}
-
-    def place(v: int) -> bool:
-        if v > G.n:
-            return True
-        nbrs = higher[v]
-        need = rem[v]
-        if need > sum(rem[w] for w in nbrs):
-            return False
-
-        def distribute(idx: int, left: int, headroom: int) -> bool:
-            if idx == len(nbrs):
-                return left == 0 and place(v + 1)
-            w = nbrs[idx]
-            tail = headroom - rem[w]
-            lo = max(0, left - tail)
-            for give in range(min(left, rem[w]), lo - 1, -1):
-                rem[w] -= give
-                weights[(v, w)] = give
-                if distribute(idx + 1, left - give, tail):
-                    return True
-                rem[w] += give
-            weights.pop((v, w), None)
-            return False
-
-        return distribute(0, need, sum(rem[w] for w in nbrs))
-
-    ok = place(1)
-    if not ok:
-        return (False, None) if return_witness else False
-    full = {e: weights.get(e, 0) for e in G.edge_list()}
-    return (True, full) if return_witness else True
+    return bool(_final_states(G.edge_list(), a, 0, DEFAULT_CANDIDATE_CAP))
 
 
 def _first_descent(edges, c) -> int:
@@ -217,28 +158,18 @@ def _first_descent(edges, c) -> int:
     return total
 
 
-def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> BasisSet:
-    """All degree vectors of maximum-size c-bounded edge multisets.
-
-    One dynamic program over the edges in `edge_list()` order, whose state
-    is the residual capacity vector r = c - (degrees placed so far),
-    packed into one int, pruned with the slack of a greedy first descent.
-    delta_c is read off the least final residual sum, and the bases are
-    c - r over the final states that reach it.  See "Enumerating the
-    bases" in the module docstring for why this is exact.
-
-    Raises BudgetExceededError once a layer of the dynamic program holds
-    more than `candidate_cap` states; a result is never truncated.
-    """
-    c = _check_bounds(G, c)
-    edges = G.edge_list()
-    slack0 = sum(c) - 2 * _first_descent(edges, c)
+def _final_states(edges, c, slack0: int, candidate_cap: int):
+    """The sorted degree vectors c - r of the bases dynamic program's final
+    states at the least residual sum, where the program keeps exactly the
+    weightings of `edges` that end at a residual sum <= slack0.  Every
+    vertex must lie on an edge; raises BudgetExceededError once a layer
+    holds more than `candidate_cap` states."""
     bits = max(c).bit_length()
     mask = (1 << bits) - 1
-    shifts = [bits * v for v in range(G.n)]
+    shifts = [bits * v for v in range(len(c))]
     last = {v: k for k, e in enumerate(edges) for v in e}
     # code -> (residual sum R, residual L on vertices with no edge ahead);
-    # L starts at 0 because a Graph has no isolated vertex
+    # L starts at 0 because every vertex lies on an edge
     states = {sum(ci << s for ci, s in zip(c, shifts)): (sum(c), 0)}
     for k, (i, j) in enumerate(edges):
         si, sj = shifts[i - 1], shifts[j - 1]
@@ -261,11 +192,29 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
                 cap="candidate_cap", limit=candidate_cap,
             )
         states = layer
+    least = min((R for R, _L in states.values()), default=None)
+    return sorted([tuple(ci - ((code >> s) & mask) for ci, s in zip(c, shifts))
+                   for code, (R, _L) in states.items() if R == least])
 
-    slack = min(R for R, _L in states.values())
-    bases = [tuple(ci - ((code >> s) & mask) for ci, s in zip(c, shifts))
-             for code, (R, _L) in states.items() if R == slack]
-    return BasisSet(n=G.n, delta_c=(sum(c) - slack) // 2, bases=tuple(sorted(bases)))
+
+def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> BasisSet:
+    """All degree vectors of maximum-size c-bounded edge multisets.
+
+    One dynamic program over the edges in `edge_list()` order, whose state
+    is the residual capacity vector r = c - (degrees placed so far),
+    packed into one int, pruned with the slack of a greedy first descent.
+    delta_c is read off the least final residual sum, and the bases are
+    c - r over the final states that reach it.  See "Enumerating the
+    bases" in the module docstring for why this is exact.
+
+    Raises BudgetExceededError once a layer of the dynamic program holds
+    more than `candidate_cap` states; a result is never truncated.
+    """
+    c = _check_bounds(G, c)
+    edges = G.edge_list()
+    slack0 = sum(c) - 2 * _first_descent(edges, c)
+    bases = _final_states(edges, c, slack0, candidate_cap)
+    return BasisSet(n=G.n, delta_c=sum(bases[0]) // 2, bases=tuple(bases))
 
 
 def divisor_set(B: BasisSet) -> list[ExponentVector]:
@@ -273,17 +222,4 @@ def divisor_set(B: BasisSet) -> list[ExponentVector]:
 
     Contains the origin and every unit vector.
     """
-    points: set[ExponentVector] = set()
-
-    def expand(a: ExponentVector, i: int, prefix: list[int]) -> None:
-        if i == len(a):
-            points.add(tuple(prefix))
-            return
-        for v in range(a[i] + 1):
-            prefix.append(v)
-            expand(a, i + 1, prefix)
-            prefix.pop()
-
-    for a in B.bases:
-        expand(a, 0, [])
-    return sorted(points)
+    return sorted({p for a in B.bases for p in itertools.product(*(range(v + 1) for v in a))})

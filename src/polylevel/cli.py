@@ -64,13 +64,23 @@ def _load_graph(path: str, c_flag: str | None):
         raise ValueError(f"cannot read graph file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ValueError(f"graph file {path} must contain fields 'n' and 'edges'")
-    G = graph(int(doc["n"]), [tuple(e) for e in doc["edges"]])
-    c = None
+    n, edges, c = doc["n"], doc["edges"], doc.get("c")
+    if not _json_ints([n]):
+        raise ValueError(f"graph file {path}: 'n' must be an integer")
+    if not (isinstance(edges, list) and all(_json_ints(e) and len(e) == 2 for e in edges)):
+        raise ValueError(f"graph file {path}: 'edges' must be a list of integer pairs")
     if c_flag is not None:
         c = _parse_int_list(c_flag)
-    elif "c" in doc and doc["c"] is not None:
-        c = tuple(int(x) for x in doc["c"])
-    return G, c
+    elif c is not None:
+        if not _json_ints(c):
+            raise ValueError(f"graph file {path}: 'c' must be a list of integers")
+        c = tuple(c)
+    return graph(n, edges), c
+
+
+def _json_ints(v) -> bool:
+    """Is v a JSON array of integers (true and false are not)?"""
+    return isinstance(v, list) and all(type(x) is int for x in v)
 
 
 def _require_bounds(G: Graph, c) -> tuple[int, ...]:

@@ -16,10 +16,22 @@ obstruction fires:
   (2)  some nonempty X within [m] has
          sum_[m] c_i - sum_X c_i < R <= 2|X| + sum_[m] c_i - sum_X c_i - m.
 
+Under the interior hypotheses an X that meets A never passes (1): one
+member has bound R and the others at least 2, so sum_X c_i >= R + 2|X| - 2,
+above the upper end of (1).  So (1) may run over every X within [m].
+
 Polytopes of Veronese type (box c truncated by a full-sum bound a) carry
 the analogous obstruction test over subsets of [n]; for uniform bounds it
 collapses to membership of `a` in an explicit union of integer intervals
 (empty intervals, lower end above upper end, are treated as empty).
+
+Pseudo-Gorenstein* from the ranks.  A lattice point is interior to the
+hull iff it is >= 1 and sum_X x < rank(X) for every nonempty X (each
+inequality is valid and tight somewhere, facet or not), so the interior
+points are closed downwards within x >= 1.  There is one iff the all-ones
+point is one, i.e. |X| < rank(X) for every X; any other lies above some
+1 + e_i, which is then interior too.  So the all-ones point is the only
+one iff, besides, every i lies in some X with rank(X) = |X| + 1.
 
 Trees admit a bound vector with a pseudo-Gorenstein* hull exactly when no
 two leaves sit at distance 2, with the all-twos vector as witness; for
@@ -103,39 +115,32 @@ def bipartite_interior_nonempty(spec: BipartiteSpec) -> bool:
     return all(spec.c[i - 1] >= 2 for i in off_a) and spec.small_sum >= spec.m + 1
 
 
-def bipartite_level_criterion(spec: BipartiteSpec) -> tuple[bool, Witness | None]:
-    """Subset obstruction test; returns the first violating X in (size, lex) order.
-
-    Requires the interior hypotheses (R >= m+1, bounds off A at least 2).
-    """
-    if not bipartite_interior_nonempty(spec):
-        raise ValueError("criterion hypotheses violated: interior conditions fail")
-    R = spec.small_sum
-    L = spec.heavy_sum
-    m = spec.m
-    bset = set(spec.unsaturated)
+def _first_obstruction(c, m: int, R: int) -> tuple[bool, Witness | None]:
+    """Obstructions (1) and (2) with bounds c[:m] on [m] and cutoff R;
+    returns the first violating X in (size, lex) order."""
+    L = sum(c[:m])
     for size in range(1, m + 1):
         for X in itertools.combinations(range(1, m + 1), size):
-            s = sum(spec.c[i - 1] for i in X)
-            if set(X) <= bset and R < s < R - m + 2 * size - 1:
+            s = sum(c[i - 1] for i in X)
+            if R < s < R - m + 2 * size - 1:
                 return False, (1, X)
             if L - s < R <= 2 * size + L - s - m:
                 return False, (2, X)
     return True, None
 
 
+def bipartite_level_criterion(spec: BipartiteSpec) -> tuple[bool, Witness | None]:
+    """Subset obstruction test; requires the interior hypotheses
+    (R >= m+1, bounds off A at least 2)."""
+    if not bipartite_interior_nonempty(spec):
+        raise ValueError("criterion hypotheses violated: interior conditions fail")
+    return _first_obstruction(spec.c, spec.m, spec.small_sum)
+
+
 def veronese_level_criterion(spec: VeroneseSpec) -> tuple[bool, Witness | None]:
-    """Subset obstruction test for a polytope of Veronese type."""
-    a, n = spec.a, spec.n
-    total = sum(spec.c)
-    for size in range(1, n + 1):
-        for X in itertools.combinations(range(1, n + 1), size):
-            s = sum(spec.c[i - 1] for i in X)
-            if a < s < a - n + 2 * size - 1:
-                return False, (1, X)
-            if total - s < a <= 2 * size + total - s - n:
-                return False, (2, X)
-    return True, None
+    """Subset obstruction test for a polytope of Veronese type, with
+    cutoff a in place of R."""
+    return _first_obstruction(spec.c, spec.n, spec.a)
 
 
 def veronese_uniform_formula(n: int, c: int, a: int) -> bool:
@@ -192,36 +197,18 @@ def dilation_containment(G: Graph, c, N: int) -> tuple[bool, bool]:
 
 
 def _pseudo_gorenstein_from_bases(B: BasisSet) -> bool:
-    """Interior count == 1, straight from subset ranks.
-
-    A lattice point is interior to the hull iff it is >= 1 and satisfies
-    sum_X x < rank(X) for every nonempty subset X: each such inequality is
-    valid and tight somewhere, so interior points satisfy all of them
-    strictly, facet or not.  Candidate boxes are tiny for search bounds of
-    desk size, so this skips the facet scan entirely.
-    """
+    """Interior count == 1: every gap rank(X) - |X| is at least 1 and the
+    X with gap 1 cover [n] (see "Pseudo-Gorenstein* from the ranks")."""
     R = RankOracle.from_basis_set(B)
-    n = B.n
-    his = [R.rank_mask(1 << i) - 1 for i in range(n)]
-    if any(h < 1 for h in his):
-        return False
-    size = 1 << n
-    found = 0
-    sums = [0] * size
-    for cand in itertools.product(*(range(1, h + 1) for h in his)):
-        ok = True
-        for mask in range(1, size):
-            low = mask & -mask
-            s = sums[mask ^ low] + cand[low.bit_length() - 1]
-            sums[mask] = s
-            if s >= R.rank_mask(mask):
-                ok = False
-                break
-        if ok:
-            found += 1
-            if found > 1:
-                return False
-    return found == 1
+    full = (1 << B.n) - 1
+    tight = 0
+    for mask in range(1, full + 1):
+        gap = R.rank_mask(mask) - mask.bit_count()
+        if gap < 1:
+            return False
+        if gap == 1:
+            tight |= mask
+    return tight == full
 
 
 def search_labeling(G: Graph, c_max: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP):

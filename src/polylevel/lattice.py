@@ -583,14 +583,13 @@ def reflexive_up_to_translation(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET)
     """Unique interior lattice point at lattice distance 1 from every facet.
 
     All normals here are 0/1 vectors, hence primitive, so the lattice
-    distance of the interior point from a facet is the plain slack.
+    distance of the interior point from a facet is the plain slack.  The
+    interior points of P are closed downwards within x >= 1, so a unique
+    one is the all-ones point, whose slack in (A, t) is t - |A|.
     """
-    interior = lattice_points(P, 1, "interior", budget=budget)
-    if len(interior) != 1:
+    count = count_lattice_points(P, 1, "interior", budget=budget)
+    if count != 1:
         raise ValueError(
-            f"not pseudo-Gorenstein*: interior count is {len(interior)}, need exactly 1"
+            f"not pseudo-Gorenstein*: interior count is {count}, need exactly 1"
         )
-    p = interior[0]
-    if any(v != 1 for v in p):
-        return False
-    return all(t - sum(p[i - 1] for i in A) == 1 for A, t in P.upper_facets)
+    return all(t - len(A) == 1 for A, t in P.upper_facets)

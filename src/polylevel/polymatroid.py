@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounded import BasisSet, enumerate_bases
+from .bounded import BasisSet, _integers, enumerate_bases
 from .errors import BudgetExceededError
 from .graphs import star
 
@@ -155,6 +155,8 @@ class HPolytope:
             if t < 1:
                 raise ValueError(f"facet bound {t} must be positive")
             covered.update(A)
+        _integers((self.n, *covered, *(t for _A, t in self.upper_facets)),
+                  "dimension, facet indices and bounds")
         if covered != set(range(1, self.n + 1)):
             missing = sorted(set(range(1, self.n + 1)) - covered)
             raise ValueError(f"unbounded coordinates (no upper facet): {missing}")

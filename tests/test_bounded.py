@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,6 @@ def test_delta_known_values():
 
 
 def test_delta_maxflow_agrees_on_bipartite():
-    import itertools
-
     for m, n in [(1, 2), (2, 2), (2, 3), (3, 4)]:
         G = pl.complete_bipartite(m, n)
         for c in itertools.product((1, 2, 3), repeat=m + n):
@@ -60,10 +60,8 @@ def test_delta_maxflow_rejects_odd_cycle():
 
 
 def test_realize_examples():
-    ok, w = pl.realize_degree_sequence(pl.path(3), (2, 3, 1), 3, return_witness=True)
-    assert ok and w == {(1, 2): 2, (2, 3): 1}
-    ok, w = pl.realize_degree_sequence(pl.cycle(3), (2, 1, 1), 2, return_witness=True)
-    assert ok and w == {(1, 2): 1, (1, 3): 1, (2, 3): 0}
+    assert pl.realize_degree_sequence(pl.path(3), (2, 3, 1), 3) is True
+    assert pl.realize_degree_sequence(pl.cycle(3), (2, 1, 1), 2) is True
     assert pl.realize_degree_sequence(pl.path(3), (3, 0, 3), 3) is False
 
 
@@ -74,8 +72,6 @@ def test_realize_degree_sum_mismatch():
 
 def test_realize_tree_witness_unique():
     # on a tree the edge weights are forced leaf-inward
-    import itertools
-
     T = pl.tree_from_parents((1, 1, 2, 2))
     edges = T.edge_list()
     for a in [(2, 2, 1, 2, 1), (1, 3, 2, 1, 1)]:
@@ -90,11 +86,61 @@ def test_realize_tree_witness_unique():
                 for v in range(1, T.n + 1)
             )
         ]
-        ok, found = pl.realize_degree_sequence(T, a, q, return_witness=True)
-        assert ok == bool(witnesses)
         assert len(witnesses) <= 1
-        if ok:
-            assert tuple(found[e] for e in edges) == witnesses[0]
+        assert pl.realize_degree_sequence(T, a, q) == bool(witnesses)
+
+
+def _degree_vectors(G, box):
+    """Degree vectors of every edge multiset of G with degrees <= box, by
+    walking all edge multiplicity vectors."""
+    edges = G.edge_list()
+    deg = [0] * G.n
+    found = set()
+
+    def walk(k):
+        if k == len(edges):
+            found.add(tuple(deg))
+            return
+        i, j = edges[k]
+        for w in range(min(box[i - 1] - deg[i - 1], box[j - 1] - deg[j - 1]) + 1):
+            deg[i - 1] += w
+            deg[j - 1] += w
+            walk(k + 1)
+            deg[i - 1] -= w
+            deg[j - 1] -= w
+
+    walk(0)
+    return found
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3))
+@example((pl.path(3), (3, 3, 3)))
+@example((pl.tree_from_parents((1, 1, 2, 2)), (3,) * 5))
+@example((pl.complete(5), (3,) * 5))
+def test_realize_matches_naive_enumeration(gc):
+    """`realize_degree_sequence` accepts exactly the degree vectors of edge
+    multisets.  Every a <= box with a positive even sum is asked, zero
+    entries included.  The examples pin the path with (3, 0, 3), a tree
+    and K5."""
+    G, box = gc
+    degrees = _degree_vectors(G, box)
+    for a in itertools.product(*(range(b + 1) for b in box)):
+        q, odd = divmod(sum(a), 2)
+        if q and not odd:
+            assert pl.realize_degree_sequence(G, a, q) == (a in degrees), a
+
+
+def test_non_integer_bounds_are_rejected():
+    import numpy as np
+
+    with pytest.raises(ValueError, match="integers"):
+        pl.enumerate_bases(pl.path(3), (2, 2.5, 2))
+    with pytest.raises(ValueError, match="integers"):
+        pl.realize_degree_sequence(pl.path(3), (2, 2.0, 0), 2)
+    B = pl.enumerate_bases(pl.path(3), np.array([2, 3, 2]))
+    assert B == pl.enumerate_bases(pl.path(3), (2, 3, 2))
+    assert all(type(x) is int for a in B.bases for x in a)
 
 
 def test_enumerate_bases_known():
@@ -166,25 +212,14 @@ def test_enumerate_bases_beyond_a_weak_incumbent(G, c, greedy, delta):
 @example((pl.graph(4, [(1, 2), (3, 4)]), (2, 1, 3, 2)))
 @example((pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2)))
 def test_enumerate_bases_matches_candidate_filter(gc):
-    """The dynamic program finds exactly the vectors a <= c with coordinate
-    sum 2*delta_c that `realize_degree_sequence` accepts, where delta_c is
-    the largest q at which it accepts some vector.  The examples pin
-    a perfect b-matching on K(4,4), K6 with slack 0, a disconnected graph
-    and an odd cycle with a tail."""
-    import itertools
-
+    """The dynamic program finds exactly the bases that the brute-force
+    enumeration of edge multiplicities finds.  The examples pin a perfect
+    b-matching on K(4,4), K6 with slack 0, a disconnected graph and an odd
+    cycle with a tail."""
     G, c = gc
-    by_sum: dict[int, list] = {}
-    for a in itertools.product(*(range(ci + 1) for ci in c)):
-        by_sum.setdefault(sum(a), []).append(a)
-    # delta_c is the largest q at which some vector is realizable
-    for d in range(sum(c) // 2, 0, -1):
-        expected = tuple(a for a in by_sum.get(2 * d, ())
-                         if pl.realize_degree_sequence(G, a, d))
-        if expected:
-            break
+    d, bases = brute_bases(G, c)
     B = pl.enumerate_bases(G, c)
-    assert (B.delta_c, B.bases) == (d, expected)
+    assert (B.delta_c, B.bases) == (d, tuple(bases))
 
 
 @pytest.mark.parametrize("c", [

@@ -159,6 +159,24 @@ def test_input_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "edges": [1, 2], "c": [2, 2, 2]},
+    {"n": 3, "edges": [[1, 2], [2, 3]], "c": 5},
+    {"n": 3, "edges": [[1, 2], [2, 3.0]], "c": [2, 2, 2]},
+    {"n": 3.5, "edges": [[1, 2], [2, 3]], "c": [2, 2, 2]},
+    {"n": 3, "edges": [[1, 2], [2, 3]], "c": [2, 2, 2.5]},
+    {"n": 3, "edges": [[1, 2], [2, 3]], "c": [2, 2, True]},
+    {"n": 3, "edges": [[1, 2, 3], [2, 3]], "c": [2, 2, 2]},
+], ids=["edge-not-a-pair", "c-not-a-list", "float-endpoint", "float-n",
+        "float-bound", "bool-bound", "edge-triple"])
+def test_malformed_graph_file_exits_2(capsys, tmp_path, doc):
+    """A malformed graph file is an input error (exit 2), never a verdict."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", str(bad)]) == 2
+    assert "graph file" in capsys.readouterr().err
+
+
 def test_budget_exit_code(capsys, k34_file):
     assert main(["analyze", k34_file, "--budget", "5"]) == 3
     capsys.readouterr()

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
@@ -164,13 +164,18 @@ def test_search_labeling_matches_unpruned_search(name):
         assert pl.search_labeling(G, c_max) == _unpruned_search(G, c_max)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from([pl.path(2), pl.path(3), pl.path(4), pl.star(2), pl.star(3),
-                        pl.cycle(3), pl.cycle(4), pl.complete_bipartite(2, 2)]),
-       st.data())
-def test_fast_interior_count_matches_facet_route(G, data):
-    c = tuple(data.draw(st.integers(1, 3)) for _ in range(G.n))
+@settings(max_examples=60, deadline=None)
+@given(graph_and_bounds(max_n=6, max_c=4))
+@example((pl.path(4), (2, 2, 2, 2)))
+@example((pl.complete_bipartite(3, 4), (2,) * 7))
+@example((pl.path(3), (2, 3, 2)))
+def test_fast_interior_count_matches_facet_route(gc):
+    """The one-pass rank test equals the facet-based pseudo-Gorenstein*
+    verdict.  The examples pin two hulls with one interior point and one
+    with two."""
+    G, c = gc
     B = pl.enumerate_bases(G, c)
     fast = _pseudo_gorenstein_from_bases(B)
     direct = pl.pseudo_gorenstein_star(pl.facets(B))
     assert fast == direct
+

@@ -8,7 +8,7 @@ import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_count,
                                _normality_scan, _structure)
-from polylevel.oracle import brute_count, brute_normality, brute_volume
+from polylevel.oracle import brute_count, brute_interior_points, brute_normality, brute_volume
 
 from conftest import facet_systems, graph_and_bounds
 
@@ -300,3 +300,33 @@ def test_reflexive_iff_level_for_pg(gc):
     if pl.count_lattice_points(P, 1, "interior") != 1:
         return
     assert pl.reflexive_up_to_translation(P) == pl.level_star(P)[0]
+
+
+def _lift(P):
+    """P with every bound t raised to |A| + t: the all-ones point is then
+    interior, at slack t from (A, t)."""
+    return pl.HPolytope(P.n, tuple((A, len(A) + t) for A, t in P.upper_facets))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    facet_systems(max_n=4, max_t=4),
+    facet_systems(max_n=4, max_t=2).map(_lift),
+    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+))
+@example(pl.HPolytope(3, (((1, 2), 3), ((1, 3), 3), ((2, 3), 3))))
+@example(pl.HPolytope(3, (((1,), 3), ((1, 2), 3), ((1, 3), 3), ((2, 3), 4))))
+def test_reflexive_matches_distance_check(P):
+    """Where P has exactly one interior point, the answer read off the
+    all-ones point equals the distance check on the point a flat scan
+    finds; elsewhere the test refuses.  Crossing systems included, and
+    lifted ones, which often have one interior point; the examples pin a
+    crossing triangle, reflexive and not."""
+    inner = brute_interior_points(P, 1)
+    if len(inner) != 1:
+        with pytest.raises(ValueError, match="pseudo-Gorenstein"):
+            pl.reflexive_up_to_translation(P)
+        return
+    (p,) = inner
+    expected = all(t - sum(p[i - 1] for i in A) == 1 for A, t in P.upper_facets)
+    assert pl.reflexive_up_to_translation(P) == expected

@@ -177,3 +177,18 @@ def test_hpolytope_validation():
         pl.HPolytope(1, (((1,), 0),))
     with pytest.raises(ValueError):
         pl.HPolytope(2, (((2, 1), 2),))
+
+
+def test_hpolytope_rejects_non_integers():
+    """Dimension, bounds and subset indices must be integers; NumPy
+    integers pass."""
+    import numpy as np
+
+    with pytest.raises(ValueError, match="integers"):
+        pl.HPolytope(2, (((1,), 1.5), ((2,), 2)))
+    with pytest.raises(ValueError, match="integers"):
+        pl.HPolytope(2, (((1.0,), 1), ((2,), 2)))
+    with pytest.raises(ValueError, match="integers"):
+        pl.HPolytope(2.0, (((1,), 1), ((2,), 2)))
+    P = pl.HPolytope(2, (((np.int64(1),), np.int64(3)), ((2,), 2)))
+    assert pl.count_lattice_points(P, 1) == 12
