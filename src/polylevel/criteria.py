@@ -25,13 +25,20 @@ the analogous obstruction test over subsets of [n]; for uniform bounds it
 collapses to membership of `a` in an explicit union of integer intervals
 (empty intervals, lower end above upper end, are treated as empty).
 
-Pseudo-Gorenstein* from the ranks.  A lattice point is interior to the
-hull iff it is >= 1 and sum_X x < rank(X) for every nonempty X (each
-inequality is valid and tight somewhere, facet or not), so the interior
-points are closed downwards within x >= 1.  There is one iff the all-ones
-point is one, i.e. |X| < rank(X) for every X; any other lies above some
-1 + e_i, which is then interior too.  So the all-ones point is the only
-one iff, besides, every i lies in some X with rank(X) = |X| + 1.
+Pseudo-Gorenstein* from the bases.  The hull is the polymatroid
+P = {x >= 0 : x(X) <= rank(X)}, and an integer point lies in P exactly
+when some basis is at least as large in every coordinate (Herzog-Hibi,
+Discrete polymatroids, 2002).  An integer x is interior iff x >= 1 and
+x(X) <= rank(X) - 1 for every nonempty X (each inequality is valid and
+tight somewhere, facet or not), i.e. iff x >= 1 and x + e_j lies in P
+for every j.  So the interior points are closed downwards within x >= 1,
+and there is exactly one, the all-ones point, when
+  - 1 is interior: for every j some basis is >= 1 + e_j, and
+  - no 1 + e_i is interior: for every i some j has no basis
+    >= 1 + e_i + e_j.
+Only bases >= 1 matter.  For one such basis b with T = {k : b_k >= 2},
+b >= 1 + e_j iff j in T, and b >= 1 + e_i + e_j iff i, j in T with
+i != j, or i = j and b_i >= 3.
 
 Trees admit a bound vector with a pseudo-Gorenstein* hull exactly when no
 two leaves sit at distance 2, with the all-twos vector as witness; for
@@ -46,6 +53,7 @@ from dataclasses import dataclass
 from .bounded import DEFAULT_CANDIDATE_CAP, BasisSet, enumerate_bases
 from .graphs import Graph, leaf_distance_two_exists
 from .lattice import lattice_points, membership
+# `RankOracle` is not used here; it stays bound for the benchmark's tracer.
 from .polymatroid import RankOracle, VeroneseSpec, facets
 
 Witness = tuple[int, tuple[int, ...]]
@@ -197,18 +205,29 @@ def dilation_containment(G: Graph, c, N: int) -> tuple[bool, bool]:
 
 
 def _pseudo_gorenstein_from_bases(B: BasisSet) -> bool:
-    """Interior count == 1: every gap rank(X) - |X| is at least 1 and the
-    X with gap 1 cover [n] (see "Pseudo-Gorenstein* from the ranks")."""
-    R = RankOracle.from_basis_set(B)
-    full = (1 << B.n) - 1
-    tight = 0
-    for mask in range(1, full + 1):
-        gap = R.rank_mask(mask) - mask.bit_count()
-        if gap < 1:
-            return False
-        if gap == 1:
-            tight |= mask
-    return tight == full
+    """Interior count == 1, in one pass over the bases as bitmasks (see
+    "Pseudo-Gorenstein* from the bases"): `cover` holds the j with a basis
+    >= 1 + e_j, `pair[i]` the j with a basis >= 1 + e_i + e_j."""
+    n = B.n
+    full = (1 << n) - 1
+    cover = 0
+    pair = [0] * n
+    for b in B.bases:
+        if 0 in b:
+            continue
+        two = three = 0
+        for k, v in enumerate(b):
+            if v >= 2:
+                two |= 1 << k
+                if v >= 3:
+                    three |= 1 << k
+        cover |= two
+        rest = two
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            pair[bit.bit_length() - 1] |= (two ^ bit) | (three & bit)
+    return cover == full and full not in pair
 
 
 def search_labeling(G: Graph, c_max: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP):

@@ -82,6 +82,7 @@ the coefficient vector of (1 - lambda)^{n+1} times the Ehrhart series.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,7 +98,9 @@ DEFAULT_NODE_BUDGET = 10**8
 
 
 def membership(P: HPolytope, x, N: int = 1, region: str = "full") -> bool:
-    """Is x a lattice point of N*P (or of its interior)?"""
+    """Is x a lattice point of N*P (or of its interior)?  N is an integer
+    >= 0; anything else raises ValueError."""
+    N = _dilation(N, 0)
     x = tuple(x)
     if len(x) != P.n:
         raise ValueError(f"point has length {len(x)}, polytope dimension is {P.n}")
@@ -110,6 +113,17 @@ def membership(P: HPolytope, x, N: int = 1, region: str = "full") -> bool:
         if sum(x[i - 1] for i in A) > N * t - slack:
             return False
     return True
+
+
+def _dilation(N, least: int) -> int:
+    """N as an int >= least; anything `operator.index` accepts passes."""
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise ValueError(f"dilation level must be an integer, got {N!r}") from None
+    if N < least:
+        raise ValueError(f"dilation level must be >= {least}")
+    return N
 
 
 def _check_region(region: str) -> None:
@@ -311,8 +325,7 @@ def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
     Raises BudgetExceededError after more than `budget` visited nodes.
     """
     _check_region(region)
-    if N < 1:
-        raise ValueError("dilation level must be >= 1")
+    N = _dilation(N, 1)
     st = _structure(P)
     lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
     caps = [None if u is None else N * u - lo for u in st.u]
@@ -367,8 +380,7 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
     raise BudgetExceededError.
     """
     _check_region(region)
-    if N < 0:
-        raise ValueError("dilation level must be >= 0")
+    N = _dilation(N, 0)
     if N == 0:
         return 1 if region == "full" else 0
     st = _structure(P)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.criteria import _pseudo_gorenstein_from_bases
+from polylevel.oracle import brute_interior_points
 
 from conftest import graph_and_bounds
 
@@ -165,14 +166,36 @@ def test_search_labeling_matches_unpruned_search(name):
 
 
 @settings(max_examples=60, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3))
+def test_interior_points_are_those_below_a_basis_in_every_direction(gc):
+    """The lemma behind the scan: x is interior iff x >= 1 and every
+    x + e_j lies below some basis."""
+    G, c = gc
+    B = pl.enumerate_bases(G, c)
+    def below_a_basis(y):
+        return any(all(bk >= yk for bk, yk in zip(b, y)) for b in B.bases)
+
+    top = [max(b[i] for b in B.bases) for i in range(G.n)]
+    below = {x for x in itertools.product(*(range(1, t + 1) for t in top))
+             if all(below_a_basis(x[:j] + (x[j] + 1,) + x[j + 1:]) for j in range(G.n))}
+    assert below == set(brute_interior_points(pl.facets(B), 1))
+
+
+@settings(max_examples=60, deadline=None)
 @given(graph_and_bounds(max_n=6, max_c=4))
 @example((pl.path(4), (2, 2, 2, 2)))
 @example((pl.complete_bipartite(3, 4), (2,) * 7))
 @example((pl.path(3), (2, 3, 2)))
+@example((pl.path(3), (3, 2, 2)))
+@example((pl.path(2), (4, 2)))
+@example((pl.graph(4, [(1, 2), (2, 3), (2, 4)]), (4, 4, 4, 4)))
 def test_fast_interior_count_matches_facet_route(gc):
-    """The one-pass rank test equals the facet-based pseudo-Gorenstein*
-    verdict.  The examples pin two hulls with one interior point and one
-    with two."""
+    """The bitmask scan over the bases equals the facet-based
+    pseudo-Gorenstein* verdict.  The first three examples pin two hulls
+    with one interior point and one with two; the last three are where a
+    scan that keeps bases with a zero entry, one that counts a basis
+    >= 1 + 2e_i from b_i >= 2 alone, and one that ignores b_i >= 3 go
+    wrong."""
     G, c = gc
     B = pl.enumerate_bases(G, c)
     fast = _pseudo_gorenstein_from_bases(B)

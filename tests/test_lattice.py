@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_count,
-                               _normality_scan, _structure)
+                               _normality_scan, _structure, iter_lattice_points)
 from polylevel.oracle import brute_count, brute_interior_points, brute_normality, brute_volume
 
 from conftest import facet_systems, graph_and_bounds
@@ -17,6 +17,9 @@ def test_membership_examples(k34_hull):
     assert not pl.membership(k34_hull, (2, 2, 2, 2, 2, 2, 1), 1, "full")
     assert pl.membership(k34_hull, (3, 3, 3, 3, 3, 3, 2), 2, "interior")
     assert pl.membership(k34_hull, (0,) * 7, 1, "full")
+    assert pl.membership(k34_hull, (0,) * 7, 0, "full")
+    with pytest.raises(ValueError, match=">= 0"):
+        pl.membership(k34_hull, (0,) * 7, -1)
 
 
 def test_interior_points_examples(k34_hull):
@@ -65,6 +68,20 @@ def test_enumeration_budget(cube4):
     with pytest.raises(BudgetExceededError) as exc:
         pl.count_lattice_points(cube4, 5, "full", budget=3)
     assert (exc.value.cap, exc.value.limit) == ("budget", 3)
+
+
+SQUARE = pl.HPolytope(2, (((1,), 2), ((2,), 2)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda N: pl.count_lattice_points(SQUARE, N),
+    lambda N: next(iter_lattice_points(SQUARE, N)),
+    lambda N: pl.lattice_points(SQUARE, N),
+    lambda N: pl.membership(SQUARE, (1, 1), N),
+], ids=["count_lattice_points", "iter_lattice_points", "lattice_points", "membership"])
+def test_non_integer_dilation_is_rejected(call):
+    with pytest.raises(ValueError, match="integer"):
+        call(1.5)
 
 
 @st.composite
