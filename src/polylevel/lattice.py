@@ -90,7 +90,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import BudgetExceededError
-from .polymatroid import HPolytope
+from .polymatroid import _MEMO_SIZE, HPolytope
 
 ExponentVector = tuple[int, ...]
 
@@ -159,7 +159,10 @@ class _Structure:
 # One request counts, enumerates and scans the same hull and its block
 # polytopes many times; the cache lets those calls share one structure.
 # Small on purpose: a request needs the hull and its few distinct block
-# polytopes, and a larger cache would keep earlier requests' structures.
+# polytopes.  Answers are kept across requests instead (`_MEMO_SIZE`): a
+# repeated polytope is answered from them without its structure, and only
+# a point enumeration, which is not memoized, builds the structure again,
+# in about 20 us at n = 4-5, against the whole answer that a memo saves.
 _STRUCTURE_CACHE_SIZE = 16
 
 
@@ -320,18 +323,23 @@ def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int, slack: int)
 
 def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
                         budget: int = DEFAULT_NODE_BUDGET):
-    """Yield lattice points of N*P (or its interior) in lex order.
+    """Lattice points of N*P (or its interior) in lex order, as an iterator.
 
-    Raises BudgetExceededError after more than `budget` visited nodes.
+    The arguments are checked at the call; iterating raises
+    BudgetExceededError after more than `budget` visited nodes.
     """
     _check_region(region)
     N = _dilation(N, 1)
-    st = _structure(P)
+    return _points(_structure(P), N, region, budget)
+
+
+def _points(st: _Structure, N: int, region: str, budget: int):
+    """The generator behind `iter_lattice_points`, its arguments checked."""
     lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
     caps = [None if u is None else N * u - lo for u in st.u]
     limits = [N * t - lo for _A, t in st.aggs]
     agg_at, after = st.agg_at, st.after
-    n = P.n
+    n = st.n
     point = [0] * n
     used = [0] * len(limits)
     nodes = 0
@@ -517,12 +525,14 @@ class DeltaVector:
         return sum(self.delta)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def delta_vector(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> DeltaVector:
     """The Ehrhart counts i(P, N) for N = 0..n and the delta vector.
 
     Also counts the interior of P (N = 1) to check delta_n against it, as
     in the module docstring; `budget` bounds each of these n + 2 counts
-    separately.
+    separately.  Answers are memoized by (P, budget) (see
+    `polymatroid._MEMO_SIZE`); a raised error is not kept.
     """
     n = P.n
     counts = tuple(count_lattice_points(P, N, "full", budget=budget) for N in range(n + 1))
@@ -604,4 +614,10 @@ def reflexive_up_to_translation(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET)
         raise ValueError(
             f"not pseudo-Gorenstein*: interior count is {count}, need exactly 1"
         )
+    return _unit_gaps(P)
+
+
+def _unit_gaps(P: HPolytope) -> bool:
+    """Is the all-ones point at slack 1 from every facet?  For a
+    pseudo-Gorenstein* P, reflexivity up to translation."""
     return all(t - len(A) == 1 for A, t in P.upper_facets)

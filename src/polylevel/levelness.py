@@ -111,6 +111,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 # `lattice_points` is not called here; it stays bound because the
@@ -120,12 +121,13 @@ from .lattice import (
     _Structure,
     _split_exists,
     _structure,
+    _unit_gaps,
     count_lattice_points,
     iter_lattice_points,
     lattice_points,
     membership,
 )
-from .polymatroid import HPolytope
+from .polymatroid import _MEMO_SIZE, HPolytope
 
 ExponentVector = tuple[int, ...]
 
@@ -566,19 +568,23 @@ class LevelnessReport:
     scan_bound: int
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def analyze_polytope(P: HPolytope, max_level: int | None = None,
                      budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
-    from .lattice import reflexive_up_to_translation
-
+    """The `LevelnessReport` of P.  Answers are memoized by (P, max_level,
+    budget) (see `polymatroid._MEMO_SIZE`), so equal calls share one frozen
+    report; a raised error is not kept."""
     scan_bound = _top_level(P, max_level, 2)
     top = _top_level(P, max_level, 1)       # differs only when n <= 2
+    # one count serves every interior question: the interior points are
+    # closed downwards within x >= 1, so P has one exactly when the
+    # all-ones test `_interior_at(P, 1)` passes
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
-    reflexive = reflexive_up_to_translation(P, budget=budget) if pg else None
     degrees = _degree_set(P, range(2, scan_bound + 1), budget)
     first = min(degrees, default=top + 1)
     witness = None
-    if degrees and _interior_at(P, 1):
+    if degrees and interior1 > 0:
         witness = (first, next(_iter_failing(P, _structure(P), first, budget)),
                    f"no interior summand of the base polytope splits off at level {first}")
     int_star, spectrum = _int_star(P, {r for r in degrees if r <= top})
@@ -586,8 +592,8 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
         n=P.n,
         interior_count_1=interior1,
         pseudo_gorenstein=pg,
-        level=not degrees and _interior_at(P, 1),
-        reflexive_up_to_translation=reflexive,
+        level=not degrees and interior1 > 0,
+        reflexive_up_to_translation=_unit_gaps(P) if pg else None,
         int_star_degree=int_star,
         failure_witness=witness,
         reduced_degree_table=_DegreeTable(P, range(first, top + 1), budget),

@@ -21,12 +21,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bounded import BasisSet, _integers, enumerate_bases
 from .errors import BudgetExceededError
 from .graphs import star
 
 FACET_SCAN_MAX_DIM = 16
+
+# Entries kept by each memo of a per-polymatroid answer: `facets` here,
+# `levelness.analyze_polytope` and `lattice.delta_vector`.  Those answers
+# depend on the basis set alone, and many (G, c) share one: every connected
+# labelled graph on 4 vertices with c in [1..3]^4 makes 3,078 requests with
+# 377 distinct basis sets, and on 5 vertices with c in [1..2]^5 23,296
+# requests have 832 (scripts/polymatroid_census.py).  1024 entries hold
+# either census whole.  A basis set held in all three memos took about
+# 2.2 KB (tracemalloc over the hulls of `perfbench` analyze, n = 4-5), so
+# full memos hold about 2.3 MB.
+_MEMO_SIZE = 1024
 
 Subset = tuple[int, ...]
 
@@ -162,11 +174,14 @@ class HPolytope:
             raise ValueError(f"unbounded coordinates (no upper facet): {missing}")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def facets(B: BasisSet) -> HPolytope:
     """Irredundant facet system of the hull of the divisor set of B.
 
     Scans subsets in (size, lex) order; output keeps that order, so
-    reports are reproducible.
+    reports are reproducible.  Answers are memoized by B (see `_MEMO_SIZE`),
+    so equal basis sets share one frozen polytope; a raised error is not
+    kept.
     """
     if B.n > FACET_SCAN_MAX_DIM:
         raise BudgetExceededError(

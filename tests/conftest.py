@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel import lattice, levelness, polymatroid
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +68,16 @@ def facet_systems(draw, max_n=4, max_t=2, max_aggs=3, laminar=False):
     covered = {i for A, _t in facets for i in A}
     facets += [((i,), max_t) for i in range(1, n + 1) if i not in covered]
     return pl.HPolytope(n, tuple(facets))
+
+
+# the memos of the per-polymatroid answers
+MEMOS = (polymatroid.facets, levelness.analyze_polytope, lattice.delta_vector)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Start every test with empty memos and structure cache, so that no
+    test is served an answer an earlier one cached (say, while it had a
+    layer monkeypatched)."""
+    for memo in (*MEMOS, lattice._structure):
+        memo.cache_clear()

@@ -22,6 +22,7 @@ from polylevel.levelness import (
     _cost_rows,
     _degree_histogram,
     _failing_levels,
+    _interior_at,
     _iter_failing,
     _restrict,
 )
@@ -111,6 +112,17 @@ def test_level_iff_degree_one(gc):
         assert pl.level_star(P)[0] is False
         return
     assert pl.level_star(P)[0] == (pl.int_star_degree(P) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3))
+def test_interior_count_agrees_with_the_all_ones_test(gc):
+    """The report reads "P has an interior point" off its interior count;
+    the all-ones test `_interior_at(P, 1)` gives the same answer, as the
+    interior points are closed downwards within x >= 1."""
+    P = pl.facets(pl.enumerate_bases(*gc))
+    interior1 = pl.count_lattice_points(P, 1, "interior")
+    assert (interior1 > 0) == _interior_at(P, 1)
 
 
 @settings(max_examples=25, deadline=None)

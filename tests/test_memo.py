@@ -1,0 +1,49 @@
+"""The memos of the per-polymatroid answers: `facets` by the basis set,
+`analyze_polytope` and `delta_vector` by the polytope and their other
+arguments."""
+
+import pytest
+from hypothesis import given, settings
+
+import polylevel as pl
+from polylevel.errors import BudgetExceededError
+
+from conftest import MEMOS, graph_and_bounds
+
+
+def _answers(G, c):
+    P = pl.facets(pl.enumerate_bases(G, c))
+    return P, pl.analyze_polytope(P), pl.delta_vector(P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_and_bounds(max_n=5, max_c=3))
+def test_memoized_answers_equal_fresh_ones(gc):
+    """Report equality compares the degree tables point by point."""
+    kept = _answers(*gc)
+    assert all(a is b for a, b in zip(_answers(*gc), kept))
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert _answers(*gc) == kept
+
+
+def test_graphs_with_one_basis_set_share_the_facets():
+    """The path 1-2-3 and the triangle, both with c = (1, 2, 1), have the
+    one basis (1, 2, 1): the triangle's edge 13 is in no basis."""
+    B1 = pl.enumerate_bases(pl.path(3), (1, 2, 1))
+    B2 = pl.enumerate_bases(pl.cycle(3), (1, 2, 1))
+    assert B1 == B2 and B1 is not B2
+    P1 = pl.facets(B1)
+    hits = pl.facets.cache_info().hits
+    P2 = pl.facets(B2)
+    assert pl.facets.cache_info().hits == hits + 1
+    assert P2 == P1
+
+
+def test_budget_errors_are_not_kept(k34_hull):
+    with pytest.raises(BudgetExceededError):
+        pl.analyze_polytope(k34_hull, budget=1)
+    assert pl.analyze_polytope(k34_hull).pseudo_gorenstein
+    with pytest.raises(BudgetExceededError):
+        pl.analyze_polytope(k34_hull, budget=1)
+    assert pl.analyze_polytope.cache_info().currsize == 1
