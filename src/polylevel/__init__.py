@@ -44,6 +44,7 @@ from .graphs import (
     path,
     star,
     tree_from_parents,
+    trees,
 )
 from .lattice import (
     DeltaVector,
@@ -127,6 +128,7 @@ __all__ = [
     "star_prism",
     "tree_from_parents",
     "tree_labeling_pseudo_gorenstein",
+    "trees",
     "veronese_level_criterion",
     "veronese_polytope",
     "veronese_uniform_formula",

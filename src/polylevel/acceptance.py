@@ -29,7 +29,6 @@ from . import (
     divisor_set,
     enumerate_bases,
     facets,
-    graph,
     int_star_degree,
     is_unimodal,
     lattice_points,
@@ -44,6 +43,7 @@ from . import (
     star_prism,
     tree_from_parents,
     tree_labeling_pseudo_gorenstein,
+    trees,
     veronese_level_criterion,
     veronese_polytope,
     veronese_uniform_formula,
@@ -245,25 +245,9 @@ def criterion_10() -> tuple[bool, str]:
     return not failures, "; ".join(failures) or "degrees n-1 and spectra confirmed"
 
 
-def _tree_catalog(max_n: int = 7):
-    """All trees up to isomorphism with at most max_n vertices."""
-    try:
-        import networkx as nx
-    except ImportError:  # fixed fallback catalog: paths, stars, spiders, caterpillars
-        cat = [path(n) for n in range(2, 8)] + [star(n) for n in range(2, 7)]
-        cat += [
-            tree_from_parents(p) for p in (
-                (1, 1, 2), (1, 1, 2, 2), (1, 1, 2, 3), (1, 1, 1, 2), (1, 2, 2, 3),
-                (1, 1, 2, 2, 3), (1, 1, 2, 3, 4), (1, 1, 1, 2, 2), (1, 1, 2, 2, 5),
-                (1, 2, 3, 3, 4), (1, 1, 2, 4, 4), (1, 2, 2, 1, 5),
-            )
-        ]
-        return cat
-    cat = []
-    for n in range(2, max_n + 1):
-        for T in nx.nonisomorphic_trees(n):
-            cat.append(graph(n, [(u + 1, v + 1) for u, v in T.edges()]))
-    return cat
+def _tree_catalog():
+    """All 24 trees up to isomorphism with 2 to 7 vertices (`graphs.trees`)."""
+    return [T for n in range(2, 8) for T in trees(n)]
 
 
 def criterion_11() -> tuple[bool, str]:
@@ -283,7 +267,7 @@ def criterion_11() -> tuple[bool, str]:
         _check(tree_labeling_pseudo_gorenstein(path(n)) == (n != 3),
                f"path({n}) misclassified", failures)
     detail = f"{len(cat)} trees, rule == search" if not failures else "; ".join(failures[:3])
-    return len(cat) >= 20 and not failures, detail
+    return len(cat) == 24 and not failures, detail
 
 
 def _oracle_sweep_cases():

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .acceptance import run_suite
+from .acceptance import _veronese_specs, run_suite
 from .bounded import enumerate_bases
 from .criteria import (
     bipartite_interior_nonempty,
@@ -358,16 +358,12 @@ def cmd_search_labeling(args) -> int:
 
 
 def cmd_sweep_veronese(args) -> int:
-    import itertools
-
     rows = []
     degrees = set()
-    for c in itertools.combinations_with_replacement(range(args.cmax, 1, -1), args.n):
-        for a in range(max(c[0] + 1, args.n + 1), sum(c)):
-            spec = VeroneseSpec(n=args.n, a=a, c=c)
-            d = int_star_degree(veronese_polytope(spec), budget=args.budget)
-            degrees.add(d)
-            rows.append({"a": a, "c": list(c), "int_star_degree": d})
+    for spec in _veronese_specs(args.n, args.cmax):
+        d = int_star_degree(veronese_polytope(spec), budget=args.budget)
+        degrees.add(d)
+        rows.append({"a": spec.a, "c": list(spec.c), "int_star_degree": d})
     payload = {
         "n": args.n,
         "cmax": args.cmax,

@@ -1,4 +1,4 @@
-"""Simple graphs on 1-based vertex sets, standard families, tree predicates.
+"""Simple graphs on 1-based vertex sets, standard families, tree predicates, tree catalog.
 
 Vertices are 1..n throughout the package; edges are unordered pairs stored
 as sorted tuples.  Graphs are immutable after construction and safe to
@@ -101,6 +101,29 @@ def tree_from_parents(parents) -> Graph:
     return graph(n, edges)
 
 
+def _ahu_code(adj: dict[int, set[int]], v: int, parent: int) -> str:
+    """AHU parenthesis code of the subtree at v, hanging from parent."""
+    return "(" + "".join(sorted(_ahu_code(adj, w, v) for w in adj[v] if w != parent)) + ")"
+
+
+def trees(n: int) -> list[Graph]:
+    """Every tree on n >= 2 vertices up to isomorphism, in a deterministic order.
+
+    Each tree of trees(n - 1) grows a leaf n at every vertex, and the first
+    tree of each canonical form is kept: the least AHU parenthesis code over
+    all roots (Aho, Hopcroft and Ullman, 1974), shared exactly by isomorphic trees.
+    """
+    if n <= 2:
+        return [path(n)]
+    grown: dict[str, Graph] = {}
+    for T in trees(n - 1):
+        for v in range(1, n):
+            G = graph(n, T.edges | {(v, n)})
+            adj = G.adjacency()
+            grown.setdefault(min(_ahu_code(adj, r, 0) for r in adj), G)
+    return list(grown.values())
+
+
 _FAMILIES = {
     "path": (path, 1),
     "cycle": (cycle, 1),
@@ -161,13 +184,8 @@ def distances_from(G: Graph, source: int) -> dict[int, int]:
 
 
 def leaf_distance_two_exists(T: Graph) -> bool:
-    """True iff some two distinct leaves of the tree T are at distance exactly 2."""
+    """True iff two distinct leaves of the tree T are at distance 2: share a neighbour."""
     if not is_tree(T):
         raise ValueError("not a tree")
-    lv = leaves(T)
-    for idx, u in enumerate(lv):
-        dist = distances_from(T, u)
-        for w in lv[idx + 1:]:
-            if dist[w] == 2:
-                return True
-    return False
+    lv = set(leaves(T))
+    return any(len(nbrs & lv) >= 2 for nbrs in T.adjacency().values())

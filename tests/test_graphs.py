@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import polylevel as pl
@@ -68,3 +70,32 @@ def test_leaf_distance_two():
 def test_leaf_distance_two_paths():
     for n in range(2, 13):
         assert pl.leaf_distance_two_exists(pl.path(n)) == (n == 3)
+
+
+# OEIS A000055: trees on n unlabelled vertices, n = 2..10
+TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+
+
+def _least_relabelling(T):
+    """Canonical form independent of AHU: least sorted edge list over all n! labellings."""
+    return min(tuple(sorted(tuple(sorted((s[i - 1], s[j - 1]))) for i, j in T.edges))
+               for s in itertools.permutations(range(1, T.n + 1)))
+
+
+@pytest.mark.parametrize("n", sorted(TREE_COUNTS))
+def test_trees_counts_match_a000055(n):
+    cat = pl.trees(n)
+    assert len(cat) == TREE_COUNTS[n]
+    assert all(T.n == n and pl.is_tree(T) for T in cat)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_trees_pairwise_non_isomorphic(n):
+    """With the A000055 count, pairwise non-isomorphism proves the catalog complete."""
+    forms = [_least_relabelling(T) for T in pl.trees(n)]
+    assert len(set(forms)) == len(forms)
+
+
+def test_trees_rejects_fewer_than_two_vertices():
+    with pytest.raises(ValueError):
+        pl.trees(1)

@@ -25,7 +25,6 @@ def test_script_runs(name, args):
 
 
 def test_tree_census_runs():
-    pytest.importorskip("networkx")
     done = run_script("tree_census.py", "--nmax", "8", "--cmax", "3")
     assert done.returncode == 0, done.stderr
     assert "???" not in done.stdout
