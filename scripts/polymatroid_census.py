@@ -14,7 +14,6 @@ import argparse
 import itertools
 
 import polylevel as pl
-from polylevel.graphs import distances_from
 
 
 def connected_graphs(n):
@@ -24,7 +23,7 @@ def connected_graphs(n):
             if len({v for e in edges for v in e}) < n:
                 continue  # an isolated vertex; `pl.graph` admits none
             G = pl.graph(n, edges)
-            if len(distances_from(G, 1)) == n:
+            if pl.is_connected(G):
                 yield G
 
 

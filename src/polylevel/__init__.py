@@ -38,9 +38,9 @@ from .graphs import (
     complete_bipartite,
     cycle,
     graph,
+    is_connected,
     is_tree,
     leaf_distance_two_exists,
-    make_family,
     path,
     star,
     tree_from_parents,
@@ -108,13 +108,13 @@ __all__ = [
     "graph",
     "int_star_degree",
     "is_closed",
+    "is_connected",
     "is_inseparable",
     "is_tree",
     "is_unimodal",
     "lattice_points",
     "leaf_distance_two_exists",
     "level_star",
-    "make_family",
     "membership",
     "normality_check",
     "path",

@@ -41,6 +41,7 @@ from .lattice import (
     reflexive_up_to_translation,
 )
 from .levelness import (
+    _top_level,
     analyze_polytope,
     int_star_degree,
     level_star,
@@ -231,7 +232,7 @@ def cmd_psg(args) -> int:
 def cmd_int_star_degree(args) -> int:
     P = _polytope(args)
     d = int_star_degree(P, max_level=args.max_level, budget=args.budget)
-    payload = {"int_star_degree": d, "scan_bound_used": args.max_level or max(1, P.n - 1)}
+    payload = {"int_star_degree": d, "scan_bound_used": _top_level(P, args.max_level, 1)}
     _emit(args, payload, [f"int* degree: {d}"])
     return 0
 
@@ -358,6 +359,8 @@ def cmd_search_labeling(args) -> int:
 
 
 def cmd_sweep_veronese(args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     rows = []
     degrees = set()
     for spec in _veronese_specs(args.n, args.cmax):
@@ -415,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--max-level", type=int, default=None,
-                      help="override the dilation scan bound (default max(2, n-1); "
+                      help="override the dilation scan bound, at least 2 (default max(2, n-1); "
                            "max(1, n-1) for int-star-degree)")
 
     p = sub.add_parser("analyze", parents=[common, graphy, scan],

@@ -90,13 +90,8 @@ class BipartiteSpec:
         return sum(self.c[self.m:])
 
     @property
-    def saturated(self) -> tuple[int, ...]:
-        """A: heavy indices whose bound equals the small side sum."""
-        return tuple(i for i in range(1, self.m + 1) if self.c[i - 1] == self.small_sum)
-
-    @property
     def unsaturated(self) -> tuple[int, ...]:
-        """B: the remaining heavy indices."""
+        """B: heavy indices whose bound is below the small side sum."""
         return tuple(i for i in range(1, self.m + 1) if self.c[i - 1] < self.small_sum)
 
 

@@ -1,4 +1,5 @@
-"""Simple graphs on 1-based vertex sets, standard families, tree predicates, tree catalog.
+"""Simple graphs on 1-based vertex sets, standard families, connectivity,
+tree predicates, tree catalog.
 
 Vertices are 1..n throughout the package; edges are unordered pairs stored
 as sorted tuples.  Graphs are immutable after construction and safe to
@@ -7,7 +8,6 @@ share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
@@ -46,9 +46,6 @@ class Graph:
             adj[i].add(j)
             adj[j].add(i)
         return adj
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 def graph(n: int, edges) -> Graph:
@@ -124,31 +121,8 @@ def trees(n: int) -> list[Graph]:
     return list(grown.values())
 
 
-_FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "star": (star, 1),
-}
-
-
-def make_family(kind: str, *params: int) -> Graph:
-    """Construct a named graph family; `tree` takes a parent list."""
-    if kind == "tree":
-        return tree_from_parents(params)
-    if kind not in _FAMILIES:
-        raise ValueError(f"unknown family {kind!r}; known: {sorted(_FAMILIES)} and 'tree'")
-    ctor, arity = _FAMILIES[kind]
-    if len(params) != arity:
-        raise ValueError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
-    return ctor(*params)
-
-
-def is_tree(G: Graph) -> bool:
-    """Connectivity via union-find plus the edge count n-1."""
-    if len(G.edges) != G.n - 1:
-        return False
+def is_connected(G: Graph) -> bool:
+    """Union-find over the edges: one component?"""
     parent = list(range(G.n + 1))
 
     def find(v):
@@ -157,35 +131,23 @@ def is_tree(G: Graph) -> bool:
             v = parent[v]
         return v
 
+    components = G.n
     for i, j in G.edges:
         ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
+        if ri != rj:
+            parent[ri] = rj
+            components -= 1
+    return components == 1
 
 
-def leaves(G: Graph) -> list[int]:
-    return [v for v in range(1, G.n + 1) if G.degree(v) == 1]
-
-
-def distances_from(G: Graph, source: int) -> dict[int, int]:
-    """BFS distances from `source` to every reachable vertex."""
-    adj = G.adjacency()
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
+def is_tree(G: Graph) -> bool:
+    return len(G.edges) == G.n - 1 and is_connected(G)
 
 
 def leaf_distance_two_exists(T: Graph) -> bool:
     """True iff two distinct leaves of the tree T are at distance 2: share a neighbour."""
     if not is_tree(T):
         raise ValueError("not a tree")
-    lv = set(leaves(T))
-    return any(len(nbrs & lv) >= 2 for nbrs in T.adjacency().values())
+    adj = T.adjacency()
+    lv = {v for v, nbrs in adj.items() if len(nbrs) == 1}
+    return any(len(nbrs & lv) >= 2 for nbrs in adj.values())

@@ -444,13 +444,6 @@ def _top_level(P: HPolytope, max_level: int | None, least: int) -> int:
     return max_level
 
 
-def _int_star(P: HPolytope, degrees: set[int]):
-    """(int* degree, spectrum verdict) read off the degree set of levels
-    2..top; (None, None) when no dilate up to top has interior points."""
-    d = max(degrees, default=1 if _interior_at(P, 1) else None)
-    return d, None if d is None else all(i in degrees for i in range(2, d))
-
-
 class _DegreeTable(Mapping):
     """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
 
@@ -516,26 +509,6 @@ def level_star(P: HPolytope, max_level: int | None = None,
     return True, None
 
 
-def int_star_degree(P: HPolytope, max_level: int | None = None,
-                    budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest reduced degree over dilation levels 1..max(1, n-1)."""
-    top = _top_level(P, max_level, 1)
-    degree, _spectrum = _int_star(P, _degree_set(P, range(2, top + 1), budget))
-    if degree is None:
-        raise ValueError(f"empty interior: no dilate up to level {top} has interior points")
-    return degree
-
-
-def conjecture_spectrum(P: HPolytope, max_level: int | None = None,
-                        budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """With d the int* degree: is every degree 1 <= i < d realized in the scan?"""
-    top = _top_level(P, max_level, 1)
-    _degree, spectrum = _int_star(P, _degree_set(P, range(2, top + 1), budget))
-    if spectrum is None:
-        raise ValueError("empty interior: spectrum undefined")
-    return spectrum
-
-
 @dataclass(frozen=True)
 class LevelnessReport:
     """Verdicts and witnesses for one polytope.
@@ -587,7 +560,9 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
     if degrees and interior1 > 0:
         witness = (first, next(_iter_failing(P, _structure(P), first, budget)),
                    f"no interior summand of the base polytope splits off at level {first}")
-    int_star, spectrum = _int_star(P, {r for r in degrees if r <= top})
+    kept = {r for r in degrees if r <= top}
+    int_star = max(kept, default=1 if interior1 > 0 else None)
+    spectrum = None if int_star is None else all(i in kept for i in range(2, int_star))
     return LevelnessReport(
         n=P.n,
         interior_count_1=interior1,
@@ -600,3 +575,24 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
         conjecture_spectrum_holds=spectrum,
         scan_bound=scan_bound,
     )
+
+
+def int_star_degree(P: HPolytope, max_level: int | None = None,
+                    budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Largest reduced degree over dilation levels 1..max(1, n-1), or up
+    to `max_level` (at least 2): the report's `int_star_degree`."""
+    degree = analyze_polytope(P, max_level, budget).int_star_degree
+    if degree is None:
+        top = _top_level(P, max_level, 1)
+        raise ValueError(f"empty interior: no dilate up to level {top} has interior points")
+    return degree
+
+
+def conjecture_spectrum(P: HPolytope, max_level: int | None = None,
+                        budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """With d the int* degree: is every degree 1 <= i < d realized in the
+    scan?  The report's `conjecture_spectrum_holds`."""
+    spectrum = analyze_polytope(P, max_level, budget).conjecture_spectrum_holds
+    if spectrum is None:
+        raise ValueError("empty interior: spectrum undefined")
+    return spectrum

@@ -80,7 +80,7 @@ def test_level_psg_degree_subcommands(capsys, k34_file):
     assert code == 0 and doc["pseudo_gorenstein"] is True
     assert doc["reflexive_up_to_translation"] is False
     code, doc = run_json(capsys, ["int-star-degree", "--veronese", "6,5,3,3,3", "--json"])
-    assert code == 0 and doc["int_star_degree"] == 3
+    assert code == 0 and doc["int_star_degree"] == 3 and doc["scan_bound_used"] == 3
     code, doc = run_json(capsys, [
         "reduced-degree", "--veronese", "6,5,3,3,3",
         "--point", "8,1,1,1", "--level", "2", "--json"])
@@ -175,6 +175,19 @@ def test_malformed_graph_file_exits_2(capsys, tmp_path, doc):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["analyze", str(bad)]) == 2
     assert "graph file" in capsys.readouterr().err
+
+
+def test_int_star_degree_rejects_max_level_1(capsys):
+    """Level 1 scans no degree >= 2, so it cannot bound the int* degree."""
+    assert main(["int-star-degree", "--veronese", "6,5,3,3,3", "--max-level", "1"]) == 2
+    assert "max_level must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sweep_veronese_rejects_n_below_1(capsys, n):
+    assert main(["sweep-veronese", "--n", n, "--cmax", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n") and "Traceback" not in err
 
 
 def test_budget_exit_code(capsys, k34_file):

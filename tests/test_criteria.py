@@ -15,7 +15,7 @@ def test_bipartite_spec_normalization():
     spec = pl.bipartite_spec(3, 4, (2,) * 7)          # heavy side is the 4-side
     assert (spec.m, spec.n) == (4, 3)
     assert spec.heavy_sum == 8 and spec.small_sum == 6
-    assert spec.saturated == () and spec.unsaturated == (1, 2, 3, 4)
+    assert spec.unsaturated == (1, 2, 3, 4)
     with pytest.raises(ValueError, match="equal"):
         pl.bipartite_spec(2, 2, (2, 2, 2, 2))
     with pytest.raises(ValueError, match="above the small side"):

@@ -20,18 +20,6 @@ def test_triangle_is_cycle3():
     assert pl.cycle(3).edges == frozenset({(1, 2), (2, 3), (1, 3)})
 
 
-def test_make_family_dispatch():
-    assert pl.make_family("path", 4) == pl.path(4)
-    assert pl.make_family("star", 3) == pl.star(3)
-    assert pl.make_family("tree", 1, 1, 2) == pl.tree_from_parents((1, 1, 2))
-    with pytest.raises(ValueError):
-        pl.make_family("moebius", 5)
-    with pytest.raises(ValueError):
-        pl.make_family("path", 1)
-    with pytest.raises(ValueError):
-        pl.make_family("cycle", 2)
-
-
 def test_graph_invariants_enforced():
     with pytest.raises(ValueError, match="loop"):
         pl.graph(3, [(1, 1), (2, 3)])
@@ -50,6 +38,33 @@ def test_is_tree():
     assert pl.is_tree(pl.star(4))
     assert not pl.is_tree(pl.cycle(4))
     assert not pl.is_tree(pl.complete_bipartite(2, 2))
+
+
+def test_is_connected():
+    for G in (pl.path(4), pl.cycle(5), pl.complete(4), pl.complete_bipartite(2, 3), pl.star(3)):
+        assert pl.is_connected(G)
+    assert not pl.is_connected(pl.graph(4, [(1, 2), (3, 4)]))
+
+
+def _bfs_connected(G):
+    adj = G.adjacency()
+    seen, todo = {1}, [1]
+    while todo:
+        for w in adj[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return len(seen) == G.n
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_is_connected_agrees_with_bfs(n):
+    """Every labelled graph on n vertices without an isolated vertex."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for k in range(1, len(pairs) + 1):
+        for edges in itertools.combinations(pairs, k):
+            if len({v for e in edges for v in e}) == n:
+                G = pl.graph(n, edges)
+                assert pl.is_connected(G) == _bfs_connected(G)
 
 
 def test_tree_constructors_connected():

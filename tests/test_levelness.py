@@ -365,12 +365,18 @@ def _or_none(f, P):
 @example(pl.HPolytope(2, (((1,), 3), ((2,), 2), ((1, 2), 4))))
 @example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))
 def test_report_matches_the_verdict_functions(P):
-    """The report's verdicts, read off one degree set, against the
-    functions that decide each one alone."""
+    """The report's verdicts, read off one degree set, against `level_star`,
+    which walks the levels alone, and against the flat per-point oracle:
+    the int* degree is the largest reduced degree over levels
+    2..max(1, n - 1), or 1 when P has an interior point."""
     rep = pl.analyze_polytope(P)
     assert (rep.level, rep.failure_witness and rep.failure_witness[:2]) == pl.level_star(P)
-    assert rep.int_star_degree == _or_none(pl.int_star_degree, P)
-    assert rep.conjecture_spectrum_holds == _or_none(pl.conjecture_spectrum, P)
+    degrees = {brute_reduced_degree(P, a, N) for N in range(2, max(1, P.n - 1) + 1)
+               for a in brute_interior_points(P, N)}
+    d = max(degrees, default=1 if brute_interior_points(P, 1) else None)
+    want = d, None if d is None else all(i in degrees for i in range(2, d))
+    assert (rep.int_star_degree, rep.conjecture_spectrum_holds) == want
+    assert (_or_none(pl.int_star_degree, P), _or_none(pl.conjecture_spectrum, P)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,6 +424,9 @@ def test_scan_bound_override(veronese_5333):
     # scanning only level 2 misses the degree-3 point at level 3
     assert pl.int_star_degree(veronese_5333, max_level=2) == 2
     assert pl.int_star_degree(veronese_5333, max_level=3) == 3
+    for f in (pl.int_star_degree, pl.conjecture_spectrum):    # level 1 scans no degree
+        with pytest.raises(ValueError, match="at least 2"):
+            f(veronese_5333, max_level=1)
     rep = pl.analyze_polytope(veronese_5333, max_level=2)
     assert rep.scan_bound == 2
 

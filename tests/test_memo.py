@@ -40,6 +40,15 @@ def test_graphs_with_one_basis_set_share_the_facets():
     assert P2 == P1
 
 
+def test_int_star_degree_and_spectrum_share_one_report(path3_hull):
+    """Both read the memoized report, passing its arguments in one form."""
+    pl.analyze_polytope.cache_clear()
+    assert pl.int_star_degree(path3_hull) == 1
+    assert pl.conjecture_spectrum(path3_hull)
+    info = pl.analyze_polytope.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_budget_errors_are_not_kept(k34_hull):
     with pytest.raises(BudgetExceededError):
         pl.analyze_polytope(k34_hull, budget=1)

@@ -1,5 +1,6 @@
 """The scripts under scripts/ call the public API; run each end to end."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,6 +15,20 @@ def run_script(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_script_imports_only_polylevel(path):
+    """`polylevel.<module>` names are not the public API."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.startswith("polylevel.") for name in names), ast.unparse(node)
 
 
 @pytest.mark.parametrize("name, args", [
