@@ -100,9 +100,9 @@ def _veronese_from_flag(text: str) -> VeroneseSpec:
 
 
 def _polytope(args) -> HPolytope:
-    if getattr(args, "veronese", None):
+    if args.veronese:
         return veronese_polytope(_veronese_from_flag(args.veronese))
-    if not getattr(args, "graph_file", None):
+    if not args.graph_file:
         raise ValueError("need a graph file or --veronese a,c1,...,cn")
     G, c = _load_graph(args.graph_file, args.c)
     return facets(enumerate_bases(G, _require_bounds(G, c), candidate_cap=args.budget))
@@ -125,7 +125,7 @@ def _emit(args, payload: dict, human_lines) -> None:
 
 
 def _strict_exit(args, verdict: bool) -> int:
-    return 0 if verdict or not getattr(args, "strict", False) else 1
+    return 1 if args.strict and not verdict else 0
 
 
 # --- subcommands ----------------------------------------------------------
@@ -232,7 +232,7 @@ def cmd_psg(args) -> int:
 def cmd_int_star_degree(args) -> int:
     P = _polytope(args)
     d = int_star_degree(P, max_level=args.max_level, budget=args.budget)
-    payload = {"int_star_degree": d, "scan_bound_used": _top_level(P, args.max_level, 1)}
+    payload = {"int_star_degree": d, "scan_bound_used": _top_level(P, args.max_level)}
     _emit(args, payload, [f"int* degree: {d}"])
     return 0
 
@@ -251,12 +251,11 @@ def cmd_veronese(args) -> int:
     spec = VeroneseSpec(n=len(c), a=args.a, c=c)
     ok, wit = veronese_level_criterion(spec)
     P = veronese_polytope(spec)
-    d = int_star_degree(P, budget=args.budget) if args.degree else None
-    if d is not None and ok != (d == 1):  # two independent routes must agree
+    d = int_star_degree(P, budget=args.budget)
+    if ok != (d == 1):  # two independent routes must agree
         raise RuntimeError(f"criterion {ok} contradicts int* degree {d}")
-    formula = None
-    if args.formula and len(set(c)) == 1:
-        formula = veronese_uniform_formula(spec.n, c[0], spec.a)
+    # a valid spec with uniform bounds meets the formula's hypotheses
+    formula = veronese_uniform_formula(spec.n, c[0], spec.a) if len(set(c)) == 1 else None
     payload = {
         "a": spec.a,
         "c": list(spec.c),
@@ -271,16 +270,20 @@ def cmd_veronese(args) -> int:
         lines.append(f"violating subset: {list(wit[1])} (condition {wit[0]})")
     if formula is not None:
         lines.append(f"uniform interval formula: {formula}")
-    if d is not None:
-        lines.append(f"int* degree: {d}")
+    lines.append(f"int* degree: {d}")
     _emit(args, payload, lines)
     return _strict_exit(args, ok)
 
 
 def cmd_bipartite(args) -> int:
+    for flag, size in (("--m", args.m), ("--n", args.n)):
+        if size < 1:
+            raise ValueError(f"{flag} must be at least 1")
     c = _parse_int_list(args.c)
     if len(c) != args.m + args.n:
         raise ValueError(f"expected {args.m + args.n} bounds, got {len(c)}")
+    if min(c) < 1:
+        raise ValueError("--c bounds must be at least 1")
     left, right = sum(c[: args.m]), sum(c[args.m:])
     if left == right:
         nonempty = all(ci >= 2 for ci in c)
@@ -328,27 +331,17 @@ def cmd_bipartite(args) -> int:
 
 
 def cmd_tree_check(args) -> int:
-    G, c = _load_graph(args.graph_file, args.c)
+    G, _c = _load_graph(args.graph_file, None)
     if not is_tree(G):
         raise ValueError("input graph is not a tree")
     verdict = tree_labeling_pseudo_gorenstein(G)
-    found = None
-    if args.search is not None:
-        found = search_labeling(G, args.search, candidate_cap=args.budget)
-    payload = {
-        "labeling_pseudo_gorenstein": verdict,
-        "search_cmax": args.search,
-        "search_witness": None if found is None else list(found),
-    }
-    lines = [f"labeling pseudo-Gorenstein* (leaf-distance rule): {verdict}"]
-    if args.search is not None:
-        lines.append(f"search up to c={args.search}: {'witness ' + str(list(found)) if found else 'no witness'}")
-    _emit(args, payload, lines)
+    _emit(args, {"labeling_pseudo_gorenstein": verdict},
+          [f"labeling pseudo-Gorenstein* (leaf-distance rule): {verdict}"])
     return _strict_exit(args, verdict)
 
 
 def cmd_search_labeling(args) -> int:
-    G, _c = _load_graph(args.graph_file, args.c)
+    G, _c = _load_graph(args.graph_file, None)
     found = search_labeling(G, args.cmax, candidate_cap=args.budget)
     payload = {"cmax": args.cmax, "found": found is not None,
                "c": None if found is None else list(found)}
@@ -383,12 +376,18 @@ def cmd_sweep_veronese(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(_args) -> int:
     results = run_suite(report=print)
     return 0 if all(r.passed for r in results) else 1
 
 
 # --- parser ---------------------------------------------------------------
+
+def _parent(*names, **kwargs) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -399,79 +398,58 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polylevel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="canonical JSON output")
-    common.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                        help="work cap for enumerations (default %(default)s)")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 1 when the main verdict is negative")
-
-    graphy = argparse.ArgumentParser(add_help=False)
-    graphy.add_argument("graph_file", help="JSON graph file {n, edges, c?}")
-    graphy.add_argument("--c", help="bound vector c1,...,cn (overrides the file)")
-
-    poly = argparse.ArgumentParser(add_help=False)
+    # each subcommand takes exactly the options its handler reads
+    as_json = _parent("--json", action="store_true", help="canonical JSON output")
+    budget = _parent("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                     help="work cap for enumerations (default %(default)s)")
+    strict = _parent("--strict", action="store_true",
+                     help="exit 1 when the main verdict is negative")
+    graph_arg = _parent("graph_file", help="JSON graph file {n, edges, c?}")
+    bounds = _parent("--c", help="bound vector c1,...,cn (overrides the file)")
+    poly = argparse.ArgumentParser(add_help=False, parents=[bounds])
     poly.add_argument("graph_file", nargs="?", help="JSON graph file {n, edges, c?}")
-    poly.add_argument("--c", help="bound vector c1,...,cn (overrides the file)")
     poly.add_argument("--veronese", metavar="a,c1,...,cn",
                       help="use the box-and-cutoff polytope instead of a graph")
+    scan = _parent("--max-level", type=int, default=None,
+                   help="override the dilation scan bound, at least 2 (default max(2, n-1))")
 
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--max-level", type=int, default=None,
-                      help="override the dilation scan bound, at least 2 (default max(2, n-1); "
-                           "max(1, n-1) for int-star-degree)")
+    def command(name, parents, func, help_text):
+        # no abbreviations, so that no option answers to a prefix of another
+        p = sub.add_parser(name, parents=parents, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", parents=[common, graphy, scan],
-                       help="full report: facets, verdicts, delta vector")
-    p.set_defaults(func=cmd_analyze)
-    p = sub.add_parser("facets", parents=[common, poly], help="irredundant facet system")
-    p.set_defaults(func=cmd_facets)
-    p = sub.add_parser("delta-vector", parents=[common, poly], help="Ehrhart delta vector")
-    p.set_defaults(func=cmd_delta_vector)
-    p = sub.add_parser("level", parents=[common, poly, scan], help="level* verdict")
-    p.set_defaults(func=cmd_level)
-    p = sub.add_parser("psg", parents=[common, poly], help="pseudo-Gorenstein* verdict")
-    p.set_defaults(func=cmd_psg)
-    p = sub.add_parser("int-star-degree", parents=[common, poly, scan], help="int* degree")
-    p.set_defaults(func=cmd_int_star_degree)
-    p = sub.add_parser("reduced-degree", parents=[common, poly],
-                       help="reduced degree of an interior point of a dilate")
+    command("analyze", [as_json, budget, strict, graph_arg, bounds, scan], cmd_analyze,
+            "full report: facets, verdicts, delta vector")
+    command("facets", [as_json, budget, poly], cmd_facets, "irredundant facet system")
+    command("delta-vector", [as_json, budget, poly], cmd_delta_vector, "Ehrhart delta vector")
+    command("level", [as_json, budget, strict, poly, scan], cmd_level, "level* verdict")
+    command("psg", [as_json, budget, strict, poly], cmd_psg, "pseudo-Gorenstein* verdict")
+    command("int-star-degree", [as_json, budget, poly, scan], cmd_int_star_degree,
+            "int* degree")
+    p = command("reduced-degree", [as_json, budget, poly], cmd_reduced_degree,
+                "reduced degree of an interior point of a dilate")
     p.add_argument("--point", required=True, metavar="p1,...,pn")
     p.add_argument("--level", required=True, type=int, metavar="N")
-    p.set_defaults(func=cmd_reduced_degree)
-    p = sub.add_parser("veronese", parents=[common],
-                       help="subset criterion for a box-and-cutoff polytope")
+    p = command("veronese", [as_json, budget, strict], cmd_veronese,
+                "subset criterion, uniform-bound formula and int* degree of a box-and-cutoff polytope")
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--c", required=True, metavar="c1,...,cn")
-    p.add_argument("--formula", action="store_true",
-                   help="also evaluate the uniform-bound interval formula")
-    p.add_argument("--degree", action=argparse.BooleanOptionalAction, default=True,
-                   help="compute the int* degree (on by default)")
-    p.set_defaults(func=cmd_veronese)
-    p = sub.add_parser("bipartite", parents=[common],
-                       help="interior and levelness verdicts for complete bipartite bounds")
+    p = command("bipartite", [as_json, strict], cmd_bipartite,
+                "interior and levelness verdicts for complete bipartite bounds")
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--c", required=True, metavar="c1,...,cm+n")
-    p.set_defaults(func=cmd_bipartite)
-    p = sub.add_parser("tree-check", parents=[common, graphy],
-                       help="leaf-distance rule for trees, optional witness search")
-    p.add_argument("--search", type=int, metavar="CMAX", default=None)
-    p.set_defaults(func=cmd_tree_check)
-    p = sub.add_parser("search-labeling", parents=[common, graphy],
-                       help="first bound vector making the hull pseudo-Gorenstein*")
+    command("tree-check", [as_json, strict, graph_arg], cmd_tree_check,
+            "leaf-distance rule for trees")
+    p = command("search-labeling", [as_json, budget, strict, graph_arg], cmd_search_labeling,
+                "first bound vector making the hull pseudo-Gorenstein*")
     p.add_argument("--cmax", required=True, type=int)
-    p.set_defaults(func=cmd_search_labeling)
-    p = sub.add_parser("sweep-veronese", parents=[common],
-                       help="int* degrees over box-and-cutoff parameters (exploratory)")
+    p = command("sweep-veronese", [as_json, budget], cmd_sweep_veronese,
+                "int* degrees over box-and-cutoff parameters (exploratory)")
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--cmax", required=True, type=int)
-    p.set_defaults(func=cmd_sweep_veronese)
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the reference-instance verification suite")
-    p.add_argument("--suite", choices=["paper"], default="paper",
-                   help="suite name (the bundled reference-instance suite)")
-    p.set_defaults(func=cmd_verify)
+    command("verify", [], cmd_verify, "run the reference-instance verification suite")
     return parser
 
 

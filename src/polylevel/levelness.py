@@ -27,12 +27,12 @@ there at which some interior point of N*P does not split at N - 1.
 What is tested, not proved: with an interior point of P the reduced
 degree never exceeds n - 1 (`test_reduced_degree_bounded` checks the
 per-point degrees and compares the int* degree against a scan to level
-n + 1 on graph hulls with n <= 5).  So scanning dilation levels
-2..max(2, n-1) decides levelness.  With an empty interior the true
-degree can exceed n - 1, the scan still stops at the same default level,
-and the int* degree it reports may fall short of the true one (a known
-gap, kept as it is).  The bound is overridable for exploratory runs and
-recorded in reports.
+n + 1 on graph hulls with n <= 5).  So level*, the int* degree and the
+spectrum are all read off one scan of levels 2..max(2, n-1).  With an
+empty interior the true degree can exceed n - 1, the scan still stops
+at the same default level, and the int* degree it reports may fall
+short of the true one (a known gap, kept as it is).  The bound is
+overridable for exploratory runs and recorded in reports.
 
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
@@ -435,12 +435,12 @@ def _degree_set(P: HPolytope, levels, budget: int) -> set[int]:
     return {r for _N, r in _degree_histogram(P, levels, budget) if r >= 2}
 
 
-def _top_level(P: HPolytope, max_level: int | None, least: int) -> int:
-    """The last scanned level: `max_level`, or by default max(least, n - 1)."""
+def _top_level(P: HPolytope, max_level: int | None) -> int:
+    """The last scanned level: `max_level`, or by default max(2, n - 1)."""
     if max_level is None:
-        return max(least, P.n - 1)
-    if max_level < least:
-        raise ValueError(f"max_level must be at least {least}")
+        return max(2, P.n - 1)
+    if max_level < 2:
+        raise ValueError("max_level must be at least 2")
     return max_level
 
 
@@ -500,7 +500,7 @@ def level_star(P: HPolytope, max_level: int | None = None,
                budget: int = DEFAULT_NODE_BUDGET):
     """Decide level*; returns (verdict, witness) with the lex-least failing
     (N, point) on the negative side, or (False, None) for empty interior."""
-    top = _top_level(P, max_level, 2)
+    top = _top_level(P, max_level)
     if not _interior_at(P, 1):
         return False, None
     for N in range(2, top + 1):
@@ -519,8 +519,8 @@ class LevelnessReport:
     when it has an interior point and the set is empty.  Otherwise
     `failure_witness` carries (level, point, explanation) for the lex-least
     such point at that level; an empty interior fails without one.  The
-    int* degree, the spectrum and `reduced_degree_table` read the degrees
-    up to max(1, n - 1), or `max_level`.  The table is a read-only mapping
+    int* degree, the spectrum and `reduced_degree_table` read the same
+    set.  The table is a read-only mapping
     of the scanned points of reduced degree at least 2 to their degree,
     from the least degree on; degree-1 points are ubiquitous and left
     implicit.  It is a lazy view that holds no point: its length is counted
@@ -547,22 +547,20 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
     """The `LevelnessReport` of P.  Answers are memoized by (P, max_level,
     budget) (see `polymatroid._MEMO_SIZE`), so equal calls share one frozen
     report; a raised error is not kept."""
-    scan_bound = _top_level(P, max_level, 2)
-    top = _top_level(P, max_level, 1)       # differs only when n <= 2
+    scan_bound = _top_level(P, max_level)
     # one count serves every interior question: the interior points are
     # closed downwards within x >= 1, so P has one exactly when the
     # all-ones test `_interior_at(P, 1)` passes
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
     degrees = _degree_set(P, range(2, scan_bound + 1), budget)
-    first = min(degrees, default=top + 1)
+    first = min(degrees, default=scan_bound + 1)
     witness = None
     if degrees and interior1 > 0:
         witness = (first, next(_iter_failing(P, _structure(P), first, budget)),
                    f"no interior summand of the base polytope splits off at level {first}")
-    kept = {r for r in degrees if r <= top}
-    int_star = max(kept, default=1 if interior1 > 0 else None)
-    spectrum = None if int_star is None else all(i in kept for i in range(2, int_star))
+    int_star = max(degrees, default=1 if interior1 > 0 else None)
+    spectrum = None if int_star is None else all(i in degrees for i in range(2, int_star))
     return LevelnessReport(
         n=P.n,
         interior_count_1=interior1,
@@ -571,7 +569,7 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
         reflexive_up_to_translation=_unit_gaps(P) if pg else None,
         int_star_degree=int_star,
         failure_witness=witness,
-        reduced_degree_table=_DegreeTable(P, range(first, top + 1), budget),
+        reduced_degree_table=_DegreeTable(P, range(first, scan_bound + 1), budget),
         conjecture_spectrum_holds=spectrum,
         scan_bound=scan_bound,
     )
@@ -579,13 +577,12 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
 
 def int_star_degree(P: HPolytope, max_level: int | None = None,
                     budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest reduced degree over dilation levels 1..max(1, n-1), or up
+    """Largest reduced degree over dilation levels 1..max(2, n-1), or up
     to `max_level` (at least 2): the report's `int_star_degree`."""
-    degree = analyze_polytope(P, max_level, budget).int_star_degree
-    if degree is None:
-        top = _top_level(P, max_level, 1)
-        raise ValueError(f"empty interior: no dilate up to level {top} has interior points")
-    return degree
+    rep = analyze_polytope(P, max_level, budget)
+    if rep.int_star_degree is None:
+        raise ValueError(f"empty interior: no dilate up to level {rep.scan_bound} has interior points")
+    return rep.int_star_degree
 
 
 def conjecture_spectrum(P: HPolytope, max_level: int | None = None,

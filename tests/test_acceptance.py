@@ -1,7 +1,7 @@
 """Reference-instance gate: one test per named criterion, one line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
-the CLI `polylevel verify --suite paper` drives the same checks.
+the CLI `polylevel verify` drives the same checks.
 """
 
 import pytest

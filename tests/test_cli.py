@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from polylevel.cli import main
+from polylevel.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -19,6 +20,13 @@ def k34_file(tmp_path):
            "c": [2] * 7}
     p = tmp_path / "k34.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
+    return str(p)
+
+
+@pytest.fixture
+def p4_file(tmp_path):
+    p = tmp_path / "p4.json"
+    p.write_text(json.dumps({"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}), encoding="utf-8")
     return str(p)
 
 
@@ -99,13 +107,10 @@ def test_veronese_subcommand(capsys):
     assert doc["level_criterion"] is False
     assert doc["violating_subset"] == [2, 3, 4]
     assert doc["int_star_degree"] == 3
-    code, doc = run_json(capsys, ["veronese", "--a", "4", "--c", "2,2,2",
-                                  "--formula", "--json"])
+    assert doc["uniform_formula"] is None       # the bounds are not uniform
+    code, doc = run_json(capsys, ["veronese", "--a", "4", "--c", "2,2,2", "--json"])
     assert doc["level_criterion"] is True and doc["uniform_formula"] is True
     assert doc["int_star_degree"] == 1
-    code, doc = run_json(capsys, ["veronese", "--a", "4", "--c", "2,2,2",
-                                  "--no-degree", "--json"])
-    assert doc["int_star_degree"] is None
 
 
 def test_bipartite_subcommand(capsys):
@@ -121,15 +126,11 @@ def test_bipartite_subcommand(capsys):
     assert doc["mode"] == "box" and doc["level"] is True
 
 
-def test_tree_check_and_search(capsys, tmp_path):
-    doc = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}
-    p = tmp_path / "p4.json"
-    p.write_text(json.dumps(doc), encoding="utf-8")
-    code, out = run_json(capsys, ["tree-check", str(p), "--search", "2", "--json"])
+def test_tree_check_and_search(capsys, p4_file):
+    code, out = run_json(capsys, ["tree-check", p4_file, "--json"])
     assert code == 0
-    assert out["labeling_pseudo_gorenstein"] is True
-    assert out["search_witness"] == [2, 2, 2, 2]
-    code, out = run_json(capsys, ["search-labeling", str(p), "--cmax", "2", "--json"])
+    assert out == {"labeling_pseudo_gorenstein": True}
+    code, out = run_json(capsys, ["search-labeling", p4_file, "--cmax", "2", "--json"])
     assert code == 0 and out["c"] == [2, 2, 2, 2]
 
 
@@ -193,3 +194,109 @@ def test_sweep_veronese_rejects_n_below_1(capsys, n):
 def test_budget_exit_code(capsys, k34_file):
     assert main(["analyze", k34_file, "--budget", "5"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--m", "-1", "--n", "3", "--c", "2,2"], "--m"),
+    (["--m", "2", "--n", "0", "--c", "2,2"], "--n"),
+    (["--m", "2", "--n", "1", "--c", "0,0,0"], "--c"),
+])
+def test_bipartite_rejects_sizes_and_bounds_below_1(capsys, argv, flag):
+    """Equal side sums once let these through as a plain box."""
+    assert main(["bipartite"] + argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}") and "Traceback" not in captured.err
+
+
+def test_int_star_degree_empty_interior_scans_level_2(capsys, tmp_path):
+    """The unit square (path(2), c = (1, 1)) has degree-2 points at level 2,
+    the one level of the default scan."""
+    square = tmp_path / "path2.json"
+    square.write_text(json.dumps({"n": 2, "edges": [[1, 2]], "c": [1, 1]}), encoding="utf-8")
+    code, doc = run_json(capsys, ["int-star-degree", str(square), "--json"])
+    assert code == 0 and doc == {"int_star_degree": 2, "scan_bound_used": 2}
+
+
+class _ReadRecorder:
+    """Stands in for the parsed namespace and records each attribute read."""
+
+    def __init__(self, namespace):
+        self._values, self.read = vars(namespace), set()
+
+    def __getattr__(self, name):
+        if name not in self._values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self._values[name]
+
+
+VERONESE = "4,2,2,2"
+
+
+def _valid_forms(graph, tree):
+    """Valid arguments for each subcommand; commands that take a graph file
+    or --veronese are run both ways."""
+    poly = [[graph], ["--veronese", VERONESE]]
+    return {
+        "analyze": [[graph]],
+        "facets": poly,
+        "delta-vector": poly,
+        "level": poly,
+        "psg": poly,
+        "int-star-degree": poly,
+        "reduced-degree": [form + ["--point", "1,1,1", "--level", "1"] for form in poly],
+        "veronese": [["--a", "4", "--c", "2,2,2"]],
+        "bipartite": [["--m", "2", "--n", "2", "--c", "2,2,2,2"]],
+        "tree-check": [[tree]],
+        "search-labeling": [[tree, "--cmax", "2"]],
+        "sweep-veronese": [["--n", "2", "--cmax", "3"]],
+        "verify": [],       # takes no option, so there is nothing to read
+    }
+
+
+def test_every_accepted_option_is_read(capsys, path3_file, p4_file):
+    """Each subcommand accepts exactly the options its handler reads."""
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    forms = _valid_forms(path3_file, p4_file)
+    assert set(forms) == set(commands)
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        read = set()
+        for form in forms[name]:
+            namespace = parser.parse_args([name] + form)
+            recorder = _ReadRecorder(namespace)
+            assert namespace.func(recorder) == 0
+            read |= recorder.read
+        assert dests <= read, f"{name} accepts options it never reads: {dests - read}"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,removed", [
+    (["verify"], ["--suite", "paper"]),
+    (["verify"], ["--json"]),
+    (["verify"], ["--budget", "5"]),
+    (["verify"], ["--strict"]),
+    (["veronese", "--a", "4", "--c", "2,2,2"], ["--formula"]),
+    (["veronese", "--a", "4", "--c", "2,2,2"], ["--degree"]),
+    (["veronese", "--a", "4", "--c", "2,2,2"], ["--no-degree"]),
+    (["tree-check", "TREE"], ["--search", "2"]),
+    (["tree-check", "TREE"], ["--c", "2,2,2,2"]),
+    (["tree-check", "TREE"], ["--budget", "5"]),
+    (["search-labeling", "TREE", "--cmax", "2"], ["--c", "2,2,2,2"]),
+    (["facets", "--veronese", VERONESE], ["--strict"]),
+    (["delta-vector", "--veronese", VERONESE], ["--strict"]),
+    (["int-star-degree", "--veronese", VERONESE], ["--strict"]),
+    (["reduced-degree", "--veronese", VERONESE, "--point", "1,1,1", "--level", "1"],
+     ["--strict"]),
+    (["sweep-veronese", "--n", "2", "--cmax", "3"], ["--strict"]),
+    (["bipartite", "--m", "2", "--n", "2", "--c", "2,2,2,2"], ["--budget", "5"]),
+])
+def test_removed_options_exit_2(capsys, p4_file, argv, removed):
+    argv = [p4_file if arg == "TREE" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + removed)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err

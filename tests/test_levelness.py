@@ -70,10 +70,23 @@ def test_int_star_degree_examples(path3_hull, veronese_5333):
 
 
 def test_int_star_degree_empty_interior_raises():
-    square = pl.HPolytope(2, (((1,), 1), ((2,), 1)))
-    with pytest.raises(ValueError, match="empty interior"):
-        pl.int_star_degree(square)
-    assert pl.level_star(square) == (False, None)
+    """The simplices Delta_2 and Delta_3 have no interior point in any
+    scanned dilate (levels 1..2), so no degree is defined."""
+    for simplex in (pl.HPolytope(2, (((1, 2), 1),)), pl.HPolytope(3, (((1, 2, 3), 1),))):
+        with pytest.raises(ValueError, match="empty interior: no dilate up to level 2"):
+            pl.int_star_degree(simplex)
+        assert pl.level_star(simplex) == (False, None)
+
+
+@pytest.mark.parametrize("c", [(1, 1), (1, 3)])
+def test_int_star_degree_empty_interior_reads_level_2(c):
+    """The hull of path(2) is the unit square: no interior point, but every
+    interior point of 2*P has a degree, and the default scan reaches
+    level 2 for the int* degree as it does for level*."""
+    P = pl.facets(pl.enumerate_bases(pl.path(2), c))
+    assert pl.count_lattice_points(P, 1, "interior") == 0
+    want = max(brute_reduced_degree(P, a, 2) for a in brute_interior_points(P, 2))
+    assert pl.int_star_degree(P) == want == 2
 
 
 def test_level_star_witnesses(path3_hull, k34_hull):
@@ -340,8 +353,8 @@ def test_analyze_report_empty_interior():
     rep = pl.analyze_polytope(square)
     assert rep.interior_count_1 == 0
     assert not rep.level and not rep.pseudo_gorenstein
-    assert rep.int_star_degree is None
-    assert rep.conjecture_spectrum_holds is None
+    assert rep.int_star_degree == 2         # (1, 1) at level 2, as scanned
+    assert rep.conjecture_spectrum_holds is True
     assert rep.failure_witness is None
 
 
@@ -360,18 +373,18 @@ def _or_none(f, P):
     facet_systems(max_n=4),
     facet_systems(max_n=2),
 ))
-# n = 2, where the report scans level 2 for level* but not for the int*
-# degree: with an interior point, and without one (level 2 holds degree 2)
+# n = 2, where the default scan is level 2 alone: with an interior point,
+# and without one (level 2 holds degree 2)
 @example(pl.HPolytope(2, (((1,), 3), ((2,), 2), ((1, 2), 4))))
 @example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))
 def test_report_matches_the_verdict_functions(P):
     """The report's verdicts, read off one degree set, against `level_star`,
     which walks the levels alone, and against the flat per-point oracle:
     the int* degree is the largest reduced degree over levels
-    2..max(1, n - 1), or 1 when P has an interior point."""
+    2..max(2, n - 1), or 1 when P has an interior point."""
     rep = pl.analyze_polytope(P)
     assert (rep.level, rep.failure_witness and rep.failure_witness[:2]) == pl.level_star(P)
-    degrees = {brute_reduced_degree(P, a, N) for N in range(2, max(1, P.n - 1) + 1)
+    degrees = {brute_reduced_degree(P, a, N) for N in range(2, max(2, P.n - 1) + 1)
                for a in brute_interior_points(P, N)}
     d = max(degrees, default=1 if brute_interior_points(P, 1) else None)
     want = d, None if d is None else all(i in degrees for i in range(2, d))
