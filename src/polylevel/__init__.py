@@ -67,12 +67,10 @@ from .levelness import (
 )
 from .polymatroid import (
     HPolytope,
+    Polymatroid,
     RankOracle,
     VeroneseSpec,
     facets,
-    is_closed,
-    is_inseparable,
-    rank,
     star_prism,
     veronese_polytope,
 )
@@ -87,6 +85,7 @@ __all__ = [
     "Graph",
     "HPolytope",
     "LevelnessReport",
+    "Polymatroid",
     "RankOracle",
     "VeroneseSpec",
     "analyze_polytope",
@@ -107,9 +106,7 @@ __all__ = [
     "facets",
     "graph",
     "int_star_degree",
-    "is_closed",
     "is_connected",
-    "is_inseparable",
     "is_tree",
     "is_unimodal",
     "lattice_points",
@@ -119,7 +116,6 @@ __all__ = [
     "normality_check",
     "path",
     "pseudo_gorenstein_star",
-    "rank",
     "realize_degree_sequence",
     "reduced_degree",
     "reflexive_up_to_translation",

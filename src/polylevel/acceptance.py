@@ -29,6 +29,7 @@ from . import (
     divisor_set,
     enumerate_bases,
     facets,
+    graph,
     int_star_degree,
     is_unimodal,
     lattice_points,
@@ -356,12 +357,16 @@ def criterion_13() -> tuple[bool, str]:
 def criterion_14() -> tuple[bool, str]:
     """every catalog polytope decomposes its dilates (levels 2 and 3).
 
-    By the scan: `normality_check` answers laminar systems by theorem.
+    By the scan: `normality_check` answers laminar systems and every
+    `Polymatroid` by theorem.  The catalog holds one hull with crossing
+    aggregates, on 6 vertices, the fewest where they occur.
     """
     failures: list[str] = []
     catalog = _delta_catalog()
     catalog.append(("k34-hull", hull_polytope(complete_bipartite(3, 4), (2,) * 7)))
     catalog.append(("spider-hull", hull_polytope(tree_from_parents((1, 1, 1, 2, 3, 4)), (2,) * 7)))
+    catalog.append(("crossing-hull", hull_polytope(
+        graph(6, [(1, 2), (1, 3), (1, 5), (2, 4), (3, 6)]), (1, 4, 2, 2, 3, 1))))
     for total in (4, 5):
         for spec in _bipartite_specs(total, 3)[::7]:
             catalog.append((f"bipartite-{spec.m}-{spec.n}-{spec.c}",

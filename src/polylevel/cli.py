@@ -41,7 +41,6 @@ from .lattice import (
     reflexive_up_to_translation,
 )
 from .levelness import (
-    _top_level,
     analyze_polytope,
     int_star_degree,
     level_star,
@@ -231,8 +230,11 @@ def cmd_psg(args) -> int:
 
 def cmd_int_star_degree(args) -> int:
     P = _polytope(args)
+    # one memoized report: `int_star_degree` reads its field, or raises
+    # for an empty interior
     d = int_star_degree(P, max_level=args.max_level, budget=args.budget)
-    payload = {"int_star_degree": d, "scan_bound_used": _top_level(P, args.max_level)}
+    rep = analyze_polytope(P, max_level=args.max_level, budget=args.budget)
+    payload = {"int_star_degree": d, "scan_bound_used": rep.scan_bound}
     _emit(args, payload, [f"int* degree: {d}"])
     return 0
 

@@ -42,8 +42,12 @@ so (Schrijver, Theory of Linear and Integer Programming, 1986).  A TU
 system with an integral right-hand side has the integer decomposition
 property: every lattice point of N*P is a sum of N lattice points of P,
 for every N (Baum-Trotter, Integer rounding and polyhedral decomposition
-for totally unimodular systems, 1978).  So `normality_check` answers
-laminar systems without a scan; only crossing aggregates are scanned.
+for totally unimodular systems, 1978).  So does every integral
+polymatroid, laminar or not (Herzog-Hibi, Discrete polymatroids, 2002),
+and every hull and box-and-cutoff polytope is one: `facets` and
+`veronese_polytope` mark it with the type `polymatroid.Polymatroid`.  So
+`normality_check` answers a `Polymatroid` and a laminar system without a
+scan; only a hand-built system with crossing aggregates is scanned.
 
 Counting by blocks.  Every facet lives in one block, so N*P and its
 interior are products of the block dilates (the product separability of
@@ -90,7 +94,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import BudgetExceededError
-from .polymatroid import _MEMO_SIZE, HPolytope
+from .polymatroid import _MEMO_SIZE, HPolytope, Polymatroid
 
 ExponentVector = tuple[int, ...]
 
@@ -115,12 +119,18 @@ def membership(P: HPolytope, x, N: int = 1, region: str = "full") -> bool:
     return True
 
 
-def _dilation(N, least: int) -> int:
-    """N as an int >= least; anything `operator.index` accepts passes."""
+def _integer(value, what: str) -> int:
+    """value as an int; anything `operator.index` accepts passes.  `what`
+    names it in the error."""
     try:
-        N = operator.index(N)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"dilation level must be an integer, got {N!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _dilation(N, least: int) -> int:
+    """N as an int >= least."""
+    N = _integer(N, "dilation level")
     if N < least:
         raise ValueError(f"dilation level must be >= {least}")
     return N
@@ -526,15 +536,19 @@ class DeltaVector:
         return sum(self.delta)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def delta_vector(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> DeltaVector:
     """The Ehrhart counts i(P, N) for N = 0..n and the delta vector.
 
     Also counts the interior of P (N = 1) to check delta_n against it, as
     in the module docstring; `budget` bounds each of these n + 2 counts
-    separately.  Answers are memoized by (P, budget) (see
-    `polymatroid._MEMO_SIZE`); a raised error is not kept.
+    separately.  Answers are memoized by (P, budget) however they are
+    passed (see `polymatroid._MEMO_SIZE`); a raised error is not kept.
     """
+    return _delta_vector(P, budget)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _delta_vector(P: HPolytope, budget: int) -> DeltaVector:
     n = P.n
     counts = tuple(count_lattice_points(P, N, "full", budget=budget) for N in range(n + 1))
     delta = tuple(
@@ -573,15 +587,15 @@ def normality_check(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET)
     """Does every lattice point of N*P split into N points of P, N <= max_n?
 
     Returns (True, None) or (False, (N, witness_point)), the witness the
-    lex-least point of the first level that fails.  A laminar facet system
-    (every box-and-cutoff polytope, every hull whose aggregate facets are
-    disjoint or nested) is normal by the theorem in the module docstring,
-    so the answer is (True, None) without enumeration.  Any other system
-    goes through `_normality_scan`; `budget` bounds only that scan.
+    lex-least point of the first level that fails.  A `Polymatroid` (every
+    hull and box-and-cutoff polytope) and a laminar facet system are
+    normal by the theorems in the module docstring, so the answer is
+    (True, None) without enumeration.  Any other system goes through
+    `_normality_scan`; `budget` bounds only that scan.
     """
-    if max_n < 2:
+    if _integer(max_n, "max_n") < 2:
         raise ValueError("max_n must be >= 2")
-    if _structure(P).laminar:
+    if isinstance(P, Polymatroid) or _structure(P).laminar:
         return True, None
     return _normality_scan(P, max_n, budget)
 

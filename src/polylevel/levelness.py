@@ -21,9 +21,9 @@ level N > r yields one of reduced degree exactly r at level r: split off
 an interior summand a0 of r*P; were a0 = b0 + b' with b0 interior to s*P,
 s < r, then a itself would split at s.  So the int* degree, if finite, is
 reached at level N = r, and this needs no interior point of P.  The
-degree scan uses it: where splits are monotone in r (laminar systems,
-below) the degrees >= 2 over the levels 2..top are exactly the levels N
-there at which some interior point of N*P does not split at N - 1.
+degree scan uses it: the degrees >= 2 over the levels 2..top are exactly
+the levels N there at which some interior point of N*P has reduced
+degree N, one test per level (below).
 What is tested, not proved: with an interior point of P the reduced
 degree never exceeds n - 1 (`test_reduced_degree_bounded` checks the
 per-point degrees and compares the int* degree against a scan to level
@@ -40,12 +40,46 @@ forms that `lattice._normality_scan` uses with slack 0.  With disjoint
 aggregates, the search for failing points prunes with the knapsack rows
 below, at r = 1.
 
-Degrees by one test per level.  With pairwise disjoint aggregates
-(`_failing_levels`), whether some interior point of N*P fails to split
-at r = N - 1 is one exact test.  If N*P has no interior point (the
-all-ones test) the answer is no; if r*P has none it is yes.  Otherwise
-a coordinate window is never empty, a lone coordinate always splits, and
-a point fails exactly when, for some aggregate (A, t) with m members,
+Degrees by one test per level.  `_is_degree` asks whether some interior
+point of N*P has reduced degree N.  If N*P has no interior point (the
+all-ones test) the answer is no; if (N-1)*P has none it is yes.
+Otherwise it hangs on whether splits are monotone in r, that is, whether
+a point that splits at r splits at every r' > r.  They are when P has
+the integer decomposition property: move a lattice point of P from the
+other summand into the interior one.  A laminar system has it, being
+totally unimodular, and so does every integral polymatroid (the
+`lattice` docstring cites the theorems); `facets` and
+`veronese_polytope` mark theirs with the type `Polymatroid`.  Then a
+point has degree N exactly when it does not split at N - 1, and the
+test asks that:
+
+* with pairwise disjoint aggregates, by the knapsack below;
+* for any other laminar system or `Polymatroid`, block by block.  The
+  blocks are the connected components of the aggregate facet supports.
+  Every facet lives in one block, so P is the product of its block
+  polytopes, the interior of N*P is the product of the block interiors,
+  and the summand window at (N, r) constrains each block separately: a
+  point splits at r exactly when each of its block parts does, which
+  needs no monotonicity.  So some point fails at N - 1 exactly when some
+  block has more interior points than points that split at N - 1.  A
+  lone coordinate always splits.  A laminar block is counted without
+  visiting a point, by a dynamic program over its laminar forest that
+  counts the interval propagation of `lattice._split_feasible_laminar`
+  instead of testing it: per aggregate (A, t) the state is (s, lo, hi),
+  s the sum over A and lo..hi the sums over A the summand can reach,
+  pruned at s > N t - 1 and lo > r t - 1.  A crossing block is walked.
+
+A hand-built system with crossing aggregates has no such theorem, and
+splits need not be monotone: in {x1 <= 3, x4 <= 3, x1 + x2 <= 3,
+x1 + x3 <= 5, x2 + x3 <= 5}, which is level*, the point (4, 4, 10, 1) of
+the interior of 3P splits at r = 1 and r = 3 but not at r = 2.  Its
+interior points of N*P are walked for one whose least split is N.
+`budget` bounds the states of the dynamic programs of one level and the
+nodes of every walk.
+
+With pairwise disjoint aggregates a coordinate window is never empty, a
+lone coordinate always splits, and a point of N*P fails to split at r
+(here r = N - 1) exactly when, for some aggregate (A, t) with m members,
 
     top:     sum_A (a_i - (r u_i - 1))^+     >  (N - r) t,   or
     bottom:  sum_A max(1, a_i - (N - r) u_i) >  r t - 1,
@@ -66,40 +100,17 @@ uncapped one nothing), the need drops by the gains, and the room is
 N t - 1 less the placed sum and the m - j members left; some completion
 meets the condition exactly when rows[j][need] + need fits the room.
 
-Counting by block.  The table's length needs the histogram {(N, r):
-count}, and so do the degrees of a hull whose aggregates are not
-disjoint; `_degree_histogram` counts it block by block, for the table
-only on its first `len()`.  The blocks are the connected components of
-the aggregate facet supports.  Every facet lives in one block, so P is
-the product of its block polytopes, the interior of N*P is the product
-of the block interiors, and the summand window at (N, r) constrains each
-block separately: a point splits at r exactly when each of its block
-parts does, and the histogram of a level is the product over blocks of
-their histograms of feasible-r bitmasks, intersected.  A laminar block
-is totally unimodular and so has the integer decomposition property (the
-`lattice` docstring cites both), hence a point that splits at r splits
-at every r' > r: move a lattice point of P from the other summand into
-the interior one.  So a point of degree r gets the bits r..N, and the
-points of degree <= r are counted without visiting them, by a dynamic
-program over the laminar forest that counts the interval propagation of
-`lattice._split_feasible_laminar` instead of testing it: per aggregate
-(A, t) the state is (s, lo, hi), s the sum over A and lo..hi the sums
-over A the summand can reach, pruned at s > N t - 1 and lo > r t - 1.  A
-crossing block assumes no monotonicity: its interior points are
-enumerated and every r is tested.  A degree r counts only when r*P has
-an interior point (the all-ones point is the least candidate), since a
-split at r needs one.  `budget` bounds the states of the dynamic
-programs and the nodes of every enumeration.
-
 The table's points.  A degree r >= 2 is met at level r (above), so the
-least degree in `_degree_set` is the first level holding a failing point
+least degree the tests find is the first level holding a failing point
 (one without a degree-1 split): P is level* when it has an interior
-point and the set is empty, the witness is the lex-least failing point
+point and no level has one, the witness is the lex-least failing point
 of that level, and the report's table starts there.  The table is a lazy
-view of the histogram that holds no point: its length is a sum of
-counts, taken on demand, a lookup tests the one point, and iterating
-re-runs the scan of failing points level by level; with an empty
-interior of P every interior point fails.  That scan stays because it is
+view that holds no point.  Its length, taken on demand, is per level the
+interior count less the points that split at r = 1, counted block by
+block as above (their product; none when P has no interior point).  A
+lookup tests the one point, and iterating re-runs the scan of failing
+points level by level; with an empty interior of P every interior point
+fails.  That scan stays because it is
 output-sensitive: with disjoint aggregates it enters a subtree only
 while some aggregate can still fail, where plain enumeration visits
 every interior point: with plain enumeration in its place, acceptance
@@ -112,6 +123,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .errors import BudgetExceededError
 # `lattice_points` is not called here; it stays bound because the
@@ -119,6 +131,7 @@ from .errors import BudgetExceededError
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
+    _integer,
     _split_exists,
     _structure,
     _unit_gaps,
@@ -127,7 +140,7 @@ from .lattice import (
     lattice_points,
     membership,
 )
-from .polymatroid import _MEMO_SIZE, HPolytope
+from .polymatroid import _MEMO_SIZE, HPolytope, Polymatroid
 
 ExponentVector = tuple[int, ...]
 
@@ -277,12 +290,13 @@ def _failing_degrees(P: HPolytope, levels, budget: int):
             yield (N, a), _least_split(st, a, N, 2)
 
 
-# --- degree histogram by block ---------------------------------------------
+# --- one test per level, and the degree-1 count, by block -----------------
 
 def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
-    """The block polytope: the facets supported in `members`, renumbered 1.."""
+    """The block polytope: the facets supported in `members`, renumbered
+    1..; it keeps the type of P, as a block of a `Polymatroid` is one."""
     local = {v: k for k, v in enumerate(members, 1)}
-    return HPolytope(len(members), tuple(
+    return type(P)(len(members), tuple(
         (tuple(local[i] for i in A), t) for A, t in P.upper_facets if A[0] in local
     ))
 
@@ -331,52 +345,9 @@ def _subtree_states(st: _Structure, k: int, N: int, r: int, spend) -> dict:
     return out
 
 
-def _block_masks(Q: HPolytope, N: int, budget: int, spend) -> dict[int, int]:
-    """{mask: points} over the interior of N*Q, Q one block: bit r-1 of a
-    point's mask is set when it splits at r.
-
-    A laminar block splits monotonically in r, so a point of degree r gets
-    bits r..N, and the points of degree <= r are counted by the dynamic
-    program of `_subtree_states` rooted at the block's one maximal aggregate
-    (a lone coordinate splits wherever r*Q has an interior point).  A
-    crossing block is enumerated, and every feasible r is tested.
-    """
-    st = _structure(Q)
-    full = (1 << N) - 1
-    hist: dict[int, int] = {}
-    if not st.laminar:
-        tests = [r for r in range(1, N) if _interior_at(Q, r)]
-        for a in iter_lattice_points(Q, N, "interior", budget=budget):
-            mask = 1 << (N - 1)                 # r = N always splits
-            for r in tests:
-                if _split_exists(st, a, N, r, 1):
-                    mask |= 1 << (r - 1)
-            hist[mask] = hist.get(mask, 0) + 1
-        return hist
-    total = count_lattice_points(Q, N, "interior", budget=budget)
-    below = 0                                   # points of degree < r
-    for r in range(1, N + 1):
-        if below == total:
-            break
-        if r < N and not _interior_at(Q, r):
-            continue
-        if r == N or not st.aggs:
-            upto = total
-        else:
-            upto = sum(_subtree_states(st, len(st.aggs) - 1, N, r, spend).values())
-        if upto > below:
-            hist[full >> (r - 1) << (r - 1)] = upto - below
-            below = upto
-    return hist
-
-
-def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int], int]:
-    """Exact {(N, r): count} of reduced degrees over the interior of N*P.
-
-    Identical block polytopes share one count.  `budget` bounds the states
-    of the dynamic programs and the nodes of each enumeration.
-    """
-    parts = [_restrict(P, members) for members in _structure(P).blocks]
+def _state_budget(budget: int):
+    """A `spend(states)` for the dynamic programs of one count, raising
+    once they hold more than `budget` states in all."""
     spent = 0
 
     def spend(states: int) -> None:
@@ -386,59 +357,61 @@ def _degree_histogram(P: HPolytope, levels, budget: int) -> dict[tuple[int, int]
             raise BudgetExceededError(f"degree count exceeded {budget} states",
                                       cap="budget", limit=budget)
 
-    masks: dict = {}
-    hist: dict[tuple[int, int], int] = {}
-    for N in levels:
-        combined = {(1 << N) - 1: 1}
-        for Q in parts:
-            if (Q, N) not in masks:
-                masks[Q, N] = _block_masks(Q, N, budget, spend)
-            nxt: dict[int, int] = {}
-            for m1, c1 in combined.items():
-                for m2, c2 in masks[Q, N].items():
-                    nxt[m1 & m2] = nxt.get(m1 & m2, 0) + c1 * c2
-            combined = nxt
-            if not combined:  # a block without interior points at this level
-                break
-        for mask, count in combined.items():
-            key = (N, (mask & -mask).bit_length())
-            hist[key] = hist.get(key, 0) + count
-    return hist
+    return spend
 
 
-# --- degree set by one knapsack test per level ----------------------------
+def _block_splits(Q: HPolytope, N: int, r: int, budget: int, spend) -> int:
+    """The interior points of N*Q that split at r, for Q one block and r*Q
+    with an interior point: a lone coordinate always splits, a laminar
+    block is counted by its dynamic program, whose root is its largest
+    aggregate, and a crossing block is walked."""
+    st = _structure(Q)
+    if not st.aggs:
+        return count_lattice_points(Q, N, "interior", budget=budget)
+    if st.laminar:
+        return sum(_subtree_states(st, len(st.aggs) - 1, N, r, spend).values())
+    return sum(1 for a in iter_lattice_points(Q, N, "interior", budget=budget)
+               if _split_exists(st, a, N, r, 1))
 
-def _failing_levels(P: HPolytope, levels) -> set[int]:
-    """The levels N among `levels` at which some interior point of N*P has
-    no split at N - 1, i.e. has reduced degree N; for a facet system with
-    pairwise disjoint aggregates, where the set of reduced degrees >= 2 is
-    exactly this set."""
+
+def _is_degree(P: HPolytope, N: int, budget: int) -> bool:
+    """Has some interior point of N*P reduced degree N?  Decided as the
+    module docstring says, by facet structure; `budget` bounds the states
+    of the dynamic programs of this level and the nodes of each walk."""
+    if not _interior_at(P, N):
+        return False
+    if not _interior_at(P, N - 1):
+        return True
     st = _structure(P)
-    out = set()
-    for N in levels:
-        if not _interior_at(P, N):
-            continue
+    if st.disjoint:
         # the first condition met stops the search
-        if not _interior_at(P, N - 1) or any(
-                True for A, t in st.aggs for _ in _met_conditions(st, A, t, N, N - 1)):
-            out.add(N)
-    return out
+        return any(True for A, t in st.aggs for _ in _met_conditions(st, A, t, N, N - 1))
+    if not (st.laminar or isinstance(P, Polymatroid)):
+        return any(_least_split(st, a, N, 1) == N
+                   for a in iter_lattice_points(P, N, "interior", budget=budget))
+    spend = _state_budget(budget)
+    blocks = {_restrict(P, members) for members in st.blocks}
+    return any(count_lattice_points(Q, N, "interior", budget=budget)
+               > _block_splits(Q, N, N - 1, budget, spend) for Q in blocks)
 
 
-def _degree_set(P: HPolytope, levels, budget: int) -> set[int]:
-    """The reduced degrees >= 2 over the interior points of N*P, N in
-    `levels`, for `levels` 2..top or one level above levels that have
-    none: one knapsack test per level with disjoint aggregates
-    (`_failing_levels`), else read off `_degree_histogram`."""
-    if _structure(P).disjoint:
-        return _failing_levels(P, levels)
-    return {r for _N, r in _degree_histogram(P, levels, budget) if r >= 2}
+def _degree_one_count(P: HPolytope, N: int, budget: int) -> int:
+    """The interior points of N*P that split at r = 1: the product over the
+    blocks of their counts, and 0 when P has no interior point."""
+    if not _interior_at(P, 1):
+        return 0
+    spend = _state_budget(budget)
+    blocks = [_restrict(P, members) for members in _structure(P).blocks]
+    counts = {Q: _block_splits(Q, N, 1, budget, spend) for Q in set(blocks)}
+    return prod(counts[Q] for Q in blocks)
 
 
 def _top_level(P: HPolytope, max_level: int | None) -> int:
-    """The last scanned level: `max_level`, or by default max(2, n - 1)."""
+    """The last scanned level: `max_level`, an integer of at least 2, or by
+    default max(2, n - 1)."""
     if max_level is None:
         return max(2, P.n - 1)
+    max_level = _integer(max_level, "max_level")
     if max_level < 2:
         raise ValueError("max_level must be at least 2")
     return max_level
@@ -447,10 +420,9 @@ def _top_level(P: HPolytope, max_level: int | None) -> int:
 class _DegreeTable(Mapping):
     """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
 
-    It holds no point: its length is a sum of the histogram's counts,
-    counted by `_degree_histogram` on the first `len()` and then kept, a
-    lookup tests the one point, and iterating re-runs the failing-point
-    scan level by level, taking each degree from that scan.
+    It holds no point: its length is counted on the first `len()` and then
+    kept, a lookup tests the one point, and iterating re-runs the
+    failing-point scan level by level, taking each degree from that scan.
     """
 
     def __init__(self, P: HPolytope, levels, budget: int):
@@ -459,8 +431,9 @@ class _DegreeTable(Mapping):
 
     def __len__(self) -> int:
         if self._len is None:
-            hist = _degree_histogram(self._P, self._levels, self._budget)
-            self._len = sum(c for (_N, r), c in hist.items() if r >= 2)
+            P, budget = self._P, self._budget
+            self._len = sum(count_lattice_points(P, N, "interior", budget=budget)
+                            - _degree_one_count(P, N, budget) for N in self._levels)
         return self._len
 
     def __getitem__(self, key):
@@ -504,7 +477,7 @@ def level_star(P: HPolytope, max_level: int | None = None,
     if not _interior_at(P, 1):
         return False, None
     for N in range(2, top + 1):
-        if _degree_set(P, (N,), budget):
+        if _is_degree(P, N, budget):
             return False, (N, next(_iter_failing(P, _structure(P), N, budget)))
     return True, None
 
@@ -541,19 +514,23 @@ class LevelnessReport:
     scan_bound: int
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def analyze_polytope(P: HPolytope, max_level: int | None = None,
                      budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
-    """The `LevelnessReport` of P.  Answers are memoized by (P, max_level,
-    budget) (see `polymatroid._MEMO_SIZE`), so equal calls share one frozen
-    report; a raised error is not kept."""
-    scan_bound = _top_level(P, max_level)
+    """The `LevelnessReport` of P.  Answers are memoized by (P, scan bound,
+    budget) (see `polymatroid._MEMO_SIZE`), however the call spells them,
+    so calls that ask for one report share one frozen report; a raised
+    error is not kept."""
+    return _report(P, _top_level(P, max_level), budget)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
     # one count serves every interior question: the interior points are
     # closed downwards within x >= 1, so P has one exactly when the
     # all-ones test `_interior_at(P, 1)` passes
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
-    degrees = _degree_set(P, range(2, scan_bound + 1), budget)
+    degrees = {N for N in range(2, scan_bound + 1) if _is_degree(P, N, budget)}
     first = min(degrees, default=scan_bound + 1)
     witness = None
     if degrees and interior1 > 0:

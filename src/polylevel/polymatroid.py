@@ -14,7 +14,9 @@ what `facets` computes, by direct scan over all 2^n subsets.
 `HPolytope` is the resulting inequality system: implicit lower bounds
 x_i >= 0 plus upper facets with 0/1 normal vectors and integer bounds.
 Polytopes of Veronese type (a box truncated by one full simplex
-inequality) are built directly from their parameter sequence.
+inequality) are built directly from their parameter sequence.  Both
+constructions return a `Polymatroid`, the subclass that marks the
+integer decomposition property.
 """
 
 from __future__ import annotations
@@ -67,20 +69,8 @@ class RankOracle:
         return cls(B.n, B.bases)
 
     def rank_mask(self, mask: int) -> int:
+        """Rank of a subset given as a bitmask, bit i - 1 for element i."""
         return self._table[mask]
-
-    def rank(self, X) -> int:
-        """Rank of a subset given as an iterable of 1-based indices."""
-        mask = 0
-        for i in X:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"index {i} outside 1..{self.n}")
-            mask |= 1 << (i - 1)
-        return self._table[mask]
-
-
-def rank(B: BasisSet, X) -> int:
-    return RankOracle.from_basis_set(B).rank(X)
 
 
 def is_closed_mask(R: RankOracle, mask: int) -> bool:
@@ -131,14 +121,6 @@ def _mask_of(subset: Subset) -> int:
     return m
 
 
-def is_closed(R: RankOracle, A) -> bool:
-    return is_closed_mask(R, _mask_of(tuple(A)))
-
-
-def is_inseparable(R: RankOracle, A) -> bool:
-    return is_inseparable_mask(R, _mask_of(tuple(A)))
-
-
 @dataclass(frozen=True)
 class HPolytope:
     """Inequality system x >= 0, sum_{i in A} x_i <= t per upper facet (A, t).
@@ -174,8 +156,21 @@ class HPolytope:
             raise ValueError(f"unbounded coordinates (no upper facet): {missing}")
 
 
+class Polymatroid(HPolytope):
+    """An `HPolytope` that is an integral polymatroid.
+
+    The type is a claim, made by `facets` and `veronese_polytope`: an
+    integral polymatroid has the integer decomposition property, every
+    lattice point of N*P is a sum of N lattice points of P (Herzog-Hibi,
+    Discrete polymatroids, 2002), and so has each of its product blocks.
+    `lattice.normality_check` and the degree test of `levelness` rely on
+    it.  An `HPolytope` with the same facets is not one, and compares
+    unequal to it.
+    """
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def facets(B: BasisSet) -> HPolytope:
+def facets(B: BasisSet) -> Polymatroid:
     """Irredundant facet system of the hull of the divisor set of B.
 
     Scans subsets in (size, lex) order; output keeps that order, so
@@ -195,7 +190,7 @@ def facets(B: BasisSet) -> HPolytope:
             mask = _mask_of(combo)
             if is_closed_mask(R, mask) and is_inseparable_mask(R, mask):
                 out.append((combo, R.rank_mask(mask)))
-    return HPolytope(n=B.n, upper_facets=tuple(out))
+    return Polymatroid(n=B.n, upper_facets=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -220,14 +215,15 @@ class VeroneseSpec:
             )
 
 
-def veronese_polytope(spec: VeroneseSpec) -> HPolytope:
-    """Box 0 <= x_i <= c_i truncated by x_1 + ... + x_n <= a."""
+def veronese_polytope(spec: VeroneseSpec) -> Polymatroid:
+    """Box 0 <= x_i <= c_i truncated by x_1 + ... + x_n <= a: the
+    polymatroid of the rank min(a, sum_X c)."""
     ups = [((i,), spec.c[i - 1]) for i in range(1, spec.n + 1)]
     ups.append((tuple(range(1, spec.n + 1)), spec.a))
-    return HPolytope(n=spec.n, upper_facets=tuple(ups))
+    return Polymatroid(n=spec.n, upper_facets=tuple(ups))
 
 
-def star_prism(spec: VeroneseSpec) -> HPolytope:
+def star_prism(spec: VeroneseSpec) -> Polymatroid:
     """Hull polytope of the star K_{1,n} with bounds (a, c_1, ..., c_n).
 
     Built through the generic basis/facet pipeline; the result equals the

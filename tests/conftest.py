@@ -70,8 +70,9 @@ def facet_systems(draw, max_n=4, max_t=2, max_aggs=3, laminar=False):
     return pl.HPolytope(n, tuple(facets))
 
 
-# the memos of the per-polymatroid answers
-MEMOS = (polymatroid.facets, levelness.analyze_polytope, lattice.delta_vector)
+# the memos of the per-polymatroid answers: `analyze_polytope` and
+# `delta_vector` normalize their arguments and call these private caches
+MEMOS = (polymatroid.facets, levelness._report, lattice._delta_vector)
 
 
 @pytest.fixture(autouse=True)

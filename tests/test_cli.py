@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from polylevel import levelness
 from polylevel.cli import _build_parser, main
 
 
@@ -182,6 +183,17 @@ def test_int_star_degree_rejects_max_level_1(capsys):
     """Level 1 scans no degree >= 2, so it cannot bound the int* degree."""
     assert main(["int-star-degree", "--veronese", "6,5,3,3,3", "--max-level", "1"]) == 2
     assert "max_level must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_level", [[], ["--max-level", "4"]])
+def test_int_star_degree_reads_one_report(capsys, max_level):
+    """The degree and the scan bound come from one memo entry."""
+    code, doc = run_json(capsys, ["int-star-degree", "--veronese", "6,5,3,3,3", "--json"]
+                         + max_level)
+    assert code == 0 and doc == {"int_star_degree": 3,
+                                 "scan_bound_used": 4 if max_level else 3}
+    info = levelness._report.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

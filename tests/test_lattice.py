@@ -235,6 +235,16 @@ def test_normality_examples(path3_hull, triangle_hull):
         pl.normality_check(cube3, 1)
 
 
+def test_normality_level_must_be_an_integer(path3_hull):
+    """A float `max_n` raises, even where the answer needs no scan (a
+    laminar system; it returned (True, None))."""
+    cube3 = pl.HPolytope(3, tuple(((i,), 2) for i in range(1, 4)))
+    for P in (path3_hull, cube3):
+        for bad in (2.5, 3.0):
+            with pytest.raises(ValueError, match="max_n must be an integer"):
+                pl.normality_check(P, bad)
+
+
 def test_normality_detects_failure():
     # {x >= 0, x1+x2 <= 1, x2+x3 <= 1, x1+x3 <= 1} holds only 0 and the unit
     # vectors, yet (1,1,1) lies in the double dilate: not a sum of two points

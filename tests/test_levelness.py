@@ -13,6 +13,7 @@ import polylevel as pl
 from polylevel import levelness
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (
+    _normality_scan,
     _split_exists,
     _split_exists_dfs,
     _split_feasible_laminar,
@@ -20,9 +21,8 @@ from polylevel.lattice import (
 )
 from polylevel.levelness import (
     _cost_rows,
-    _degree_histogram,
-    _failing_levels,
     _interior_at,
+    _is_degree,
     _iter_failing,
     _restrict,
 )
@@ -192,15 +192,71 @@ def test_splits_are_monotone_in_degree(P):
     unimodular (Schrijver, Theory of Linear and Integer Programming, 1986),
     hence has the integer decomposition property (Baum-Trotter 1978), so
     the summand a' of (N-r)*P contains a lattice point p of P, and
-    a = (a0 + p) + (a' - p) splits at r+1.  The degree count of laminar
-    blocks relies on it; crossing graph hulls are checked too.  Checked
-    with the direct search, level by level up to 3.
+    a = (a0 + p) + (a' - p) splits at r+1.  A graph hull is an integral
+    polymatroid, which has the property too (Herzog-Hibi 2002).  The
+    per-level degree test relies on it.  Checked with the direct search,
+    level by level up to 3.
     """
     st_ = _structure(P)
     for N in (2, 3):
         for a in pl.lattice_points(P, N, "interior"):
             feasible = [_split_exists_dfs(st_, a, N, r, 1) for r in range(1, N + 1)]
             assert feasible == sorted(feasible), (N, a)
+
+
+# graph hulls on 6 vertices with crossing aggregates (the first n at which
+# they occur): two with an empty interior, one with four interior points
+_CROSSING_HULLS = [
+    ([(1, 2), (1, 3), (1, 5), (2, 4), (3, 6)], (1, 4, 2, 2, 3, 1)),
+    ([(1, 2), (1, 6), (2, 4), (2, 6), (3, 6), (4, 5), (5, 6)], (2, 1, 3, 1, 4, 2)),
+    ([(1, 2), (1, 4), (2, 3), (3, 6), (4, 6), (5, 6)], (2, 2, 3, 3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("edges, c", _CROSSING_HULLS)
+def test_crossing_graph_hulls_split_monotonically(edges, c):
+    """A crossing graph hull is a `Polymatroid`, so for every interior point
+    of N*P the degrees r at which it splits form an up-set, which the
+    block-by-block degree test relies on; checked with the direct search
+    at levels 2..3 (level 2 alone where P has interior points).  The
+    per-level test matches a walk of every point there, and
+    `normality_check` answers by theorem what the scan confirms."""
+    P = pl.facets(pl.enumerate_bases(pl.graph(6, edges), c))
+    st_ = _structure(P)
+    assert isinstance(P, pl.Polymatroid) and not st_.laminar
+    interior = pl.count_lattice_points(P, 1, "interior") > 0
+    levels = (2,) if interior else (2, 3)
+    for N in levels:
+        for a in pl.lattice_points(P, N, "interior"):
+            feasible = [_split_exists_dfs(st_, a, N, r, 1) for r in range(1, N + 1)]
+            assert feasible == sorted(feasible), (N, a)
+    degrees = {N for N in levels if _is_degree(P, N, 10**8)}
+    walked = {N for N in levels for a in pl.lattice_points(P, N, "interior")
+              if pl.reduced_degree(P, a, N) == N}
+    assert degrees == walked == (set() if interior else {2})
+    assert pl.normality_check(P, 2) == _normality_scan(P, 2) == (True, None)
+
+
+# a hand-built crossing system, not a polymatroid, whose splits are not
+# monotone in r
+_NON_MONOTONE = pl.HPolytope(4, (((1,), 3), ((4,), 3), ((1, 2), 3), ((1, 3), 5), ((2, 3), 5)))
+
+
+def test_non_monotone_crossing_system():
+    """(4, 4, 10, 1) is interior to 3P and splits at r = 1 and 3 but not at
+    r = 2, so reading degree 3 off a failed split at r = 2, as the
+    block-by-block test does, would be wrong: P is level*, and its degrees
+    are found over the whole hull."""
+    P = _NON_MONOTONE
+    st_ = _structure(P)
+    assert not st_.laminar and not isinstance(P, pl.Polymatroid)
+    a = (4, 4, 10, 1)
+    assert pl.membership(P, a, 3, "interior")
+    assert [_split_exists_dfs(st_, a, 3, r, 1) for r in (1, 2, 3)] == [True, False, True]
+    assert brute_level_star(P) and pl.level_star(P) == (True, None)
+    assert pl.int_star_degree(P) == 1
+    assert not any(_is_degree(P, N, 10**8) for N in (2, 3))
+    assert len(pl.analyze_polytope(P).reduced_degree_table) == 0
 
 
 def test_fail_scan_on_two_disjoint_aggregates():
@@ -444,7 +500,20 @@ def test_scan_bound_override(veronese_5333):
     assert rep.scan_bound == 2
 
 
-# --- degree histogram by block ---------------------------------------------
+@pytest.mark.parametrize("f", [pl.analyze_polytope, pl.level_star, pl.int_star_degree,
+                               pl.conjecture_spectrum])
+def test_scan_bound_must_be_an_integer(f, veronese_5333):
+    """A float scan bound raises ValueError (it raised TypeError from
+    `range`), whole or not; an integer type such as NumPy's passes."""
+    import numpy as np
+
+    for bad in (3.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="max_level must be an integer"):
+            f(veronese_5333, max_level=bad)
+    assert f(veronese_5333, max_level=np.int64(3)) == f(veronese_5333, max_level=3)
+
+
+# --- the degree test against the flat oracle ---------------------------------
 
 def _shuffled_product(draw, blocks):
     """HPolytope of the product of (size, facets) blocks, with the
@@ -500,29 +569,40 @@ def _plain_blocks(P):
     return tuple(sorted(tuple(sorted(p)) for p in parts))
 
 
-def _flat_histogram(P, levels):
-    return dict(Counter((N, brute_reduced_degree(P, a, N))
-                        for N in levels for a in brute_interior_points(P, N)))
+def _flat_histogram(P, top):
+    """{(N, r): count} of the reduced degrees r >= 2 of the interior points
+    of N*P, N in 2..top, by the flat per-point oracle."""
+    return Counter((N, r) for N in range(2, top + 1) for a in brute_interior_points(P, N)
+                   if (r := brute_reduced_degree(P, a, N)) >= 2)
+
+
+def _check_histogram(P, top=3):
+    """The per-level degree test, the report's table length and the
+    histogram of its entries against the flat oracle, at levels 2..top."""
+    flat = _flat_histogram(P, top)
+    table = pl.analyze_polytope(P, max_level=top).reduced_degree_table
+    assert {N for N in range(2, top + 1) if _is_degree(P, N, 10**8)} == {r for _N, r in flat}
+    assert len(table) == sum(flat.values())
+    assert Counter((N, r) for (N, _a), r in table.items()) == flat
 
 
 @settings(max_examples=25, deadline=None)
 @given(block_products())
 def test_degree_histogram_matches_flat_oracle(P):
-    """Histogram by block and twin orbit vs the flat per-point oracle."""
+    """Empty interior, a laminar and a crossing block: the crossing system
+    is not monotone by any theorem and is decided over the whole hull."""
     assert _structure(P).blocks == _plain_blocks(P)
     assert len(_structure(P).blocks) >= 2
     assert not _structure(P).laminar
-    hist = _degree_histogram(P, range(1, 4), 10**8)
-    assert hist == _flat_histogram(P, range(1, 4))
+    _check_histogram(P)
 
 
 @settings(max_examples=20, deadline=None)
 @given(interior_products())
 def test_degree_histogram_with_interior_matches_flat_oracle(P):
-    """Nonempty interior: every degree is tested, the block sets intersect."""
+    """Nonempty interior, nested aggregates: decided block by block."""
     assert pl.count_lattice_points(P, 1, "interior") > 0
-    hist = _degree_histogram(P, range(1, 4), 10**8)
-    assert hist == _flat_histogram(P, range(1, 4))
+    _check_histogram(P)
 
 
 @settings(max_examples=15, deadline=None)
@@ -531,8 +611,7 @@ def test_degree_histogram_single_block(P):
     """One block alone, laminar or crossing."""
     Q = _restrict(P, _structure(P).blocks[0])
     assert _structure(Q).blocks == _plain_blocks(Q) == (tuple(range(1, Q.n + 1)),)
-    hist = _degree_histogram(Q, range(1, 4), 10**8)
-    assert hist == _flat_histogram(Q, range(1, 4))
+    _check_histogram(Q)
 
 
 # nested aggregates with an interior point, and without one
@@ -541,35 +620,34 @@ def test_degree_histogram_single_block(P):
 @settings(max_examples=40, deadline=None)
 @given(facet_systems(max_n=5, laminar=True))
 def test_degree_histogram_of_laminar_systems(P):
-    """The dynamic program over the laminar forest vs the flat per-point
-    oracle, with nested aggregates, empty and nonempty interiors."""
+    """The dynamic program over the laminar forest, with nested aggregates,
+    empty and nonempty interiors."""
     assert _structure(P).laminar
-    hist = _degree_histogram(P, range(1, 4), 10**8)
-    assert hist == _flat_histogram(P, range(1, 4))
+    _check_histogram(P)
 
 
 @settings(max_examples=25, deadline=None)
 @given(graph_and_bounds(max_n=5, max_c=3))
 def test_degree_histogram_of_graph_hulls(gc):
-    """Graph hulls: laminar blocks counted, crossing blocks enumerated."""
+    """Graph hulls, which are `Polymatroid`s: decided block by block."""
     P = pl.facets(pl.enumerate_bases(*gc))
-    hist = _degree_histogram(P, range(1, 4), 10**8)
-    assert hist == _flat_histogram(P, range(1, 4))
+    assert isinstance(P, pl.Polymatroid)
+    _check_histogram(P)
 
 
 def test_degree_count_budget():
-    """The budget bounds the states of the degree count, and never
-    truncates it.  Nested aggregates, one interior point, degree 2: each
-    interior count up to level 3 needs at most 27 states, the dynamic
-    programs of levels 2..3 need 228 in all."""
+    """The budget bounds the states of the dynamic programs of one level,
+    and never truncates the answer.  Nested aggregates, one interior point,
+    degree 2: each interior count up to level 3 needs at most 27 states,
+    the dynamic program of level 2 needs 37 and that of level 3 126."""
     P = pl.HPolytope(4, (((1,), 2), ((3,), 3), ((4,), 2), ((1, 2), 4), ((1, 2, 3, 4), 5)))
     assert not _structure(P).disjoint
     for N in (1, 2, 3):
         pl.count_lattice_points(P, N, "interior", budget=100)
     with pytest.raises(BudgetExceededError, match="degree count") as err:
-        pl.int_star_degree(P, budget=100)
-    assert err.value.cap == "budget" and err.value.limit == 100
-    assert pl.int_star_degree(P, budget=228) == 2
+        pl.int_star_degree(P, budget=125)
+    assert err.value.cap == "budget" and err.value.limit == 125
+    assert pl.int_star_degree(P, budget=126) == 2
 
 
 # --- degree set by one knapsack test per level ----------------------------
@@ -596,24 +674,19 @@ def test_cost_rows_match_subsets(items, need, cap):
             assert min(rows[j][c], cap) == min(least, cap), (j, c)
 
 
-def _histogram_degrees(P, levels):
-    return {r for _N, r in _degree_histogram(P, levels, 10**8) if r >= 2}
-
-
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    facet_systems(max_n=5, max_t=4, laminar=True),
+    facet_systems(max_n=5, max_t=3, laminar=True),
     graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
 ))
 def test_failing_levels_match_histogram(P):
     """With disjoint aggregates the degree set is read off one knapsack
-    test per level; it must equal the degrees of the block-by-block
-    histogram at levels 2..4, on hand-built systems with uncapped aggregate
-    members and on graph hulls."""
+    test per level; it must equal the degrees of the flat per-point oracle
+    at levels 2..3, on hand-built systems with uncapped aggregate members
+    and on graph hulls."""
     if not _structure(P).disjoint:
         return
-    levels = range(2, 5)
-    assert _failing_levels(P, levels) == _histogram_degrees(P, levels)
+    _check_histogram(P)
 
 
 def test_failing_levels_examples():
@@ -621,24 +694,22 @@ def test_failing_levels_examples():
     # u_1 = 1: P has no interior point, so at N = 2 the window of x_1 at
     # r = 1 is empty and every interior point of 2P has degree 2
     P = pl.HPolytope(2, (((1,), 1), ((2,), 3), ((1, 2), 3)))
-    assert _failing_levels(P, range(2, 5)) == {2}
     # x2 and x3 are uncapped aggregate members; one interior point
     Q = pl.HPolytope(3, (((1,), 3), ((1, 2, 3), 4)))
     assert pl.count_lattice_points(Q, 1, "interior") == 1
-    assert _failing_levels(Q, range(2, 5)) == {2}
     # the simplex: 2S and 3S have no interior point, 4S has one, of degree 4
     S = pl.HPolytope(3, (((1, 2, 3), 1),))
     assert [pl.count_lattice_points(S, N, "interior") for N in (2, 3, 4)] == [0, 0, 1]
-    assert _failing_levels(S, range(2, 5)) == {4}
-    for R in (P, Q, S):
-        flat = {r for (_N, r) in _flat_histogram(R, range(2, 5)) if r >= 2}
-        assert _failing_levels(R, range(2, 5)) == flat
+    for R, want in ((P, {2}), (Q, {2}), (S, {4})):
+        assert {N for N in range(2, 5) if _is_degree(R, N, 10**8)} == want
+        assert {r for _N, r in _flat_histogram(R, 4)} == want
 
 
 def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
     """A disjoint hull's report runs no dynamic program of the degree
-    count; the table's length is counted on the first `len()` and kept,
-    and a budget too small for that count raises there."""
+    count; the table's length is counted level by level on the first
+    `len()` and kept, and a budget too small for that count (108 states
+    here) raises there."""
     assert _structure(veronese_5333).disjoint
 
     def no_dp(*args):
@@ -647,18 +718,19 @@ def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
     with monkeypatch.context() as m:
         m.setattr(levelness, "_subtree_states", no_dp)
         rep = pl.analyze_polytope(veronese_5333)
-        small = pl.analyze_polytope(veronese_5333, budget=200)
+        small = pl.analyze_polytope(veronese_5333, budget=107)
     assert (rep.int_star_degree, rep.level, rep.conjecture_spectrum_holds) == (3, False, True)
     assert rep.failure_witness[:2] == (2, (8, 1, 1, 1))
     calls = []
-    histogram = levelness._degree_histogram
-    monkeypatch.setattr(levelness, "_degree_histogram",
-                        lambda *args: calls.append(args) or histogram(*args))
+    degree_one_count = levelness._degree_one_count
+    monkeypatch.setattr(levelness, "_degree_one_count",
+                        lambda P, N, budget: calls.append(N) or degree_one_count(P, N, budget))
     assert len(rep.reduced_degree_table) == len(rep.reduced_degree_table) == 6
-    assert len(calls) == 1
+    assert calls == [2, 3]
     assert len(dict(rep.reduced_degree_table.items())) == 6
     with pytest.raises(BudgetExceededError, match="degree count"):
         len(small.reduced_degree_table)
+    assert len(pl.analyze_polytope(veronese_5333, budget=108).reduced_degree_table) == 6
 
 
 def test_twin_permutation_keeps_reduced_degree(veronese_5333):
@@ -703,19 +775,22 @@ def test_table_cap_not_hit_by_empty_interior_hull():
 def test_structure_built_once_per_polytope():
     """One request builds the facet structure of the hull and of each
     distinct block polytope once.  Path P4 with c = (1, 1, 2, 1): empty
-    interior, blocks {1, 3}, {2}, {4}, the last two alike.  The aggregates
-    are disjoint, so the report alone needs only the hull's structure; the
-    table's length counts by block."""
+    interior and disjoint aggregates, so the report, the table's length (a
+    sum of interior counts), the delta vector and the points need only the
+    hull's structure.  A nested hull is tested block by block: its report
+    builds the structures of the hull and of its two blocks, and nothing
+    after it builds another."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     assert pl.count_lattice_points(P, 1, "interior") == 0
-    blocks = _structure(P).blocks
-    assert blocks == ((1, 3), (2,), (4,))
-    distinct = {P} | {_restrict(P, members) for members in blocks}
-    assert len(distinct) == 3
-    _structure.cache_clear()
-    rep = pl.analyze_polytope(P)
-    assert _structure.cache_info().misses == 1
-    len(rep.reduced_degree_table)
-    pl.delta_vector(P)
-    pl.lattice_points(P, 1, "interior")
-    assert _structure.cache_info().misses == len(distinct)
+    assert _structure(P).disjoint
+    nested = _nested_hull(*_FAILING_NESTED)
+    blocks = _structure(nested).blocks
+    assert blocks == ((1, 2, 3, 4, 5), (6,))
+    for Q, structures in ((P, 1), (nested, 1 + len(blocks))):
+        _structure.cache_clear()
+        rep = pl.analyze_polytope(Q)
+        assert _structure.cache_info().misses == structures
+        len(rep.reduced_degree_table)
+        pl.delta_vector(Q)
+        pl.lattice_points(Q, 1, "interior")
+        assert _structure.cache_info().misses == structures

@@ -1,12 +1,15 @@
 """The memos of the per-polymatroid answers: `facets` by the basis set,
-`analyze_polytope` and `delta_vector` by the polytope and their other
-arguments."""
+`analyze_polytope` by the polytope, the scan bound and the budget, and
+`delta_vector` by the polytope and the budget, however a call spells
+them."""
 
 import pytest
 from hypothesis import given, settings
 
 import polylevel as pl
+from polylevel import lattice, levelness
 from polylevel.errors import BudgetExceededError
+from polylevel.lattice import DEFAULT_NODE_BUDGET
 
 from conftest import MEMOS, graph_and_bounds
 
@@ -41,12 +44,30 @@ def test_graphs_with_one_basis_set_share_the_facets():
 
 
 def test_int_star_degree_and_spectrum_share_one_report(path3_hull):
-    """Both read the memoized report, passing its arguments in one form."""
-    pl.analyze_polytope.cache_clear()
+    """Both read the memoized report."""
     assert pl.int_star_degree(path3_hull) == 1
     assert pl.conjecture_spectrum(path3_hull)
-    info = pl.analyze_polytope.cache_info()
+    info = levelness._report.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_spellings_of_one_call_share_one_entry():
+    """The memos key on the resolved scan bound and budget, not on the
+    arguments as passed: four spellings of one report are one miss and
+    three hits, three of one delta vector one miss and two hits."""
+    P = pl.facets(pl.enumerate_bases(pl.path(4), (2, 2, 2, 2)))
+    rep = pl.analyze_polytope(P)
+    assert pl.int_star_degree(P) == rep.int_star_degree
+    assert pl.analyze_polytope(P, max_level=3) is rep
+    assert pl.analyze_polytope(P, budget=DEFAULT_NODE_BUDGET) is rep
+    info = levelness._report.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert rep.scan_bound == 3
+    dv = pl.delta_vector(P)
+    assert pl.delta_vector(P, DEFAULT_NODE_BUDGET) is dv
+    assert pl.delta_vector(P, budget=DEFAULT_NODE_BUDGET) is dv
+    info = lattice._delta_vector.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_budget_errors_are_not_kept(k34_hull):
@@ -55,4 +76,4 @@ def test_budget_errors_are_not_kept(k34_hull):
     assert pl.analyze_polytope(k34_hull).pseudo_gorenstein
     with pytest.raises(BudgetExceededError):
         pl.analyze_polytope(k34_hull, budget=1)
-    assert pl.analyze_polytope.cache_info().currsize == 1
+    assert levelness._report.cache_info().currsize == 1

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
-from polylevel.polymatroid import RankOracle
+from polylevel.lattice import _structure
+from polylevel.levelness import _restrict
+from polylevel.polymatroid import RankOracle, is_closed_mask, is_inseparable_mask
 
 from conftest import graph_and_bounds
 
@@ -17,28 +19,46 @@ def path3_basis():
 
 def test_rank_values(path3_basis):
     R = RankOracle.from_basis_set(path3_basis)
-    assert R.rank({1, 3}) == 3
-    assert R.rank({1, 2}) == 5 == R.rank({1}) + R.rank({2})
-    assert R.rank({1, 2, 3}) == 2 * path3_basis.delta_c
-    assert R.rank(()) == 0
+    assert R.rank_mask(0b101) == 3              # {1, 3}
+    assert R.rank_mask(0b011) == 5 == R.rank_mask(0b001) + R.rank_mask(0b010)
+    assert R.rank_mask(0b111) == 2 * path3_basis.delta_c
+    assert R.rank_mask(0) == 0
 
 
 def test_closed_and_inseparable(path3_basis):
+    """Subsets as bitmasks, bit i - 1 for element i."""
     R = RankOracle.from_basis_set(path3_basis)
-    assert pl.is_closed(R, {1, 3})
-    assert not pl.is_inseparable(R, {1, 2})
-    assert pl.is_inseparable(R, {1, 3})
-    assert pl.is_inseparable(R, {2})          # singletons always
-    assert pl.is_closed(R, {1, 2, 3})         # no proper superset
+    assert is_closed_mask(R, 0b101)              # {1, 3}
+    assert not is_inseparable_mask(R, 0b011)     # {1, 2}
+    assert is_inseparable_mask(R, 0b101)
+    assert is_inseparable_mask(R, 0b010)         # singletons always
+    assert is_closed_mask(R, 0b111)              # no proper superset
     with pytest.raises(ValueError):
-        pl.is_closed(R, ())
+        is_closed_mask(R, 0)
 
 
 def test_k34_saturated_side_closed():
     B = pl.enumerate_bases(pl.complete_bipartite(3, 4), (2,) * 7)
     R = RankOracle.from_basis_set(B)
-    assert pl.is_closed(R, {4})
-    assert R.rank({4}) == 2
+    assert is_closed_mask(R, 0b1000)             # {4}
+    assert R.rank_mask(0b1000) == 2
+
+
+def test_polymatroid_constructions_keep_the_type():
+    """`facets`, `veronese_polytope` and the block polytopes of a
+    `Polymatroid` are `Polymatroid`s; a hand-built `HPolytope` with the
+    same facets is not one, and compares unequal."""
+    P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
+    V = pl.veronese_polytope(pl.VeroneseSpec(n=3, a=5, c=(4, 3, 2)))
+    for Q in (P, V, pl.star_prism(pl.VeroneseSpec(n=2, a=3, c=(2, 2)))):
+        assert isinstance(Q, pl.Polymatroid)
+    blocks = [_restrict(P, members) for members in _structure(P).blocks]
+    assert len(blocks) == 3
+    assert all(isinstance(B, pl.Polymatroid) for B in blocks)
+    plain = pl.HPolytope(P.n, P.upper_facets)
+    assert not isinstance(plain, pl.Polymatroid)
+    assert not isinstance(_restrict(plain, (1, 3)), pl.Polymatroid)
+    assert plain != P
 
 
 @settings(max_examples=30, deadline=None)
