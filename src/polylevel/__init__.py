@@ -67,7 +67,6 @@ from .levelness import (
 )
 from .polymatroid import (
     HPolytope,
-    Polymatroid,
     RankOracle,
     VeroneseSpec,
     facets,
@@ -85,7 +84,6 @@ __all__ = [
     "Graph",
     "HPolytope",
     "LevelnessReport",
-    "Polymatroid",
     "RankOracle",
     "VeroneseSpec",
     "analyze_polytope",

@@ -357,9 +357,8 @@ def criterion_13() -> tuple[bool, str]:
 def criterion_14() -> tuple[bool, str]:
     """every catalog polytope decomposes its dilates (levels 2 and 3).
 
-    By the scan: `normality_check` answers laminar systems and every
-    `Polymatroid` by theorem.  The catalog holds one hull with crossing
-    aggregates, on 6 vertices, the fewest where they occur.
+    By the scan, which `normality_check` skips by theorem.  The catalog
+    holds one hull with crossing aggregates, on 6 vertices, the fewest.
     """
     failures: list[str] = []
     catalog = _delta_catalog()

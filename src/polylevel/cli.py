@@ -230,8 +230,7 @@ def cmd_psg(args) -> int:
 
 def cmd_int_star_degree(args) -> int:
     P = _polytope(args)
-    # one memoized report: `int_star_degree` reads its field, or raises
-    # for an empty interior
+    # one memoized report; `int_star_degree` raises on an empty interior
     d = int_star_degree(P, max_level=args.max_level, budget=args.budget)
     rep = analyze_polytope(P, max_level=args.max_level, budget=args.budget)
     payload = {"int_star_degree": d, "scan_bound_used": rep.scan_bound}

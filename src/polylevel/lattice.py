@@ -42,12 +42,11 @@ so (Schrijver, Theory of Linear and Integer Programming, 1986).  A TU
 system with an integral right-hand side has the integer decomposition
 property: every lattice point of N*P is a sum of N lattice points of P,
 for every N (Baum-Trotter, Integer rounding and polyhedral decomposition
-for totally unimodular systems, 1978).  So does every integral
-polymatroid, laminar or not (Herzog-Hibi, Discrete polymatroids, 2002),
-and every hull and box-and-cutoff polytope is one: `facets` and
-`veronese_polytope` mark it with the type `polymatroid.Polymatroid`.  So
-`normality_check` answers a `Polymatroid` and a laminar system without a
-scan; only a hand-built system with crossing aggregates is scanned.
+for totally unimodular systems, 1978).  So has every integral
+polymatroid (Herzog-Hibi, Discrete polymatroids, 2002), such as every
+hull and box-and-cutoff polytope, which `facets` and `veronese_polytope`
+mark with the type `polymatroid.Polymatroid`.  `normality_check` answers
+both kinds without a scan (`_decomposes`) and scans any other system.
 
 Counting by blocks.  Every facet lives in one block, so N*P and its
 interior are products of the block dilates (the product separability of
@@ -595,9 +594,14 @@ def normality_check(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET)
     """
     if _integer(max_n, "max_n") < 2:
         raise ValueError("max_n must be >= 2")
-    if isinstance(P, Polymatroid) or _structure(P).laminar:
+    if _decomposes(P):
         return True, None
     return _normality_scan(P, max_n, budget)
+
+
+def _decomposes(P: HPolytope) -> bool:
+    """Is P a `Polymatroid` or laminar, so normal by the module docstring?"""
+    return isinstance(P, Polymatroid) or _structure(P).laminar
 
 
 def _normality_scan(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET):

@@ -67,7 +67,8 @@ test asks that:
   counts the interval propagation of `lattice._split_feasible_laminar`
   instead of testing it: per aggregate (A, t) the state is (s, lo, hi),
   s the sum over A and lo..hi the sums over A the summand can reach,
-  pruned at s > N t - 1 and lo > r t - 1.  A crossing block is walked.
+  pruned at s > N t - 1 and lo > r t - 1.  A crossing block is walked up
+  to its first point with no split.
 
 A hand-built system with crossing aggregates has no such theorem, and
 splits need not be monotone: in {x1 <= 3, x4 <= 3, x1 + x2 <= 3,
@@ -131,6 +132,7 @@ from .errors import BudgetExceededError
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
+    _decomposes,
     _integer,
     _split_exists,
     _structure,
@@ -140,7 +142,7 @@ from .lattice import (
     lattice_points,
     membership,
 )
-from .polymatroid import _MEMO_SIZE, HPolytope, Polymatroid
+from .polymatroid import _MEMO_SIZE, HPolytope
 
 ExponentVector = tuple[int, ...]
 
@@ -386,13 +388,23 @@ def _is_degree(P: HPolytope, N: int, budget: int) -> bool:
     if st.disjoint:
         # the first condition met stops the search
         return any(True for A, t in st.aggs for _ in _met_conditions(st, A, t, N, N - 1))
-    if not (st.laminar or isinstance(P, Polymatroid)):
+    if not _decomposes(P):
         return any(_least_split(st, a, N, 1) == N
                    for a in iter_lattice_points(P, N, "interior", budget=budget))
     spend = _state_budget(budget)
     blocks = {_restrict(P, members) for members in st.blocks}
-    return any(count_lattice_points(Q, N, "interior", budget=budget)
-               > _block_splits(Q, N, N - 1, budget, spend) for Q in blocks)
+    return any(_block_fails(Q, N, budget, spend) for Q in blocks)
+
+
+def _block_fails(Q: HPolytope, N: int, budget: int, spend) -> bool:
+    """Has some interior point of N*Q, Q one block, no split at N - 1?  A
+    crossing block is walked up to its first such point."""
+    st = _structure(Q)
+    if st.laminar:
+        return (count_lattice_points(Q, N, "interior", budget=budget)
+                > _block_splits(Q, N, N - 1, budget, spend))
+    return any(not _split_exists(st, a, N, N - 1, 1)
+               for a in iter_lattice_points(Q, N, "interior", budget=budget))
 
 
 def _degree_one_count(P: HPolytope, N: int, budget: int) -> int:
@@ -418,12 +430,8 @@ def _top_level(P: HPolytope, max_level: int | None) -> int:
 
 
 class _DegreeTable(Mapping):
-    """Read-only view (N, point) -> reduced degree >= 2 over the scanned levels.
-
-    It holds no point: its length is counted on the first `len()` and then
-    kept, a lookup tests the one point, and iterating re-runs the
-    failing-point scan level by level, taking each degree from that scan.
-    """
+    """Read-only view (N, point) -> reduced degree >= 2 over the scanned
+    levels, holding no point, as `LevelnessReport` describes it."""
 
     def __init__(self, P: HPolytope, levels, budget: int):
         self._P, self._levels, self._budget = P, levels, budget

@@ -164,8 +164,9 @@ class Polymatroid(HPolytope):
     lattice point of N*P is a sum of N lattice points of P (Herzog-Hibi,
     Discrete polymatroids, 2002), and so has each of its product blocks.
     `lattice.normality_check` and the degree test of `levelness` rely on
-    it.  An `HPolytope` with the same facets is not one, and compares
-    unequal to it.
+    it.  An `HPolytope` with the same facets is not one.  The constructor
+    checks nothing, so the package does not export it: one built by hand
+    from a non-polymatroid voids those theorems and gets wrong answers.
     """
 
 

@@ -20,17 +20,20 @@ from polylevel.lattice import (
     _structure,
 )
 from polylevel.levelness import (
+    _block_fails,
     _cost_rows,
     _interior_at,
     _is_degree,
     _iter_failing,
     _restrict,
+    _state_budget,
 )
 from polylevel.oracle import (
     brute_interior_points,
     brute_level_star,
     brute_reduced_degree,
 )
+from polylevel.polymatroid import Polymatroid
 
 from conftest import facet_systems, graph_and_bounds
 
@@ -223,7 +226,7 @@ def test_crossing_graph_hulls_split_monotonically(edges, c):
     `normality_check` answers by theorem what the scan confirms."""
     P = pl.facets(pl.enumerate_bases(pl.graph(6, edges), c))
     st_ = _structure(P)
-    assert isinstance(P, pl.Polymatroid) and not st_.laminar
+    assert isinstance(P, Polymatroid) and not st_.laminar
     interior = pl.count_lattice_points(P, 1, "interior") > 0
     levels = (2,) if interior else (2, 3)
     for N in levels:
@@ -249,7 +252,7 @@ def test_non_monotone_crossing_system():
     are found over the whole hull."""
     P = _NON_MONOTONE
     st_ = _structure(P)
-    assert not st_.laminar and not isinstance(P, pl.Polymatroid)
+    assert not st_.laminar and not isinstance(P, Polymatroid)
     a = (4, 4, 10, 1)
     assert pl.membership(P, a, 3, "interior")
     assert [_split_exists_dfs(st_, a, 3, r, 1) for r in (1, 2, 3)] == [True, False, True]
@@ -631,7 +634,7 @@ def test_degree_histogram_of_laminar_systems(P):
 def test_degree_histogram_of_graph_hulls(gc):
     """Graph hulls, which are `Polymatroid`s: decided block by block."""
     P = pl.facets(pl.enumerate_bases(*gc))
-    assert isinstance(P, pl.Polymatroid)
+    assert isinstance(P, Polymatroid)
     _check_histogram(P)
 
 
@@ -674,16 +677,41 @@ def test_cost_rows_match_subsets(items, need, cap):
             assert min(rows[j][c], cap) == min(least, cap), (j, c)
 
 
+def _blockwise_is_degree(P, N):
+    """`_is_degree` by its block-by-block branch, which a system with
+    disjoint aggregates, being laminar, may also take."""
+    if not _interior_at(P, N - 1):
+        return _interior_at(P, N)
+    spend = _state_budget(10**8)
+    return any(_block_fails(_restrict(P, members), N, 10**8, spend)
+               for members in _structure(P).blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    facet_systems(max_n=5, max_t=4, laminar=True),
+    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+))
+def test_failing_levels_match_histogram(P):
+    """With disjoint aggregates the degree set is read off one knapsack
+    test per level; it must equal the block-by-block test at levels 2..4,
+    on hand-built systems with uncapped aggregate members and on graph
+    hulls."""
+    if not _structure(P).disjoint:
+        return
+    for N in range(2, 5):
+        assert _is_degree(P, N, 10**8) == _blockwise_is_degree(P, N), N
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     facet_systems(max_n=5, max_t=3, laminar=True),
     graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
 ))
-def test_failing_levels_match_histogram(P):
-    """With disjoint aggregates the degree set is read off one knapsack
-    test per level; it must equal the degrees of the flat per-point oracle
-    at levels 2..3, on hand-built systems with uncapped aggregate members
-    and on graph hulls."""
+def test_failing_levels_match_flat_oracle(P):
+    """The knapsack's degree set against the flat per-point oracle at
+    levels 2..3, with the table's length and entries; `max_t` 3 keeps the
+    oracle's per-point walk short."""
     if not _structure(P).disjoint:
         return
     _check_histogram(P)

@@ -7,7 +7,7 @@ import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import _structure
 from polylevel.levelness import _restrict
-from polylevel.polymatroid import RankOracle, is_closed_mask, is_inseparable_mask
+from polylevel.polymatroid import Polymatroid, RankOracle, is_closed_mask, is_inseparable_mask
 
 from conftest import graph_and_bounds
 
@@ -51,13 +51,13 @@ def test_polymatroid_constructions_keep_the_type():
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     V = pl.veronese_polytope(pl.VeroneseSpec(n=3, a=5, c=(4, 3, 2)))
     for Q in (P, V, pl.star_prism(pl.VeroneseSpec(n=2, a=3, c=(2, 2)))):
-        assert isinstance(Q, pl.Polymatroid)
+        assert isinstance(Q, Polymatroid)
     blocks = [_restrict(P, members) for members in _structure(P).blocks]
     assert len(blocks) == 3
-    assert all(isinstance(B, pl.Polymatroid) for B in blocks)
+    assert all(isinstance(B, Polymatroid) for B in blocks)
     plain = pl.HPolytope(P.n, P.upper_facets)
-    assert not isinstance(plain, pl.Polymatroid)
-    assert not isinstance(_restrict(plain, (1, 3)), pl.Polymatroid)
+    assert not isinstance(plain, Polymatroid)
+    assert not isinstance(_restrict(plain, (1, 3)), Polymatroid)
     assert plain != P
 
 
