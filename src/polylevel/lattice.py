@@ -103,7 +103,7 @@ DEFAULT_NODE_BUDGET = 10**8
 def membership(P: HPolytope, x, N: int = 1, region: str = "full") -> bool:
     """Is x a lattice point of N*P (or of its interior)?  N is an integer
     >= 0; anything else raises ValueError."""
-    N = _dilation(N, 0)
+    N = _dilation(N)
     x = tuple(x)
     if len(x) != P.n:
         raise ValueError(f"point has length {len(x)}, polytope dimension is {P.n}")
@@ -127,11 +127,11 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _dilation(N, least: int) -> int:
-    """N as an int >= least."""
+def _dilation(N) -> int:
+    """N as an int >= 0."""
     N = _integer(N, "dilation level")
-    if N < least:
-        raise ValueError(f"dilation level must be >= {least}")
+    if N < 0:
+        raise ValueError("dilation level must be >= 0")
     return N
 
 
@@ -333,13 +333,14 @@ def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int, slack: int)
 
 def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
                         budget: int = DEFAULT_NODE_BUDGET):
-    """Lattice points of N*P (or its interior) in lex order, as an iterator.
+    """Lattice points of N*P (or its interior) in lex order, as an iterator;
+    N = 0 gives the origin alone, and no interior point.
 
     The arguments are checked at the call; iterating raises
     BudgetExceededError after more than `budget` visited nodes.
     """
     _check_region(region)
-    N = _dilation(N, 1)
+    N = _dilation(N)
     return _points(_structure(P), N, region, budget)
 
 
@@ -398,7 +399,7 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
     raise BudgetExceededError.
     """
     _check_region(region)
-    N = _dilation(N, 0)
+    N = _dilation(N)
     if N == 0:
         return 1 if region == "full" else 0
     st = _structure(P)

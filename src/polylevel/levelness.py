@@ -101,27 +101,25 @@ uncapped one nothing), the need drops by the gains, and the room is
 N t - 1 less the placed sum and the m - j members left; some completion
 meets the condition exactly when rows[j][need] + need fits the room.
 
-The table's points.  A degree r >= 2 is met at level r (above), so the
+The table's length.  A degree r >= 2 is met at level r (above), so the
 least degree the tests find is the first level holding a failing point
 (one without a degree-1 split): P is level* when it has an interior
 point and no level has one, the witness is the lex-least failing point
-of that level, and the report's table starts there.  The table is a lazy
-view that holds no point.  Its length, taken on demand, is per level the
+of that level, and the report's table starts there.  The table is a
+count that holds no point: its length, taken on demand, is per level the
 interior count less the points that split at r = 1, counted block by
-block as above (their product; none when P has no interior point).  A
-lookup tests the one point, and iterating re-runs the scan of failing
-points level by level; with an empty interior of P every interior point
-fails.  That scan stays because it is
-output-sensitive: with disjoint aggregates it enters a subtree only
-while some aggregate can still fail, where plain enumeration visits
-every interior point: with plain enumeration in its place, acceptance
-check A05 and `test_analyze_report` together did not finish in 25
-minutes, against about 27 s with it.
+block as above (their product; none when P has no interior point).  The
+degree of one point is `reduced_degree`.  The witness comes from the
+scan of failing points, asked only when P has an interior point, and
+the scan stays because it is output-sensitive: with disjoint aggregates
+it enters a subtree only while some aggregate can still fail, where
+plain enumeration visits every interior point.  With plain enumeration
+in its place acceptance check A05 took 61 s, against 4.2-4.4 s with it
+(single runs on a shared 2-vCPU host).
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -262,13 +260,8 @@ def _scan_disjoint(st: _Structure, N: int, budget: int):
 
 
 def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int):
-    """Interior points of N*P without a degree-1 split, in lex order.
-
-    Without an interior point of P no point splits at r = 1, and every
-    interior point of N*P is yielded.
-    """
-    if not _interior_at(P, 1):
-        return iter_lattice_points(P, N, "interior", budget=budget)
+    """Interior points of N*P without a degree-1 split, in lex order; P
+    has an interior point."""
     if st.disjoint:
         return _scan_disjoint(st, N, budget)
     # fallback: plain interior enumeration with a per-point search
@@ -281,15 +274,6 @@ def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
     while not _split_exists(st, a, N, r, 1):
         r += 1
     return r
-
-
-def _failing_degrees(P: HPolytope, levels, budget: int):
-    """((N, a), r) for every interior point a of N*P of reduced degree
-    r >= 2, level by level and in lex order within a level."""
-    st = _structure(P)
-    for N in levels:
-        for a in _iter_failing(P, st, N, budget):
-            yield (N, a), _least_split(st, a, N, 2)
 
 
 # --- one test per level, and the degree-1 count, by block -----------------
@@ -429,9 +413,9 @@ def _top_level(P: HPolytope, max_level: int | None) -> int:
     return max_level
 
 
-class _DegreeTable(Mapping):
-    """Read-only view (N, point) -> reduced degree >= 2 over the scanned
-    levels, holding no point, as `LevelnessReport` describes it."""
+class _DegreeTable:
+    """The number of scanned points of reduced degree >= 2, holding no
+    point, as `LevelnessReport` describes it."""
 
     def __init__(self, P: HPolytope, levels, budget: int):
         self._P, self._levels, self._budget = P, levels, budget
@@ -444,50 +428,10 @@ class _DegreeTable(Mapping):
                             - _degree_one_count(P, N, budget) for N in self._levels)
         return self._len
 
-    def __getitem__(self, key):
-        try:
-            N, a = key
-            r = reduced_degree(self._P, a, N) if N in self._levels else 1
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        if r < 2:
-            raise KeyError(key)
-        return r
-
-    def _scan(self):
-        return _failing_degrees(self._P, self._levels, self._budget)
-
-    def __iter__(self):
-        return (key for key, _r in self._scan())
-
-    def items(self):
-        return _ScannedItems(self)
-
-    def values(self):
-        return _ScannedValues(self)
-
-
-class _ScannedItems(ItemsView):
-    def __iter__(self):
-        return self._mapping._scan()
-
-
-class _ScannedValues(ValuesView):
-    def __iter__(self):
-        return (r for _key, r in self._mapping._scan())
-
-
-def level_star(P: HPolytope, max_level: int | None = None,
-               budget: int = DEFAULT_NODE_BUDGET):
-    """Decide level*; returns (verdict, witness) with the lex-least failing
-    (N, point) on the negative side, or (False, None) for empty interior."""
-    top = _top_level(P, max_level)
-    if not _interior_at(P, 1):
-        return False, None
-    for N in range(2, top + 1):
-        if _is_degree(P, N, budget):
-            return False, (N, next(_iter_failing(P, _structure(P), N, budget)))
-    return True, None
+    def __eq__(self, other):
+        if not isinstance(other, _DegreeTable):
+            return NotImplemented
+        return (self._P, self._levels) == (other._P, other._levels)
 
 
 @dataclass(frozen=True)
@@ -500,14 +444,14 @@ class LevelnessReport:
     when it has an interior point and the set is empty.  Otherwise
     `failure_witness` carries (level, point, explanation) for the lex-least
     such point at that level; an empty interior fails without one.  The
-    int* degree, the spectrum and `reduced_degree_table` read the same
-    set.  The table is a read-only mapping
-    of the scanned points of reduced degree at least 2 to their degree,
-    from the least degree on; degree-1 points are ubiquitous and left
-    implicit.  It is a lazy view that holds no point: its length is counted
-    by block on the first `len()` and kept (so a `budget` too small for
-    that count raises there), a lookup tests the one point, and iterating
-    it re-runs the scan.
+    int* degree and the spectrum read the same set, and `level_star` reads
+    `level` and the witness.  `reduced_degree_table` is the number of
+    scanned points of reduced degree at least 2, from the least degree on,
+    given by `len()`; degree-1 points are ubiquitous and left out.  It
+    holds no point: its length is counted by block on the first `len()`
+    and kept (so a `budget` too small for that count raises there), and
+    `reduced_degree` gives the degree of one point.  Two tables are equal
+    when their polytopes and levels are.
     """
 
     n: int
@@ -517,7 +461,7 @@ class LevelnessReport:
     reflexive_up_to_translation: bool | None
     int_star_degree: int | None
     failure_witness: tuple[int, ExponentVector, str] | None
-    reduced_degree_table: Mapping[tuple[int, ExponentVector], int]
+    reduced_degree_table: _DegreeTable
     conjecture_spectrum_holds: bool | None
     scan_bound: int
 
@@ -558,6 +502,15 @@ def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
         conjecture_spectrum_holds=spectrum,
         scan_bound=scan_bound,
     )
+
+
+def level_star(P: HPolytope, max_level: int | None = None,
+               budget: int = DEFAULT_NODE_BUDGET):
+    """Decide level*; returns (verdict, witness) with the lex-least failing
+    (N, point) on the negative side, or (False, None) for empty interior:
+    the report's `level` and the first two fields of its `failure_witness`."""
+    rep = analyze_polytope(P, max_level, budget)
+    return rep.level, rep.failure_witness and rep.failure_witness[:2]
 
 
 def int_star_degree(P: HPolytope, max_level: int | None = None,

@@ -279,9 +279,12 @@ def brute_count(P: HPolytope, N: int, interior: bool = False) -> int:
 def brute_reduced_degree(P: HPolytope, a, N: int) -> int:
     """Least r with a = a0 + a', a0 interior to r*P and a' in (N-r)*P.
 
-    Flat search: for each r, every lattice point 1 <= a0 <= a that is
+    Flat search: for each r, every lattice point a0 of a box that is
     interior to r*P, then a membership test of a - a0 in the (N-r)-fold
-    dilate.  An r at which the all-ones point, the least candidate, is not
+    dilate.  With u_i the least bound of a facet through i, the box is
+    max(1, a_i - (N-r) u_i) <= a0_i <= min(a_i, r u_i - 1): a0_i < r u_i as
+    a0 is interior to r*P, and a_i - a0_i <= (N-r) u_i as a - a0 lies in
+    (N-r)*P.  An r at which the all-ones point, the least candidate, is not
     interior to r*P is skipped: no a0 is then.
     """
     a = tuple(a)
@@ -289,10 +292,12 @@ def brute_reduced_degree(P: HPolytope, a, N: int) -> int:
         sum(a[i - 1] for i in A) > N * t - 1 for A, t in P.upper_facets
     ):
         raise ValueError(f"{a} is not an interior lattice point of the {N}-fold dilate")
+    u = [min(t for A, t in P.upper_facets if i in A) for i in range(1, P.n + 1)]
     for r in range(1, N + 1):
         if any(len(A) > r * t - 1 for A, t in P.upper_facets):
             continue
-        for a0 in itertools.product(*(range(1, v + 1) for v in a)):
+        box = (range(max(1, v - (N - r) * ui), min(v, r * ui - 1) + 1) for v, ui in zip(a, u))
+        for a0 in itertools.product(*box):
             if any(sum(a0[i - 1] for i in A) > r * t - 1 for A, t in P.upper_facets):
                 continue
             q = tuple(ai - bi for ai, bi in zip(a, a0))

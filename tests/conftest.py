@@ -70,6 +70,20 @@ def facet_systems(draw, max_n=4, max_t=2, max_aggs=3, laminar=False):
     return pl.HPolytope(n, tuple(facets))
 
 
+@st.composite
+def veronese_specs(draw):
+    """A box-and-cutoff spec in dimension 2-5, boxes small enough for a flat scan."""
+    n = draw(st.integers(2, 5))
+    c = sorted(draw(st.lists(st.integers(2, 7 - n), min_size=n, max_size=n)), reverse=True)
+    a = draw(st.integers(max(c[0] + 1, n + 1), sum(c) - 1))
+    return pl.VeroneseSpec(n=n, a=a, c=tuple(c))
+
+
+# a hand-built crossing system, not a polymatroid, whose splits are not
+# monotone in r
+NON_MONOTONE = pl.HPolytope(4, (((1,), 3), ((4,), 3), ((1, 2), 3), ((1, 3), 5), ((2, 3), 5)))
+
+
 # the memos of the per-polymatroid answers: `analyze_polytope` and
 # `delta_vector` normalize their arguments and call these private caches
 MEMOS = (polymatroid.facets, levelness._report, lattice._delta_vector)

@@ -10,7 +10,7 @@ from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_
                                _normality_scan, _structure, iter_lattice_points)
 from polylevel.oracle import brute_count, brute_interior_points, brute_normality, brute_volume
 
-from conftest import facet_systems, graph_and_bounds
+from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, veronese_specs
 
 
 def test_membership_examples(k34_hull):
@@ -41,6 +41,21 @@ def test_counts_match_enumeration(path3_hull, triangle_hull, cube4):
             for region in ("full", "interior"):
                 assert pl.count_lattice_points(P, N, region) == len(
                     pl.lattice_points(P, N, region))
+
+
+def test_enumeration_at_level_zero(path3_hull):
+    """N = 0 enumerates the origin alone, and no interior point, as
+    counting and membership have it."""
+    simplex = pl.HPolytope(3, (((1, 2, 3), 1),))
+    for P in (path3_hull, simplex, NON_MONOTONE):
+        assert pl.lattice_points(P, 0) == [(0,) * P.n]
+        assert pl.lattice_points(P, 0, "interior") == []
+        for region in ("full", "interior"):
+            points = pl.lattice_points(P, 0, region)
+            assert len(points) == pl.count_lattice_points(P, 0, region)
+            assert all(pl.membership(P, x, 0, region) for x in points)
+    with pytest.raises(ValueError, match=">= 0"):
+        iter_lattice_points(simplex, -1)
 
 
 def test_count_conventions(cube4):
@@ -82,15 +97,6 @@ SQUARE = pl.HPolytope(2, (((1,), 2), ((2,), 2)))
 def test_non_integer_dilation_is_rejected(call):
     with pytest.raises(ValueError, match="integer"):
         call(1.5)
-
-
-@st.composite
-def veronese_specs(draw):
-    """A box-and-cutoff spec in dimension 2-5, boxes small enough for a flat scan."""
-    n = draw(st.integers(2, 5))
-    c = sorted(draw(st.lists(st.integers(2, 7 - n), min_size=n, max_size=n)), reverse=True)
-    a = draw(st.integers(max(c[0] + 1, n + 1), sum(c) - 1))
-    return pl.VeroneseSpec(n=n, a=a, c=tuple(c))
 
 
 def _nested(P):

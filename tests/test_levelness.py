@@ -2,8 +2,6 @@ import gc
 import itertools
 import random
 import tracemalloc
-from collections import Counter
-from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +33,7 @@ from polylevel.oracle import (
 )
 from polylevel.polymatroid import Polymatroid
 
-from conftest import facet_systems, graph_and_bounds
+from conftest import NON_MONOTONE, facet_systems, graph_and_bounds
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +93,8 @@ def test_int_star_degree_empty_interior_reads_level_2(c):
 def test_level_star_witnesses(path3_hull, k34_hull):
     assert pl.level_star(path3_hull) == (True, None)
     lv, wit = pl.level_star(k34_hull)
-    assert not lv
+    assert (lv, wit) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
     N, a = wit
-    assert N == 2
     assert pl.membership(k34_hull, a, 2, "interior")
     # the witness reproduces the known failure: subtracting the unique
     # interior point leaves a vector outside the hull
@@ -240,17 +237,12 @@ def test_crossing_graph_hulls_split_monotonically(edges, c):
     assert pl.normality_check(P, 2) == _normality_scan(P, 2) == (True, None)
 
 
-# a hand-built crossing system, not a polymatroid, whose splits are not
-# monotone in r
-_NON_MONOTONE = pl.HPolytope(4, (((1,), 3), ((4,), 3), ((1, 2), 3), ((1, 3), 5), ((2, 3), 5)))
-
-
 def test_non_monotone_crossing_system():
     """(4, 4, 10, 1) is interior to 3P and splits at r = 1 and 3 but not at
     r = 2, so reading degree 3 off a failed split at r = 2, as the
     block-by-block test does, would be wrong: P is level*, and its degrees
     are found over the whole hull."""
-    P = _NON_MONOTONE
+    P = NON_MONOTONE
     st_ = _structure(P)
     assert not st_.laminar and not isinstance(P, Polymatroid)
     a = (4, 4, 10, 1)
@@ -383,20 +375,9 @@ def test_analyze_walks_only_the_witness_level(monkeypatch, k34_hull):
         assert walked == [rep.failure_witness[0]]
 
 
-def test_level_star_counts_no_point(monkeypatch, path3_hull, k34_hull):
-    """`level_star` asks the all-ones test whether P has an interior point
-    and counts no lattice point."""
-    def no_count(*args, **kwargs):
-        raise AssertionError("lattice points counted")
-
-    monkeypatch.setattr(levelness, "count_lattice_points", no_count)
-    square = pl.HPolytope(2, (((1,), 1), ((2,), 1)))
-    assert pl.level_star(path3_hull) == (True, None)
-    assert pl.level_star(k34_hull) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
-    assert pl.level_star(square) == (False, None)
-
-
 def test_analyze_report(k34_hull):
+    """K(3,4) with c = 2: the table's length at levels 2..6 is counted,
+    never listed; at level 2 it is checked against the flat oracle."""
     rep = pl.analyze_polytope(k34_hull)
     assert rep.pseudo_gorenstein and not rep.level
     assert rep.reflexive_up_to_translation is False
@@ -404,7 +385,8 @@ def test_analyze_report(k34_hull):
     assert rep.failure_witness[0] == 2
     assert rep.int_star_degree >= 2
     assert rep.scan_bound == 6
-    assert all(r >= 2 for r in rep.reduced_degree_table.values())
+    assert len(rep.reduced_degree_table) == 402_116
+    _check_table(k34_hull, 2)
 
 
 def test_analyze_report_empty_interior():
@@ -415,6 +397,7 @@ def test_analyze_report_empty_interior():
     assert rep.int_star_degree == 2         # (1, 1) at level 2, as scanned
     assert rep.conjecture_spectrum_holds is True
     assert rep.failure_witness is None
+    assert pl.level_star(square) == (False, None)
 
 
 def _or_none(f, P):
@@ -437,15 +420,21 @@ def _or_none(f, P):
 @example(pl.HPolytope(2, (((1,), 3), ((2,), 2), ((1, 2), 4))))
 @example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))
 def test_report_matches_the_verdict_functions(P):
-    """The report's verdicts, read off one degree set, against `level_star`,
-    which walks the levels alone, and against the flat per-point oracle:
-    the int* degree is the largest reduced degree over levels
-    2..max(2, n - 1), or 1 when P has an interior point."""
+    """The report's verdicts, read off one degree set, and `level_star`,
+    which reads the report, against the flat oracles: level* against
+    `brute_level_star`, the witness against the lex-first point of degree
+    >= 2 at the first level that has one, the int* degree against the
+    largest reduced degree over levels 2..max(2, n - 1), or 1 when P has
+    an interior point."""
     rep = pl.analyze_polytope(P)
-    assert (rep.level, rep.failure_witness and rep.failure_witness[:2]) == pl.level_star(P)
-    degrees = {brute_reduced_degree(P, a, N) for N in range(2, max(2, P.n - 1) + 1)
-               for a in brute_interior_points(P, N)}
-    d = max(degrees, default=1 if brute_interior_points(P, 1) else None)
+    flat = _flat_degrees(P, max(2, P.n - 1))
+    interior = bool(brute_interior_points(P, 1))
+    first = next((key for key, r in flat.items() if r >= 2), None)
+    level = brute_level_star(P)
+    assert level == (interior and first is None)
+    assert pl.level_star(P) == (level, first if interior else None)
+    degrees = set(flat.values())
+    d = max(degrees, default=1 if interior else None)
     want = d, None if d is None else all(i in degrees for i in range(2, d))
     assert (rep.int_star_degree, rep.conjecture_spectrum_holds) == want
     assert (_or_none(pl.int_star_degree, P), _or_none(pl.conjecture_spectrum, P)) == want
@@ -461,19 +450,10 @@ def test_report_matches_the_verdict_functions(P):
 @example(pl.HPolytope(3, (((1,), 3), ((2,), 2), ((3,), 2), ((1, 2, 3), 4))))
 @example(pl.HPolytope(3, (((2, 3), 3), ((1, 2), 4), ((1, 3), 4), ((1,), 2))))
 def test_degree_table_matches_flat_oracle(P):
-    """The report's table, entry by entry, against the flat per-point
-    oracle at levels 2..3: graph hulls and hand-built systems, crossing
-    ones included, with empty and nonempty interiors."""
-    table = pl.analyze_polytope(P, max_level=3).reduced_degree_table
-    want = {}
-    for N in (2, 3):
-        for a in brute_interior_points(P, N):
-            r = brute_reduced_degree(P, a, N)
-            if r >= 2:
-                want[(N, a)] = r
-    assert dict(table.items()) == want
-    assert len(table) == len(want)
-    assert {key: table[key] for key in table} == want
+    """The report's table length and `reduced_degree` against the flat
+    per-point oracle at levels 2..3: graph hulls and hand-built systems,
+    crossing ones included, with empty and nonempty interiors."""
+    _check_table(P, 3)
 
 
 def test_report_holds_no_points(k34_hull):
@@ -572,49 +552,59 @@ def _plain_blocks(P):
     return tuple(sorted(tuple(sorted(p)) for p in parts))
 
 
-def _flat_histogram(P, top):
-    """{(N, r): count} of the reduced degrees r >= 2 of the interior points
-    of N*P, N in 2..top, by the flat per-point oracle."""
-    return Counter((N, r) for N in range(2, top + 1) for a in brute_interior_points(P, N)
-                   if (r := brute_reduced_degree(P, a, N)) >= 2)
+def _flat_degrees(P, top):
+    """{(N, a): r} over the interior points a of N*P, N in 2..top, in
+    order, r the reduced degree by the flat per-point oracle."""
+    return {(N, a): brute_reduced_degree(P, a, N)
+            for N in range(2, top + 1) for a in brute_interior_points(P, N)}
 
 
-def _check_histogram(P, top=3):
-    """The per-level degree test, the report's table length and the
-    histogram of its entries against the flat oracle, at levels 2..top."""
-    flat = _flat_histogram(P, top)
+def _check_table(P, top):
+    """The report's table at levels 2..top against the flat oracle: its
+    length is the oracle's count of points of degree >= 2, and
+    `reduced_degree` agrees with the oracle at every point it lists."""
+    flat = _flat_degrees(P, top)
     table = pl.analyze_polytope(P, max_level=top).reduced_degree_table
-    assert {N for N in range(2, top + 1) if _is_degree(P, N, 10**8)} == {r for _N, r in flat}
-    assert len(table) == sum(flat.values())
-    assert Counter((N, r) for (N, _a), r in table.items()) == flat
+    assert len(table) == sum(r >= 2 for r in flat.values())
+    for (N, a), r in flat.items():
+        assert pl.reduced_degree(P, a, N) == r, (N, a)
+    return flat
+
+
+def _check_degrees(P, top=3):
+    """The per-level degree test and the report's table against the flat
+    oracle, at levels 2..top."""
+    flat = _check_table(P, top)
+    degrees = {r for r in flat.values() if r >= 2}
+    assert {N for N in range(2, top + 1) if _is_degree(P, N, 10**8)} == degrees
 
 
 @settings(max_examples=25, deadline=None)
 @given(block_products())
-def test_degree_histogram_matches_flat_oracle(P):
+def test_degree_test_matches_flat_oracle(P):
     """Empty interior, a laminar and a crossing block: the crossing system
     is not monotone by any theorem and is decided over the whole hull."""
     assert _structure(P).blocks == _plain_blocks(P)
     assert len(_structure(P).blocks) >= 2
     assert not _structure(P).laminar
-    _check_histogram(P)
+    _check_degrees(P)
 
 
 @settings(max_examples=20, deadline=None)
 @given(interior_products())
-def test_degree_histogram_with_interior_matches_flat_oracle(P):
+def test_degree_test_with_interior_matches_flat_oracle(P):
     """Nonempty interior, nested aggregates: decided block by block."""
     assert pl.count_lattice_points(P, 1, "interior") > 0
-    _check_histogram(P)
+    _check_degrees(P)
 
 
 @settings(max_examples=15, deadline=None)
 @given(block_products())
-def test_degree_histogram_single_block(P):
+def test_degree_test_single_block(P):
     """One block alone, laminar or crossing."""
     Q = _restrict(P, _structure(P).blocks[0])
     assert _structure(Q).blocks == _plain_blocks(Q) == (tuple(range(1, Q.n + 1)),)
-    _check_histogram(Q)
+    _check_degrees(Q)
 
 
 # nested aggregates with an interior point, and without one
@@ -622,20 +612,20 @@ def test_degree_histogram_single_block(P):
 @example(pl.HPolytope(5, (((1, 2), 2), ((3, 4), 2), ((1, 2, 3, 4), 3), ((1, 2, 3, 4, 5), 4))))
 @settings(max_examples=40, deadline=None)
 @given(facet_systems(max_n=5, laminar=True))
-def test_degree_histogram_of_laminar_systems(P):
+def test_degree_test_of_laminar_systems(P):
     """The dynamic program over the laminar forest, with nested aggregates,
     empty and nonempty interiors."""
     assert _structure(P).laminar
-    _check_histogram(P)
+    _check_degrees(P)
 
 
 @settings(max_examples=25, deadline=None)
 @given(graph_and_bounds(max_n=5, max_c=3))
-def test_degree_histogram_of_graph_hulls(gc):
+def test_degree_test_of_graph_hulls(gc):
     """Graph hulls, which are `Polymatroid`s: decided block by block."""
     P = pl.facets(pl.enumerate_bases(*gc))
     assert isinstance(P, Polymatroid)
-    _check_histogram(P)
+    _check_degrees(P)
 
 
 def test_degree_count_budget():
@@ -692,7 +682,7 @@ def _blockwise_is_degree(P, N):
     facet_systems(max_n=5, max_t=4, laminar=True),
     graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
 ))
-def test_failing_levels_match_histogram(P):
+def test_knapsack_degree_test_matches_blockwise(P):
     """With disjoint aggregates the degree set is read off one knapsack
     test per level; it must equal the block-by-block test at levels 2..4,
     on hand-built systems with uncapped aggregate members and on graph
@@ -705,19 +695,18 @@ def test_failing_levels_match_histogram(P):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    facet_systems(max_n=5, max_t=3, laminar=True),
+    facet_systems(max_n=5, max_t=4, laminar=True),
     graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
 ))
-def test_failing_levels_match_flat_oracle(P):
+def test_knapsack_degree_test_matches_flat_oracle(P):
     """The knapsack's degree set against the flat per-point oracle at
-    levels 2..3, with the table's length and entries; `max_t` 3 keeps the
-    oracle's per-point walk short."""
+    levels 2..3, with the table's length and `reduced_degree`."""
     if not _structure(P).disjoint:
         return
-    _check_histogram(P)
+    _check_degrees(P)
 
 
-def test_failing_levels_examples():
+def test_degree_test_examples():
     """Against the flat per-point oracle at levels 2..4."""
     # u_1 = 1: P has no interior point, so at N = 2 the window of x_1 at
     # r = 1 is empty and every interior point of 2P has degree 2
@@ -730,7 +719,7 @@ def test_failing_levels_examples():
     assert [pl.count_lattice_points(S, N, "interior") for N in (2, 3, 4)] == [0, 0, 1]
     for R, want in ((P, {2}), (Q, {2}), (S, {4})):
         assert {N for N in range(2, 5) if _is_degree(R, N, 10**8)} == want
-        assert {r for _N, r in _flat_histogram(R, 4)} == want
+        assert {r for r in _flat_degrees(R, 4).values() if r >= 2} == want
 
 
 def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
@@ -755,7 +744,7 @@ def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
                         lambda P, N, budget: calls.append(N) or degree_one_count(P, N, budget))
     assert len(rep.reduced_degree_table) == len(rep.reduced_degree_table) == 6
     assert calls == [2, 3]
-    assert len(dict(rep.reduced_degree_table.items())) == 6
+    _check_table(veronese_5333, 3)
     with pytest.raises(BudgetExceededError, match="degree count"):
         len(small.reduced_degree_table)
     assert len(pl.analyze_polytope(veronese_5333, budget=108).reduced_degree_table) == 6
@@ -770,34 +759,27 @@ def test_twin_permutation_keeps_reduced_degree(veronese_5333):
                 assert pl.reduced_degree(veronese_5333, (a[0],) + perm, N) == r
 
 
-def test_table_cap_not_hit_by_empty_interior_hull():
-    """Six vertices, c_i <= 3: the point-by-point table once passed the cap.
-
-    The interior is empty, so every interior point of levels 2..5 has
-    reduced degree >= 2 and belongs to the table.
-    """
+def test_table_length_of_empty_interior_hull():
+    """Six vertices, c_i <= 3, empty interior: every interior point of
+    levels 2..5 has reduced degree >= 2, so the table's length is their
+    count, over a million points counted without visiting one.  At level 2,
+    and at random interior points of levels 3..5, the flat oracle agrees."""
     G = pl.graph(6, [(1, 2), (1, 3), (2, 3), (2, 5), (2, 6), (3, 4), (3, 6)])
     P = pl.facets(pl.enumerate_bases(G, (1, 3, 3, 3, 3, 3)))
     rep = pl.analyze_polytope(P)
-    table = rep.reduced_degree_table
     assert rep.interior_count_1 == 0 and rep.int_star_degree == 2
-    assert isinstance(table, Mapping) and not hasattr(table, "__setitem__")
     total = sum(pl.count_lattice_points(P, N, "interior") for N in range(2, 6))
-    assert len(table) == total > 10**6
-    for (N, a), r in itertools.islice(table.items(), 40):
-        assert N == 2 and pl.reduced_degree(P, a, N) == r
+    assert len(rep.reduced_degree_table) == total > 10**6
+    assert set(_check_table(P, 2).values()) == {2}
     rng = random.Random(0)
     hits = 0
     for _ in range(400):
-        N = rng.randint(2, 5)
+        N = rng.randint(3, 5)
         a = tuple(rng.randint(1, 3 * N - 1) for _ in range(6))
         if pl.membership(P, a, N, "interior"):
             hits += 1
-            assert table[(N, a)] == pl.reduced_degree(P, a, N)
-        else:
-            assert (N, a) not in table
+            assert pl.reduced_degree(P, a, N) == brute_reduced_degree(P, a, N) >= 2
     assert hits > 20
-    assert (6, (1,) * 6) not in table  # beyond the scanned levels
 
 
 def test_structure_built_once_per_polytope():

@@ -22,7 +22,8 @@ def _answers(G, c):
 @settings(max_examples=40, deadline=None)
 @given(graph_and_bounds(max_n=5, max_c=3))
 def test_memoized_answers_equal_fresh_ones(gc):
-    """Report equality compares the degree tables point by point."""
+    """Report equality compares the degree tables by polytope and scanned
+    levels."""
     kept = _answers(*gc)
     assert all(a is b for a, b in zip(_answers(*gc), kept))
     for memo in MEMOS:
@@ -49,6 +50,16 @@ def test_int_star_degree_and_spectrum_share_one_report(path3_hull):
     assert pl.conjecture_spectrum(path3_hull)
     info = levelness._report.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_level_star_reads_the_report(k34_hull):
+    """`level_star` is the report's `level` and witness: asking it, then
+    for the report, is one miss and one hit."""
+    verdict = pl.level_star(k34_hull)
+    rep = pl.analyze_polytope(k34_hull)
+    info = levelness._report.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert verdict == (rep.level, rep.failure_witness[:2]) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
 
 
 def test_spellings_of_one_call_share_one_entry():

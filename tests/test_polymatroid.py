@@ -1,15 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import _structure
 from polylevel.levelness import _restrict
+from polylevel.oracle import _box_points
 from polylevel.polymatroid import Polymatroid, RankOracle, is_closed_mask, is_inseparable_mask
 
-from conftest import graph_and_bounds
+from conftest import NON_MONOTONE, graph_and_bounds, veronese_specs
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,50 @@ def test_polymatroid_constructions_keep_the_type():
     assert not isinstance(plain, Polymatroid)
     assert not isinstance(_restrict(plain, (1, 3)), Polymatroid)
     assert plain != P
+
+
+def _flat_rank(P):
+    """f(X), X a bitmask, the largest x(X) over the lattice points of P by
+    flat scan, and those points in lex order."""
+    points = _box_points(P, 1, False)
+    f = [max(sum(x[i] for i in range(P.n) if X >> i & 1) for x in points)
+         for X in range(1 << P.n)]
+    return f, points
+
+
+def _is_integral_polymatroid(P) -> bool:
+    """Is the flat rank f of P normalized, monotone and submodular, and are
+    the lattice points of P exactly the x >= 0 with x(X) <= f(X) for all X?"""
+    f, points = _flat_rank(P)
+    subsets = range(1 << P.n)
+    monotone = all(f[X] <= f[X | 1 << i] for X in subsets for i in range(P.n))
+    submodular = all(f[X] + f[Y] >= f[X | Y] + f[X & Y] for X in subsets for Y in subsets)
+    box = itertools.product(*(range(f[1 << i] + 1) for i in range(P.n)))
+    cut = [x for x in box
+           if all(sum(x[i] for i in range(P.n) if X >> i & 1) <= f[X] for X in subsets)]
+    return f[0] == 0 and monotone and submodular and cut == points
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    veronese_specs().map(pl.veronese_polytope),
+    veronese_specs().filter(lambda spec: spec.n <= 4).map(pl.star_prism),
+    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+))
+def test_polymatroid_type_is_an_integral_polymatroid(P):
+    """The contract of the type `Polymatroid`: `veronese_polytope`,
+    `star_prism` and `facets` return the lattice points of an integral
+    polymatroid, with n <= 5, checked from the flat scan of P alone."""
+    assert isinstance(P, Polymatroid) and P.n <= 5
+    assert _is_integral_polymatroid(P)
+
+
+def test_non_polymatroid_fails_the_contract():
+    """The crossing system whose splits are not monotone: its flat rank is
+    not submodular, f({1,2}) + f({1,3}) = 8 < f({1,2,3}) + f({1}) = 9."""
+    f, _points = _flat_rank(NON_MONOTONE)
+    assert (f[0b011] + f[0b101], f[0b111] + f[0b001]) == (8, 9)
+    assert not _is_integral_polymatroid(NON_MONOTONE)
 
 
 @settings(max_examples=30, deadline=None)
