@@ -285,46 +285,27 @@ def cmd_bipartite(args) -> int:
         raise ValueError(f"expected {args.m + args.n} bounds, got {len(c)}")
     if min(c) < 1:
         raise ValueError("--c bounds must be at least 1")
-    left, right = sum(c[: args.m]), sum(c[args.m:])
-    if left == right:
-        nonempty = all(ci >= 2 for ci in c)
-        payload = {
-            "mode": "box",
-            "m": args.m,
-            "n": args.n,
-            "c": list(c),
-            "interior_nonempty": nonempty,
-            "level": nonempty,
-            "violating_subset": None,
-        }
-        lines = [
-            "equal side sums: the hull is the plain box",
-            f"interior nonempty: {nonempty}",
-            f"level*: {nonempty}",
-        ]
-        _emit(args, payload, lines)
-        return _strict_exit(args, nonempty)
-    spec = bipartite_spec(args.m, args.n, c)
-    nonempty = bipartite_interior_nonempty(spec)
-    if nonempty:
-        ok, wit = bipartite_level_criterion(spec)
+    m, n, wit = args.m, args.n, None
+    if sum(c[:m]) == sum(c[m:]):
+        mode, sides = "box", "equal side sums: the hull is the plain box"
+        nonempty = ok = all(ci >= 2 for ci in c)
     else:
-        ok, wit = False, None
+        spec = bipartite_spec(m, n, c)
+        mode, m, n, c = "criterion", spec.m, spec.n, spec.c
+        sides = f"normalized sides: heavy m={m}, small n={n}, bounds {list(c)}"
+        nonempty = bipartite_interior_nonempty(spec)
+        ok, wit = bipartite_level_criterion(spec) if nonempty else (False, None)
     payload = {
-        "mode": "criterion",
-        "m": spec.m,
-        "n": spec.n,
-        "c": list(spec.c),
+        "mode": mode,
+        "m": m,
+        "n": n,
+        "c": list(c),
         "interior_nonempty": nonempty,
         "level": ok,
         "violating_subset": None if wit is None else list(wit[1]),
         "violated_condition": None if wit is None else wit[0],
     }
-    lines = [
-        f"normalized sides: heavy m={spec.m}, small n={spec.n}, bounds {list(spec.c)}",
-        f"interior nonempty: {nonempty}",
-        f"level* (subset criterion): {ok}",
-    ]
+    lines = [sides, f"interior nonempty: {nonempty}", f"level*: {ok}"]
     if wit is not None:
         lines.append(f"violating subset: {list(wit[1])} (condition {wit[0]})")
     _emit(args, payload, lines)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from .bounded import DEFAULT_CANDIDATE_CAP, BasisSet, enumerate_bases
 from .graphs import Graph, leaf_distance_two_exists
-from .lattice import lattice_points, membership
+from .lattice import _integer, lattice_points, membership
 # `RankOracle` is not used here; it stays bound for the benchmark's tracer.
 from .polymatroid import RankOracle, VeroneseSpec, facets
 
@@ -238,6 +238,7 @@ def search_labeling(G: Graph, c_max: int, candidate_cap: int = DEFAULT_CANDIDATE
     lex order, so the witness is the same.  Absence only means no witness
     with entries up to c_max exists.
     """
+    c_max = _integer(c_max, "c_max")
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
     for c in itertools.product(range(2, c_max + 1), repeat=G.n):

@@ -92,6 +92,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
+from .bounded import _integers
 from .errors import BudgetExceededError
 from .polymatroid import _MEMO_SIZE, HPolytope, Polymatroid
 
@@ -102,9 +103,9 @@ DEFAULT_NODE_BUDGET = 10**8
 
 def membership(P: HPolytope, x, N: int = 1, region: str = "full") -> bool:
     """Is x a lattice point of N*P (or of its interior)?  N is an integer
-    >= 0; anything else raises ValueError."""
+    >= 0 and x holds integers; anything else raises ValueError."""
     N = _dilation(N)
-    x = tuple(x)
+    x = _integers(x, "point")
     if len(x) != P.n:
         raise ValueError(f"point has length {len(x)}, polytope dimension is {P.n}")
     _check_region(region)

@@ -37,7 +37,7 @@ overridable for exploratory runs and recorded in reports.
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
 forms that `lattice._normality_scan` uses with slack 0.  With disjoint
-aggregates, the search for failing points prunes with the knapsack rows
+aggregates, the witness is found by a descent on the knapsack rows
 below, at r = 1.
 
 Degrees by one test per level.  `_is_degree` asks whether some interior
@@ -95,11 +95,14 @@ the bottom, both written once, in `_met_conditions`.  One suffix
 knapsack serves every test: rows[j][c] is the least cost of a set of
 the capped members j.. whose mx sum to at least c, O(m N t) per
 aggregate and condition.  The degree test reads row 0 at r = N - 1.  The
-same rows prune the scan of failing points at r = 1: with the first j
-members placed, a member at value v gains (v - 1 - cost_i)^+ (an
-uncapped one nothing), the need drops by the gains, and the room is
-N t - 1 less the placed sum and the m - j members left; some completion
-meets the condition exactly when rows[j][need] + need fits the room.
+same rows give the witness at r = 1: with the first j members placed, a
+member at value v gains (v - 1 - cost_i)^+ (an uncapped one nothing),
+the need drops by the gains, and the room is N t - 1 less the placed sum
+and the m - j members left; some completion meets the condition exactly
+when rows[j][need] + need fits the room.  The test is exact, so a
+descent over the coordinates never backtracks: each takes the least
+value after which some aggregate can still fail, that is 1 unless its
+own aggregate is the only one left that can.
 
 The table's length.  A degree r >= 2 is met at level r (above), so the
 least degree the tests find is the first level holding a failing point
@@ -109,13 +112,13 @@ of that level, and the report's table starts there.  The table is a
 count that holds no point: its length, taken on demand, is per level the
 interior count less the points that split at r = 1, counted block by
 block as above (their product; none when P has no interior point).  The
-degree of one point is `reduced_degree`.  The witness comes from the
-scan of failing points, asked only when P has an interior point, and
-the scan stays because it is output-sensitive: with disjoint aggregates
-it enters a subtree only while some aggregate can still fail, where
-plain enumeration visits every interior point.  With plain enumeration
-in its place acceptance check A05 took 61 s, against 4.2-4.4 s with it
-(single runs on a shared 2-vCPU host).
+degree of one point is `reduced_degree`.  The witness is asked only
+when P has an interior point.  With disjoint aggregates it is the
+descent above, which visits no point, where plain enumeration visits
+every interior point before the witness; any other hull walks its
+interior points in lex order up to the first that fails.  With plain
+enumeration in place of the descent acceptance check A05 took 32 s,
+against 1.9-2.1 s with it (single runs on a shared 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -199,74 +202,47 @@ def _met_conditions(st: _Structure, A: tuple[int, ...], t: int, N: int, r: int):
                 yield need, items, rows
 
 
-# --- enumeration of points with no degree-1 split -------------------------
+# --- the lex-least point with no degree-1 split ----------------------------
 
-def _scan_disjoint(st: _Structure, N: int, budget: int):
-    """Interior points of N*P with no degree-1 split, in lex order.
-
-    Only valid when the aggregate facets are pairwise disjoint and P has
-    an interior point: then no coordinate window can be empty and failure
-    is a per-aggregate threshold event.  A subtree is entered only while
-    some aggregate can still fail given its members placed so far, read
-    off the suffix rows of its conditions; a level with no failing point
-    walks none.
-    """
+def _witness(P: HPolytope, st: _Structure, N: int, budget: int):
+    """The lex-least interior point of N*P with no degree-1 split, or None;
+    P has an interior point.  With pairwise disjoint aggregates, by the
+    descent of the module docstring; any other hull is walked in lex
+    order."""
+    if not st.disjoint:
+        return next((a for a in iter_lattice_points(P, N, "interior", budget=budget)
+                     if not _split_exists(st, a, N, 1, 1)), None)
+    # per aggregate: (need left, items, rows) of each condition it can still meet
     conds = [list(_met_conditions(st, A, t, N, 1)) for A, t in st.aggs]
-    alive = [bool(c) for c in conds]    # can aggregate k still fail?
-    used = [0] * len(conds)             # sum of its members placed so far
-    gains = [[0] * len(c) for c in conds]
-    point = [0] * st.n
-    nodes = 0
+    if not any(conds):
+        return None
+    used = [0] * len(conds)             # per aggregate: the sum of its placed members
+    point = []
+    for i in range(st.n):
+        v = 1                           # a lone coordinate always splits
+        if st.agg_at[i]:
+            k = st.agg_at[i][0]                     # disjoint: the only one
+            A, t = st.aggs[k]
+            left = st.after[k][i]                   # members still to place
+            j = len(A) - left                       # this is member j - 1 of A
+            room = N * t - 1 - used[k] - left
 
-    def rec(i: int, live: int):         # live: aggregates that can still fail
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"level scan exceeded {budget} nodes",
-                                      cap="budget", limit=budget)
-        if i == st.n:
-            yield tuple(point)
-            return
-        u = st.u[i]
-        if not st.agg_at[i]:
-            for v in range(1, N * u):
-                point[i] = v
-                yield from rec(i + 1, live)
-            return
-        k = st.agg_at[i][0]                     # disjoint: the only one
-        A, t = st.aggs[k]
-        left = st.after[k][i]                   # members still to place
-        j = len(A) - left                       # this is member j - 1 of A
-        room = N * t - 1 - used[k] - left
-        was, old = alive[k], gains[k][:]
-        for v in range(1, (room if u is None else min(N * u - 1, room)) + 1):
-            point[i] = v
-            now = False
-            if was:
-                for c, (need, items, rows) in enumerate(conds[k]):
+            def alive(v: int) -> list:  # the conditions some completion meets, a_i = v
+                out = []
+                for need, items, rows in conds[k]:
                     item = items[j - 1]
-                    gains[k][c] = old[c] + (0 if item is None else max(0, v - 1 - item[0]))
-                    rest = max(0, need - gains[k][c])
-                    now = now or rows[j][rest] + rest <= room - v
-            if live - was + now:
-                alive[k] = now
-                used[k] += v
-                yield from rec(i + 1, live - was + now)
-                used[k] -= v
-        alive[k], gains[k][:] = was, old
+                    rest = max(0, need - (0 if item is None else max(0, v - 1 - item[0])))
+                    if rows[j][rest] + rest <= room - v:
+                        out.append((rest, items, rows))
+                return out
 
-    if any(alive):
-        yield from rec(0, sum(alive))
-
-
-def _iter_failing(P: HPolytope, st: _Structure, N: int, budget: int):
-    """Interior points of N*P without a degree-1 split, in lex order; P
-    has an interior point."""
-    if st.disjoint:
-        return _scan_disjoint(st, N, budget)
-    # fallback: plain interior enumeration with a per-point search
-    return (a for a in iter_lattice_points(P, N, "interior", budget=budget)
-            if not _split_exists(st, a, N, 1, 1))
+            others = any(c for h, c in enumerate(conds) if h != k)
+            while not (now := alive(v)) and not others:
+                v += 1
+            conds[k] = now
+            used[k] += v
+        point.append(v)
+    return tuple(point)
 
 
 def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
@@ -376,7 +352,7 @@ def _is_degree(P: HPolytope, N: int, budget: int) -> bool:
         return any(_least_split(st, a, N, 1) == N
                    for a in iter_lattice_points(P, N, "interior", budget=budget))
     spend = _state_budget(budget)
-    blocks = {_restrict(P, members) for members in st.blocks}
+    blocks = {_restrict(P, members) for members in st.blocks if len(members) > 1}
     return any(_block_fails(Q, N, budget, spend) for Q in blocks)
 
 
@@ -486,7 +462,7 @@ def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
     first = min(degrees, default=scan_bound + 1)
     witness = None
     if degrees and interior1 > 0:
-        witness = (first, next(_iter_failing(P, _structure(P), first, budget)),
+        witness = (first, _witness(P, _structure(P), first, budget),
                    f"no interior summand of the base polytope splits off at level {first}")
     int_star = max(degrees, default=1 if interior1 > 0 else None)
     spectrum = None if int_star is None else all(i in degrees for i in range(2, int_star))

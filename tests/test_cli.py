@@ -122,9 +122,11 @@ def test_bipartite_subcommand(capsys):
     assert doc["interior_nonempty"] is True
     assert doc["level"] is False
     assert doc["violating_subset"] == [1, 2, 3, 4]
+    keys = set(doc)
     code, doc = run_json(capsys, ["bipartite", "--m", "2", "--n", "2",
                                   "--c", "2,2,2,2", "--json"])
     assert doc["mode"] == "box" and doc["level"] is True
+    assert set(doc) == keys and doc["violated_condition"] is None
 
 
 def test_tree_check_and_search(capsys, p4_file):

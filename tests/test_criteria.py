@@ -128,6 +128,8 @@ def test_search_labeling_examples():
     assert pl.search_labeling(pl.path(4), 2) == (2, 2, 2, 2)
     assert pl.search_labeling(pl.complete_bipartite(3, 4), 2) == (2,) * 7
     assert pl.search_labeling(pl.path(2), 2) == (2, 2)
+    with pytest.raises(ValueError, match="integer"):
+        pl.search_labeling(pl.path(3), 2.5)
 
 
 @settings(max_examples=40, deadline=None)

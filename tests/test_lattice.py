@@ -99,6 +99,11 @@ def test_non_integer_dilation_is_rejected(call):
         call(1.5)
 
 
+def test_non_integer_point_is_rejected(path3_hull):
+    with pytest.raises(ValueError, match="integers"):
+        pl.membership(path3_hull, (1.5, 2, 1), 1)
+
+
 def _nested(P):
     st_ = _structure(P)
     return st_.laminar and not st_.disjoint

@@ -16,15 +16,16 @@ from polylevel.lattice import (
     _split_exists_dfs,
     _split_feasible_laminar,
     _structure,
+    iter_lattice_points,
 )
 from polylevel.levelness import (
     _block_fails,
     _cost_rows,
     _interior_at,
     _is_degree,
-    _iter_failing,
     _restrict,
     _state_budget,
+    _witness,
 )
 from polylevel.oracle import (
     brute_interior_points,
@@ -59,6 +60,11 @@ def test_reduced_degree_validates_interior(veronese_5333):
         pl.reduced_degree(veronese_5333, (0, 0, 0, 0), 2)
     with pytest.raises(ValueError, match="interior"):
         pl.reduced_degree(veronese_5333, (9, 1, 1, 1), 2)   # on the boundary sum
+
+
+def test_reduced_degree_rejects_non_integer_points(path3_hull):
+    with pytest.raises(ValueError, match="integers"):
+        pl.reduced_degree(path3_hull, (1.5, 2, 1), 2)
 
 
 def test_int_star_degree_examples(path3_hull, veronese_5333):
@@ -254,19 +260,31 @@ def test_non_monotone_crossing_system():
     assert len(pl.analyze_polytope(P).reduced_degree_table) == 0
 
 
-def test_fail_scan_on_two_disjoint_aggregates():
-    """Double star: two leaf-pair aggregates, scanner vs naive enumeration."""
+def _check_witness(P):
+    """P has disjoint aggregates and an interior point: at N = 2 and 3,
+    `_witness` is the first naive failing point, or None, found without
+    enumerating a point."""
+    st = _structure(P)
+    for N in (2, 3):
+        naive = next((a for a in iter_lattice_points(P, N, "interior")
+                      if not _split_exists_dfs(st, a, N, 1, 1)), None)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(levelness, "iter_lattice_points", _no_points)
+            assert _witness(P, st, N, 10**8) == naive
+
+
+def _no_points(*args, **kwargs):
+    raise AssertionError("interior points enumerated")
+
+
+def test_witness_on_two_disjoint_aggregates():
+    """Double star: two leaf-pair aggregates, descent vs naive enumeration."""
     G = pl.graph(6, [(1, 2), (1, 5), (1, 6), (2, 3), (2, 4)])
     P = pl.facets(pl.enumerate_bases(G, (3, 3, 2, 2, 2, 2)))
     st = _structure(P)
     assert [A for A, _ in st.aggs] == [(3, 4), (5, 6)] and st.disjoint
-    interior1 = pl.count_lattice_points(P, 1, "interior")
-    assert interior1 > 0
-    for N in (2, 3):
-        got = list(_iter_failing(P, st, N, 10**8))
-        naive = [a for a in pl.lattice_points(P, N, "interior")
-                 if not _split_exists_dfs(st, a, N, 1, 1)]
-        assert got == naive
+    assert pl.count_lattice_points(P, 1, "interior") > 0
+    _check_witness(P)
 
 
 def _disjoint_with_interior(P):
@@ -280,20 +298,15 @@ def _disjoint_with_interior(P):
 ))
 @example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 3), ((2,), 3), ((3,), 2))))
 @example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 2), ((3,), 3))))   # x2 uncapped
-def test_fail_scan_matches_naive(P):
-    """The pruned failing-point scan returns exactly the naive failing set,
-    on graph hulls and on hand-built systems with uncapped aggregate
-    members, and its pruning is exact: it enters only the prefixes of
-    failing points, so a budget of that many nodes suffices."""
-    st = _structure(P)
-    interior1 = pl.count_lattice_points(P, 1, "interior")
-    if not st.disjoint or interior1 == 0:
-        return
-    for N in (2, 3):
-        naive = [a for a in pl.lattice_points(P, N, "interior")
-                 if not _split_exists_dfs(st, a, N, 1, 1)]
-        prefixes = {a[:i] for a in naive for i in range(P.n + 1)}
-        assert list(_iter_failing(P, st, N, len(prefixes))) == naive
+# both aggregates can fail; the witness keeps x3 = 1 while {1, 2, 4} still can
+@example(pl.HPolytope(6, (((1, 2, 4), 4), ((3, 5, 6), 4), ((1,), 4), ((2,), 2), ((3,), 3),
+                          ((4,), 3), ((5,), 4), ((6,), 4))))
+def test_witness_matches_naive(P):
+    """The descent finds the lex-least failing point, or None, on graph
+    hulls and on hand-built systems with uncapped aggregate members: its
+    knapsack pruning is exact, so it never backtracks."""
+    if _disjoint_with_interior(P):
+        _check_witness(P)
 
 
 @settings(max_examples=100, deadline=None)
@@ -317,14 +330,6 @@ def test_split_paths_agree(P, slack):
                 assert _split_exists(st, a, N, r, slack) == dfs
 
 
-def test_level_scan_budget(k34_hull):
-    """The failing-point scan counts its nodes against `budget`."""
-    with pytest.raises(BudgetExceededError, match="level scan") as err:
-        pl.level_star(k34_hull, budget=5)
-    assert err.value.cap == "budget" and err.value.limit == 5
-    assert pl.level_star(k34_hull, budget=10**4)[0] is False
-
-
 def _nested_hull(edges, c):
     P = pl.facets(pl.enumerate_bases(pl.graph(6, edges), c))
     st_ = _structure(P)
@@ -337,6 +342,17 @@ def _nested_hull(edges, c):
 _FAILING_NESTED = ([(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
 
 
+def test_level_scan_budget(k34_hull):
+    """The walk for the witness of a hull with nested aggregates counts its
+    nodes against `budget`; the descent on a disjoint hull needs none."""
+    nested = _nested_hull(*_FAILING_NESTED)
+    with pytest.raises(BudgetExceededError, match="enumeration exceeded") as err:
+        pl.level_star(nested, budget=1000)
+    assert err.value.cap == "budget" and err.value.limit == 1000
+    assert pl.level_star(nested, budget=5000) == (False, (2, (1, 3, 3, 5, 4, 1)))
+    assert pl.level_star(k34_hull, budget=5) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
+
+
 def test_nested_level_decided_before_its_points(monkeypatch):
     """A laminar hull with nested aggregates and interior points: a level
     whose degree count has no degree >= 2 walks no point (walking them
@@ -345,28 +361,24 @@ def test_nested_level_decided_before_its_points(monkeypatch):
     level_star_hull = _nested_hull(
         [(1, 3), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5), (5, 6)], (2, 3, 3, 2, 3, 3))
     failing_hull = _nested_hull(*_FAILING_NESTED)
-
-    def no_points(*args, **kwargs):
-        raise AssertionError("interior points enumerated")
-
     with monkeypatch.context() as m:
-        m.setattr(levelness, "iter_lattice_points", no_points)
+        m.setattr(levelness, "iter_lattice_points", _no_points)
         assert pl.level_star(level_star_hull) == (True, None)
     assert pl.level_star(failing_hull) == (False, (2, (1, 3, 3, 5, 4, 1)))
 
 
 def test_analyze_walks_only_the_witness_level(monkeypatch, k34_hull):
     """The report reads level* and the witness level off its degree set:
-    it never calls `level_star`, and it walks one level, the witness's,
-    for failing points; on a disjoint hull and on a nested one."""
+    it never calls `level_star`, and it asks `_witness` at one level, the
+    witness's; on a disjoint hull and on a nested one."""
     def no_level_star(*args, **kwargs):
         raise AssertionError("level_star called")
 
     walked = []
-    iter_failing = levelness._iter_failing
+    descend = levelness._witness
     monkeypatch.setattr(levelness, "level_star", no_level_star)
-    monkeypatch.setattr(levelness, "_iter_failing",
-                        lambda P, st, N, budget: walked.append(N) or iter_failing(P, st, N, budget))
+    monkeypatch.setattr(levelness, "_witness",
+                        lambda P, st, N, budget: walked.append(N) or descend(P, st, N, budget))
     for P, witness in ((k34_hull, (2, (1, 1, 1, 2, 3, 3, 3))),
                        (_nested_hull(*_FAILING_NESTED), (2, (1, 3, 3, 5, 4, 1)))):
         walked.clear()
@@ -788,19 +800,21 @@ def test_structure_built_once_per_polytope():
     interior and disjoint aggregates, so the report, the table's length (a
     sum of interior counts), the delta vector and the points need only the
     hull's structure.  A nested hull is tested block by block: its report
-    builds the structures of the hull and of its two blocks, and nothing
-    after it builds another."""
+    builds the structures of the hull and of its one block with more than
+    one member (a lone coordinate always splits), the table's length that
+    of the lone block too, and nothing after it builds another."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     assert pl.count_lattice_points(P, 1, "interior") == 0
     assert _structure(P).disjoint
     nested = _nested_hull(*_FAILING_NESTED)
     blocks = _structure(nested).blocks
     assert blocks == ((1, 2, 3, 4, 5), (6,))
-    for Q, structures in ((P, 1), (nested, 1 + len(blocks))):
+    for Q, report, structures in ((P, 1, 1), (nested, 2, 1 + len(blocks))):
         _structure.cache_clear()
         rep = pl.analyze_polytope(Q)
-        assert _structure.cache_info().misses == structures
+        assert _structure.cache_info().misses == report
         len(rep.reduced_degree_table)
+        assert _structure.cache_info().misses == structures
         pl.delta_vector(Q)
         pl.lattice_points(Q, 1, "interior")
         assert _structure.cache_info().misses == structures
