@@ -112,6 +112,23 @@ def _integers(v, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must hold integers, got {v}") from None
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; anything `operator.index` accepts passes.  `what`
+    names it in the error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _cap(value, what: str) -> int:
+    """A work cap, such as `budget` or `candidate_cap`, as an int >= 1."""
+    value = _integer(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value}")
+    return value
+
+
 def _check_bounds(G: Graph, c) -> tuple[int, ...]:
     c = _integers(c, "bound vector")
     if len(c) != G.n:
@@ -208,9 +225,11 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
     bases" in the module docstring for why this is exact.
 
     Raises BudgetExceededError once a layer of the dynamic program holds
-    more than `candidate_cap` states; a result is never truncated.
+    more than `candidate_cap` states, an integer >= 1; a result is never
+    truncated.
     """
     c = _check_bounds(G, c)
+    candidate_cap = _cap(candidate_cap, "candidate_cap")
     edges = G.edge_list()
     slack0 = sum(c) - 2 * _first_descent(edges, c)
     bases = _final_states(edges, c, slack0, candidate_cap)

@@ -50,9 +50,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounded import DEFAULT_CANDIDATE_CAP, BasisSet, enumerate_bases
+from .bounded import DEFAULT_CANDIDATE_CAP, BasisSet, _cap, _integer, enumerate_bases
 from .graphs import Graph, leaf_distance_two_exists
-from .lattice import _integer, lattice_points, membership
+from .lattice import lattice_points, membership
 # `RankOracle` is not used here; it stays bound for the benchmark's tracer.
 from .polymatroid import RankOracle, VeroneseSpec, facets
 
@@ -241,6 +241,7 @@ def search_labeling(G: Graph, c_max: int, candidate_cap: int = DEFAULT_CANDIDATE
     c_max = _integer(c_max, "c_max")
     if c_max < 1:
         raise ValueError("c_max must be >= 1")
+    candidate_cap = _cap(candidate_cap, "candidate_cap")
     for c in itertools.product(range(2, c_max + 1), repeat=G.n):
         B = enumerate_bases(G, c, candidate_cap=candidate_cap)
         if _pseudo_gorenstein_from_bases(B):

@@ -11,8 +11,9 @@ exclude a true interior point).
 `_structure` is the one place where a facet system is split into
 per-coordinate caps (the singleton facets) and aggregate facets (|A| >= 2),
 with the aggregates through each coordinate, the product blocks and the
-laminar forest; it is cached per polytope, and counting, enumeration, the
-split tests and the scans of `levelness` all read it.  It is the only code
+laminar forest; it is cached per polytope, as many as the answer memos
+keep, and counting, enumeration, the split tests and the scans of
+`levelness` all read it.  It is the only code
 that tells singleton facets apart: the per-point checks (`membership`, the
 reflexivity slack test) and the naive `oracle` read every facet alike.
 
@@ -85,14 +86,13 @@ the coefficient vector of (1 - lambda)^{n+1} times the Ehrhart series.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .bounded import _integers
+from .bounded import _cap, _integer, _integers
 from .errors import BudgetExceededError
 from .polymatroid import _MEMO_SIZE, HPolytope, Polymatroid
 
@@ -117,15 +117,6 @@ def membership(P: HPolytope, x, N: int = 1, region: str = "full") -> bool:
         if sum(x[i - 1] for i in A) > N * t - slack:
             return False
     return True
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; anything `operator.index` accepts passes.  `what`
-    names it in the error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _dilation(N) -> int:
@@ -167,16 +158,9 @@ class _Structure:
 
 
 # One request counts, enumerates and scans the same hull and its block
-# polytopes many times; the cache lets those calls share one structure.
-# Small on purpose: a request needs the hull and its few distinct block
-# polytopes.  Answers are kept across requests instead (`_MEMO_SIZE`): a
-# repeated polytope is answered from them without its structure, and only
-# a point enumeration, which is not memoized, builds the structure again,
-# in about 20 us at n = 4-5, against the whole answer that a memo saves.
-_STRUCTURE_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=_STRUCTURE_CACHE_SIZE)
+# polytopes many times, and a repeated hull's point enumeration, which is
+# not memoized, needs its structure again: kept as long as the answers.
+@lru_cache(maxsize=_MEMO_SIZE)
 def _structure(P: HPolytope) -> _Structure:
     n = P.n
     u: list[int | None] = [None] * n
@@ -342,6 +326,7 @@ def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
     """
     _check_region(region)
     N = _dilation(N)
+    budget = _cap(budget, "budget")
     return _points(_structure(P), N, region, budget)
 
 
@@ -401,6 +386,7 @@ def count_lattice_points(P: HPolytope, N: int, region: str = "full",
     """
     _check_region(region)
     N = _dilation(N)
+    budget = _cap(budget, "budget")
     if N == 0:
         return 1 if region == "full" else 0
     st = _structure(P)
@@ -545,7 +531,7 @@ def delta_vector(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> DeltaVector
     separately.  Answers are memoized by (P, budget) however they are
     passed (see `polymatroid._MEMO_SIZE`); a raised error is not kept.
     """
-    return _delta_vector(P, budget)
+    return _delta_vector(P, _cap(budget, "budget"))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -596,6 +582,7 @@ def normality_check(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET)
     """
     if _integer(max_n, "max_n") < 2:
         raise ValueError("max_n must be >= 2")
+    budget = _cap(budget, "budget")
     if _decomposes(P):
         return True, None
     return _normality_scan(P, max_n, budget)

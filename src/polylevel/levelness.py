@@ -119,14 +119,39 @@ every interior point before the witness; any other hull walks its
 interior points in lex order up to the first that fails.  With plain
 enumeration in place of the descent acceptance check A05 took 32 s,
 against 1.9-2.1 s with it (single runs on a shared 2-vCPU Xeon host).
+
+Relabelling.  Permuting the coordinates maps the lattice points of N*P,
+and of its interior, onto those of the relabelled hull, and splits onto
+splits, so the interior count, pseudo-Gorenstein*, level*, the degree
+set, the int* degree, the spectrum, reflexivity and the table's length
+are the same for every relabelling of P; only the lex-least witness
+depends on the labels.  So `_report`, the memo by labelled hull, asks on
+a miss a second memo, keyed by the class of P: (type(P), n, image).  The
+image is the facet system with the coordinates renumbered in order of
+their facet profile, the sorted (|A|, t) over the facets through the
+coordinate, ties by label, as a sorted tuple of (|A|, renumbered A, t).
+The image is itself a relabelling of P, so equal keys mean relabellings
+of one polytope of one type, whatever the tie rule; a tie that is not a
+symmetry of the facets can only leave two relabellings of P on two keys,
+a miss, never a wrong answer.  The type is kept because `Polymatroid`
+selects the degree test (a hand-built one that is no polymatroid gets
+other answers).  On seed 1 of the benchmark's analyze workload the 576
+hulls fall into 71 classes.  The first hull of a class to miss is the
+one analysed; every other member gets its report with the witness, when
+there is one, found again on its own labels at the class's witness
+level, which every member shares, and with its own table.  A consequence:
+`budget` bounds the work on the hull analysed, so a relabelling whose own
+scan would exceed it may be answered from its class; that answer is
+exact, and nothing is truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import prod
 
+from .bounded import _cap, _integer
 from .errors import BudgetExceededError
 # `lattice_points` is not called here; it stays bound because the
 # benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
@@ -134,7 +159,6 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
     _decomposes,
-    _integer,
     _split_exists,
     _structure,
     _unit_gaps,
@@ -446,13 +470,53 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
                      budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
     """The `LevelnessReport` of P.  Answers are memoized by (P, scan bound,
     budget) (see `polymatroid._MEMO_SIZE`), however the call spells them,
-    so calls that ask for one report share one frozen report; a raised
-    error is not kept."""
-    return _report(P, _top_level(P, max_level), budget)
+    so calls that ask for one report share one frozen report, and shared
+    by the relabellings of P (the module docstring); a raised error is not
+    kept.  `budget` is an integer >= 1."""
+    return _report(P, _top_level(P, max_level), _cap(budget, "budget"))
+
+
+class _Relabelling(tuple):
+    """The key (type(P), n, image) of the relabelling class of P, as the
+    module docstring defines it; `hull` is the P it was made from, the
+    hull a memo keyed by it analyses on a miss."""
+
+    hull: HPolytope
+
+
+def _relabelling(P: HPolytope) -> _Relabelling:
+    """The class key of P, with P as its `hull`."""
+    profile: dict[int, list] = {i: [] for i in range(1, P.n + 1)}
+    for A, t in P.upper_facets:
+        for i in A:
+            profile[i].append((len(A), t))
+    # by facet profile; the sort is stable, so ties keep the label order
+    order = sorted(profile, key=lambda i: sorted(profile[i]))
+    label = {i: k for k, i in enumerate(order, 1)}
+    image = sorted((len(A), tuple(sorted(label[i] for i in A)), t) for A, t in P.upper_facets)
+    key = _Relabelling((type(P), P.n, tuple(image)))
+    key.hull = P
+    return key
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
+    rep = _class_report(_relabelling(P), scan_bound, budget)
+    table = rep.reduced_degree_table
+    if table._P == P:
+        return rep
+    witness = rep.failure_witness
+    if witness is not None:     # the same level for every relabelling
+        N, _point, why = witness
+        witness = (N, _witness(P, _structure(P), N, budget), why)
+    return replace(rep, failure_witness=witness,
+                   reduced_degree_table=_DegreeTable(P, table._levels, budget))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _class_report(key: _Relabelling, scan_bound: int, budget: int) -> LevelnessReport:
+    """The report of `key.hull`, the first hull of its class to miss."""
+    P = key.hull
     # one count serves every interior question: the interior points are
     # closed downwards within x >= 1, so P has one exactly when the
     # all-ones test `_interior_at(P, 1)` passes

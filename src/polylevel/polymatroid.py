@@ -32,14 +32,15 @@ from .graphs import star
 FACET_SCAN_MAX_DIM = 16
 
 # Entries kept by each memo of a per-polymatroid answer: `facets` here,
-# `levelness.analyze_polytope` and `lattice.delta_vector`.  Those answers
-# depend on the basis set alone, and many (G, c) share one: every connected
-# labelled graph on 4 vertices with c in [1..3]^4 makes 3,078 requests with
-# 377 distinct basis sets, and on 5 vertices with c in [1..2]^5 23,296
-# requests have 832 (scripts/polymatroid_census.py).  1024 entries hold
-# either census whole.  A basis set held in all three memos took about
-# 2.2 KB (tracemalloc over the hulls of `perfbench` analyze, n = 4-5), so
-# full memos hold about 2.3 MB.
+# `levelness.analyze_polytope` (by hull and by relabelling class),
+# `lattice.delta_vector`, and the facet structures of `lattice._structure`.
+# Those answers depend on the basis set alone, and many (G, c) share one:
+# every connected labelled graph on 4 vertices with c in [1..3]^4 makes
+# 3,078 requests with 377 distinct basis sets, and on 5 vertices with c in
+# [1..2]^5 23,296 requests have 832 (scripts/polymatroid_census.py).  1024
+# entries hold either census whole.  A basis set held in every memo, its
+# structure included, took about 3.4 KB (tracemalloc over the seed 1-3
+# pools of `perfbench` analyze, n = 4-5), so full memos hold about 3.5 MB.
 _MEMO_SIZE = 1024
 
 Subset = tuple[int, ...]

@@ -79,14 +79,28 @@ def veronese_specs(draw):
     return pl.VeroneseSpec(n=n, a=a, c=tuple(c))
 
 
+def relabel(P, perm):
+    """P with coordinate i renamed perm[i - 1], of the same type and with
+    its facets in the same order."""
+    return type(P)(P.n, tuple((tuple(sorted(perm[i - 1] for i in A)), t)
+                              for A, t in P.upper_facets))
+
+
 # a hand-built crossing system, not a polymatroid, whose splits are not
 # monotone in r
 NON_MONOTONE = pl.HPolytope(4, (((1,), 3), ((4,), 3), ((1, 2), 3), ((1, 3), 5), ((2, 3), 5)))
 
 
 # the memos of the per-polymatroid answers: `analyze_polytope` and
-# `delta_vector` normalize their arguments and call these private caches
-MEMOS = (polymatroid.facets, levelness._report, lattice._delta_vector)
+# `delta_vector` normalize their arguments and call these private caches,
+# and `_report` asks `_class_report` on a miss
+MEMOS = (polymatroid.facets, levelness._report, levelness._class_report,
+         lattice._delta_vector)
+
+
+def clear_memos():
+    for memo in (*MEMOS, lattice._structure):
+        memo.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -94,5 +108,4 @@ def empty_memos():
     """Start every test with empty memos and structure cache, so that no
     test is served an answer an earlier one cached (say, while it had a
     layer monkeypatched)."""
-    for memo in (*MEMOS, lattice._structure):
-        memo.cache_clear()
+    clear_memos()

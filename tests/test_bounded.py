@@ -161,7 +161,7 @@ def test_enumerate_bases_budget():
 
 
 @settings(max_examples=40, deadline=None)
-@given(graph_and_bounds(max_n=5, max_c=3), st.integers(0, 30))
+@given(graph_and_bounds(max_n=5, max_c=3), st.integers(1, 30))
 @example((pl.complete_bipartite(3, 4), (2,) * 7), 9)
 @example((pl.path(3), (2, 3, 2)), 2)
 def test_candidate_cap_never_truncates(gc, cap):
@@ -177,6 +177,13 @@ def test_candidate_cap_never_truncates(gc, cap):
     else:
         assert capped == B
         assert cap >= len(B.bases)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 1.5, "x"])
+def test_candidate_cap_must_be_a_positive_integer(cap):
+    """-1 was reported as "exceed the cap -1"."""
+    with pytest.raises(ValueError, match="candidate_cap"):
+        pl.enumerate_bases(pl.path(4), (2, 2, 2, 2), candidate_cap=cap)
 
 
 def test_candidate_cap_bounds_every_layer():

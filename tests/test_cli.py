@@ -187,6 +187,14 @@ def test_int_star_degree_rejects_max_level_1(capsys):
     assert "max_level must be at least 2" in capsys.readouterr().err
 
 
+def test_budget_below_one_is_an_input_error(capsys, p4_file):
+    """Exit 2 (input error), not 3 (work budget exceeded)."""
+    assert main(["delta-vector", "--veronese", "6,5,3,3,3", "--budget", "-5"]) == 2
+    assert "budget must be an integer >= 1" in capsys.readouterr().err
+    assert main(["search-labeling", p4_file, "--cmax", "2", "--budget", "0"]) == 2
+    assert "candidate_cap must be an integer >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_level", [[], ["--max-level", "4"]])
 def test_int_star_degree_reads_one_report(capsys, max_level):
     """The degree and the scan bound come from one memo entry."""

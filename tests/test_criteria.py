@@ -130,6 +130,9 @@ def test_search_labeling_examples():
     assert pl.search_labeling(pl.path(2), 2) == (2, 2)
     with pytest.raises(ValueError, match="integer"):
         pl.search_labeling(pl.path(3), 2.5)
+    for cap in (0, -1, 1.5, "x"):
+        with pytest.raises(ValueError, match="candidate_cap"):
+            pl.search_labeling(pl.path(4), 2, candidate_cap=cap)
 
 
 @settings(max_examples=40, deadline=None)

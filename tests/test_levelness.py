@@ -34,7 +34,7 @@ from polylevel.oracle import (
 )
 from polylevel.polymatroid import Polymatroid
 
-from conftest import NON_MONOTONE, facet_systems, graph_and_bounds
+from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, relabel
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +340,19 @@ def _nested_hull(edges, c):
 
 # a laminar graph hull with nested aggregates and interior points, not level*
 _FAILING_NESTED = ([(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
+
+
+@pytest.mark.parametrize("call", [
+    pl.analyze_polytope, pl.level_star, pl.int_star_degree, pl.conjecture_spectrum,
+    pl.pseudo_gorenstein_star,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("budget", [0, -1, 1.5, "x"])
+def test_budget_must_be_a_positive_integer(call, budget):
+    """On the hull of path(4) with c = 2, budget -1 raised
+    BudgetExceededError and 1.5 failed later as a budget error."""
+    P = pl.facets(pl.enumerate_bases(pl.path(4), (2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="budget"):
+        call(P, budget=budget)
 
 
 def test_level_scan_budget(k34_hull):
@@ -802,7 +815,13 @@ def test_structure_built_once_per_polytope():
     hull's structure.  A nested hull is tested block by block: its report
     builds the structures of the hull and of its one block with more than
     one member (a lone coordinate always splits), the table's length that
-    of the lone block too, and nothing after it builds another."""
+    of the lone block too, and nothing after it builds another.
+
+    Structures are kept as long as the answers: a second request for a
+    hull (bases, report, delta vector, interior points), after more
+    distinct hulls than the 16 structures once kept, builds none.  Nor
+    does the report of a relabelled copy of a hull with no witness, which
+    its class answers."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     assert pl.count_lattice_points(P, 1, "interior") == 0
     assert _structure(P).disjoint
@@ -818,3 +837,21 @@ def test_structure_built_once_per_polytope():
         pl.delta_vector(Q)
         pl.lattice_points(Q, 1, "interior")
         assert _structure.cache_info().misses == structures
+
+    def request(G, c):
+        Q = pl.facets(pl.enumerate_bases(G, c))
+        pl.analyze_polytope(Q)
+        pl.delta_vector(Q)
+        pl.lattice_points(Q, 1, "interior")
+        return Q
+
+    assert request(pl.path(4), (1, 1, 2, 1)) == P
+    others = {request(pl.cycle(5), c) for c in itertools.product((1, 2), repeat=5)}
+    assert len(others) > 16
+    built = _structure.cache_info().misses
+    request(pl.path(4), (1, 1, 2, 1))
+    assert _structure.cache_info().misses == built
+    copy = relabel(P, (4, 3, 2, 1))
+    assert copy != P and pl.analyze_polytope(P).failure_witness is None
+    pl.analyze_polytope(copy)
+    assert _structure.cache_info().misses == built
