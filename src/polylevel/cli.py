@@ -365,6 +365,13 @@ def cmd_verify(_args) -> int:
 
 # --- parser ---------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    """The value of --budget, rejected by that name unless an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parent(*names, **kwargs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(*names, **kwargs)
@@ -382,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each subcommand takes exactly the options its handler reads
     as_json = _parent("--json", action="store_true", help="canonical JSON output")
-    budget = _parent("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    budget = _parent("--budget", type=_budget, default=DEFAULT_NODE_BUDGET,
                      help="work cap for enumerations (default %(default)s)")
     strict = _parent("--strict", action="store_true",
                      help="exit 1 when the main verdict is negative")

@@ -157,9 +157,7 @@ class _Structure:
     own: tuple[tuple[int, ...], ...]
 
 
-# One request counts, enumerates and scans the same hull and its block
-# polytopes many times, and a repeated hull's point enumeration, which is
-# not memoized, needs its structure again: kept as long as the answers.
+# kept as long as the answers: a repeated hull's points are enumerated again
 @lru_cache(maxsize=_MEMO_SIZE)
 def _structure(P: HPolytope) -> _Structure:
     n = P.n
@@ -318,21 +316,31 @@ def _split_exists(st: _Structure, a: ExponentVector, N: int, r: int, slack: int)
 
 def iter_lattice_points(P: HPolytope, N: int, region: str = "full",
                         budget: int = DEFAULT_NODE_BUDGET):
-    """Lattice points of N*P (or its interior) in lex order, as an iterator;
-    N = 0 gives the origin alone, and no interior point.
+    """Lattice points of N*P (or its interior) in lex order, as a
+    generator; N = 0 gives the origin alone, and no interior point.
 
     The arguments are checked at the call; iterating raises
-    BudgetExceededError after more than `budget` visited nodes.
+    BudgetExceededError after more than `budget` visited nodes.  An
+    interior failing the all-ones test `_interior_at` builds no structure.
     """
     _check_region(region)
     N = _dilation(N)
     budget = _cap(budget, "budget")
-    return _points(_structure(P), N, region, budget)
+    return _points(P, N, region, budget)
 
 
-def _points(st: _Structure, N: int, region: str, budget: int):
+def _interior_at(P: HPolytope, r: int) -> bool:
+    """Has r*P an interior lattice point?  The interior points are closed
+    downwards within x >= 1, so the all-ones point decides."""
+    return all(len(A) <= r * t - 1 for A, t in P.upper_facets)
+
+
+def _points(P: HPolytope, N: int, region: str, budget: int):
     """The generator behind `iter_lattice_points`, its arguments checked."""
     lo = 0 if region == "full" else 1  # interior: x_i >= 1, every bound less 1
+    if lo and not _interior_at(P, N):
+        return
+    st = _structure(P)
     caps = [None if u is None else N * u - lo for u in st.u]
     limits = [N * t - lo for _A, t in st.aggs]
     agg_at, after = st.agg_at, st.after
@@ -528,10 +536,11 @@ def delta_vector(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> DeltaVector
 
     Also counts the interior of P (N = 1) to check delta_n against it, as
     in the module docstring; `budget` bounds each of these n + 2 counts
-    separately.  Answers are memoized by (P, budget) however they are
-    passed (see `polymatroid._MEMO_SIZE`); a raised error is not kept.
+    separately.  Answers are memoized by (P's first hull, budget) however
+    they are passed, and that hull is counted (the `polymatroid`
+    docstring); a raised error is not kept.
     """
-    return _delta_vector(P, _cap(budget, "budget"))
+    return _delta_vector(P.first or P, _cap(budget, "budget"))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

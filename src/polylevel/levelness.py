@@ -119,30 +119,6 @@ every interior point before the witness; any other hull walks its
 interior points in lex order up to the first that fails.  With plain
 enumeration in place of the descent acceptance check A05 took 32 s,
 against 1.9-2.1 s with it (single runs on a shared 2-vCPU Xeon host).
-
-Relabelling.  Permuting the coordinates maps the lattice points of N*P,
-and of its interior, onto those of the relabelled hull, and splits onto
-splits, so the interior count, pseudo-Gorenstein*, level*, the degree
-set, the int* degree, the spectrum, reflexivity and the table's length
-are the same for every relabelling of P; only the lex-least witness
-depends on the labels.  So `_report`, the memo by labelled hull, asks on
-a miss a second memo, keyed by the class of P: (type(P), n, image).  The
-image is the facet system with the coordinates renumbered in order of
-their facet profile, the sorted (|A|, t) over the facets through the
-coordinate, ties by label, as a sorted tuple of (|A|, renumbered A, t).
-The image is itself a relabelling of P, so equal keys mean relabellings
-of one polytope of one type, whatever the tie rule; a tie that is not a
-symmetry of the facets can only leave two relabellings of P on two keys,
-a miss, never a wrong answer.  The type is kept because `Polymatroid`
-selects the degree test (a hand-built one that is no polymatroid gets
-other answers).  On seed 1 of the benchmark's analyze workload the 576
-hulls fall into 71 classes.  The first hull of a class to miss is the
-one analysed; every other member gets its report with the witness, when
-there is one, found again on its own labels at the class's witness
-level, which every member shares, and with its own table.  A consequence:
-`budget` bounds the work on the hull analysed, so a relabelling whose own
-scan would exceed it may be answered from its class; that answer is
-exact, and nothing is truncated.
 """
 
 from __future__ import annotations
@@ -159,6 +135,7 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
     _decomposes,
+    _interior_at,
     _split_exists,
     _structure,
     _unit_gaps,
@@ -287,12 +264,6 @@ def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
     ))
 
 
-def _interior_at(Q: HPolytope, r: int) -> bool:
-    """Has r*Q an interior lattice point?  The all-ones point is the least
-    candidate, and a split at r needs one."""
-    return all(len(A) <= r * t - 1 for A, t in Q.upper_facets)
-
-
 def _coordinate_states(u: int | None, N: int, r: int, top: int) -> dict:
     """(a, window lo, window hi) of one coordinate, a in 1..top and below its
     cap, for the values whose summand window is nonempty."""
@@ -415,17 +386,20 @@ def _top_level(P: HPolytope, max_level: int | None) -> int:
 
 class _DegreeTable:
     """The number of scanned points of reduced degree >= 2, holding no
-    point, as `LevelnessReport` describes it."""
+    point, as `LevelnessReport` describes it.  The table of a relabelling
+    reads its length off `counted`, the table of its class's first hull."""
 
-    def __init__(self, P: HPolytope, levels, budget: int):
+    def __init__(self, P: HPolytope, levels, budget: int, counted=None):
         self._P, self._levels, self._budget = P, levels, budget
+        self._counted = counted
         self._len = None
 
     def __len__(self) -> int:
         if self._len is None:
             P, budget = self._P, self._budget
-            self._len = sum(count_lattice_points(P, N, "interior", budget=budget)
-                            - _degree_one_count(P, N, budget) for N in self._levels)
+            self._len = len(self._counted) if self._counted is not None else sum(
+                count_lattice_points(P, N, "interior", budget=budget)
+                - _degree_one_count(P, N, budget) for N in self._levels)
         return self._len
 
     def __eq__(self, other):
@@ -471,55 +445,23 @@ def analyze_polytope(P: HPolytope, max_level: int | None = None,
     """The `LevelnessReport` of P.  Answers are memoized by (P, scan bound,
     budget) (see `polymatroid._MEMO_SIZE`), however the call spells them,
     so calls that ask for one report share one frozen report, and shared
-    by the relabellings of P (the module docstring); a raised error is not
-    kept.  `budget` is an integer >= 1."""
+    by the relabellings of one basis set (the `polymatroid` docstring); a
+    raised error is not kept.  `budget` is an integer >= 1."""
     return _report(P, _top_level(P, max_level), _cap(budget, "budget"))
-
-
-class _Relabelling(tuple):
-    """The key (type(P), n, image) of the relabelling class of P, as the
-    module docstring defines it; `hull` is the P it was made from, the
-    hull a memo keyed by it analyses on a miss."""
-
-    hull: HPolytope
-
-
-def _relabelling(P: HPolytope) -> _Relabelling:
-    """The class key of P, with P as its `hull`."""
-    profile: dict[int, list] = {i: [] for i in range(1, P.n + 1)}
-    for A, t in P.upper_facets:
-        for i in A:
-            profile[i].append((len(A), t))
-    # by facet profile; the sort is stable, so ties keep the label order
-    order = sorted(profile, key=lambda i: sorted(profile[i]))
-    label = {i: k for k, i in enumerate(order, 1)}
-    image = sorted((len(A), tuple(sorted(label[i] for i in A)), t) for A, t in P.upper_facets)
-    key = _Relabelling((type(P), P.n, tuple(image)))
-    key.hull = P
-    return key
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
-    rep = _class_report(_relabelling(P), scan_bound, budget)
-    table = rep.reduced_degree_table
-    if table._P == P:
-        return rep
-    witness = rep.failure_witness
-    if witness is not None:     # the same level for every relabelling
-        N, _point, why = witness
-        witness = (N, _witness(P, _structure(P), N, budget), why)
-    return replace(rep, failure_witness=witness,
-                   reduced_degree_table=_DegreeTable(P, table._levels, budget))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _class_report(key: _Relabelling, scan_bound: int, budget: int) -> LevelnessReport:
-    """The report of `key.hull`, the first hull of its class to miss."""
-    P = key.hull
-    # one count serves every interior question: the interior points are
-    # closed downwards within x >= 1, so P has one exactly when the
-    # all-ones test `_interior_at(P, 1)` passes
+    if P.first is not None:     # a relabelling: its class's report, on its labels
+        rep = _report(P.first, scan_bound, budget)
+        witness = rep.failure_witness
+        if witness is not None:     # the same level for every relabelling
+            N, _point, why = witness
+            witness = (N, _witness(P, _structure(P), N, budget), why)
+        table = rep.reduced_degree_table
+        return replace(rep, failure_witness=witness,
+                       reduced_degree_table=_DegreeTable(P, table._levels, budget, table))
+    # one count serves every interior question, as `_interior_at` says
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
     degrees = {N for N in range(2, scan_bound + 1) if _is_degree(P, N, budget)}

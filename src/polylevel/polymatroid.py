@@ -17,12 +17,25 @@ Polytopes of Veronese type (a box truncated by one full simplex
 inequality) are built directly from their parameter sequence.  Both
 constructions return a `Polymatroid`, the subclass that marks the
 integer decomposition property.
+
+Relabelling.  Permuting the coordinates of B permutes the facets, the
+lattice points of every dilate and its interior, and the splits, so the
+delta vector and every verdict of `levelness` but the lex-least witness
+depend on B only up to relabelling.  `facets` keys the class of B by (n,
+image), the bases with the coordinates ordered by their sorted column of
+values, ties by label, sorted.  The image relabels B, so equal keys are
+sound; a tie that is no symmetry of B can only split a class, never
+merge two.  A later member of a class relabels the first member's
+facets, sorts them in (size, lex) order and keeps its hull as `first`,
+from which `lattice.delta_vector` and `levelness.analyze_polytope`
+answer (the witness is found again on the member's labels), so `budget`
+bounds the work on the first hull.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bounded import BasisSet, _integers, enumerate_bases
@@ -31,16 +44,13 @@ from .graphs import star
 
 FACET_SCAN_MAX_DIM = 16
 
-# Entries kept by each memo of a per-polymatroid answer: `facets` here,
-# `levelness.analyze_polytope` (by hull and by relabelling class),
-# `lattice.delta_vector`, and the facet structures of `lattice._structure`.
-# Those answers depend on the basis set alone, and many (G, c) share one:
-# every connected labelled graph on 4 vertices with c in [1..3]^4 makes
-# 3,078 requests with 377 distinct basis sets, and on 5 vertices with c in
-# [1..2]^5 23,296 requests have 832 (scripts/polymatroid_census.py).  1024
-# entries hold either census whole.  A basis set held in every memo, its
-# structure included, took about 3.4 KB (tracemalloc over the seed 1-3
-# pools of `perfbench` analyze, n = 4-5), so full memos hold about 3.5 MB.
+# Entries kept by each memo of a per-polymatroid answer: `facets` (by
+# basis set and by relabelling class), `levelness.analyze_polytope` (by
+# hull), `lattice.delta_vector` (by the first hull of the class) and
+# `lattice._structure`.  1024 entries hold either census of
+# scripts/polymatroid_census.py (377 and 832 basis sets).  The memos held
+# about 2.1 KB per basis set (tracemalloc, seed 1-3 pools of `perfbench`
+# analyze, n = 4-5), so 1024 basis sets take about 2.2 MB.
 _MEMO_SIZE = 1024
 
 Subset = tuple[int, ...]
@@ -133,6 +143,7 @@ class HPolytope:
 
     n: int
     upper_facets: tuple[tuple[Subset, int], ...]
+    first = None        # not a field: see `Polymatroid`
 
     def __post_init__(self):
         if self.n < 1:
@@ -157,6 +168,7 @@ class HPolytope:
             raise ValueError(f"unbounded coordinates (no upper facet): {missing}")
 
 
+@dataclass(frozen=True)
 class Polymatroid(HPolytope):
     """An `HPolytope` that is an integral polymatroid.
 
@@ -168,23 +180,53 @@ class Polymatroid(HPolytope):
     it.  An `HPolytope` with the same facets is not one.  The constructor
     checks nothing, so the package does not export it: one built by hand
     from a non-polymatroid voids those theorems and gets wrong answers.
+    `first` is the first hull of its relabelling class, if another one.
     """
+
+    first: Polymatroid | None = field(default=None, compare=False, repr=False)
+
+
+class _Class(tuple):
+    """A class key (n, image) of the module docstring; `bases` is the basis
+    set it was made from, `order` its coordinates in the key's order."""
+
+
+def _class_of(B: BasisSet) -> _Class:
+    columns = [sorted(b[i] for b in B.bases) for i in range(B.n)]
+    order = sorted(range(B.n), key=columns.__getitem__)  # stable: ties by label
+    key = _Class((B.n, tuple(sorted(tuple(b[i] for i in order) for b in B.bases))))
+    key.bases, key.order = B, tuple(order)
+    return key
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def facets(B: BasisSet) -> Polymatroid:
     """Irredundant facet system of the hull of the divisor set of B.
 
-    Scans subsets in (size, lex) order; output keeps that order, so
-    reports are reproducible.  Answers are memoized by B (see `_MEMO_SIZE`),
-    so equal basis sets share one frozen polytope; a raised error is not
-    kept.
+    Facets are listed in (size, lex) order, so reports are reproducible.
+    Answers are memoized by B (see `_MEMO_SIZE`), and only the first basis
+    set of a relabelling class is scanned; a raised error is not kept.
     """
     if B.n > FACET_SCAN_MAX_DIM:
         raise BudgetExceededError(
             f"dimension {B.n} exceeds the facet scan cap {FACET_SCAN_MAX_DIM}",
             cap="FACET_SCAN_MAX_DIM", limit=FACET_SCAN_MAX_DIM,
         )
+    key = _class_of(B)
+    first, order = _class_facets(key)
+    if order == key.order:      # B is the class's first basis set
+        return first
+    label = dict(zip(order, key.order))
+    ups = sorted(((tuple(sorted(label[i - 1] + 1 for i in A)), t) for A, t in first.upper_facets),
+                 key=lambda f: (len(f[0]), f[0]))
+    return Polymatroid(B.n, tuple(ups), first)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _class_facets(key: _Class) -> tuple[Polymatroid, tuple[int, ...]]:
+    """The facets of `key.bases`, the first of its class to arrive, by a
+    scan of the subsets in (size, lex) order, and its coordinate order."""
+    B = key.bases
     R = RankOracle.from_basis_set(B)
     out: list[tuple[Subset, int]] = []
     for size in range(1, B.n + 1):
@@ -192,7 +234,7 @@ def facets(B: BasisSet) -> Polymatroid:
             mask = _mask_of(combo)
             if is_closed_mask(R, mask) and is_inseparable_mask(R, mask):
                 out.append((combo, R.rank_mask(mask)))
-    return Polymatroid(n=B.n, upper_facets=tuple(out))
+    return Polymatroid(n=B.n, upper_facets=tuple(out)), key.order
 
 
 @dataclass(frozen=True)

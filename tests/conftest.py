@@ -86,15 +86,22 @@ def relabel(P, perm):
                               for A, t in P.upper_facets))
 
 
+def relabel_graph(G, c, perm):
+    """(G, c) with vertex i renamed perm[i - 1]: its hull, built by
+    `facets`, is the hull of (G, c) relabelled by perm."""
+    c = [c[perm.index(v)] for v in range(1, G.n + 1)]
+    return pl.graph(G.n, [(perm[i - 1], perm[j - 1]) for i, j in G.edges]), tuple(c)
+
+
 # a hand-built crossing system, not a polymatroid, whose splits are not
 # monotone in r
 NON_MONOTONE = pl.HPolytope(4, (((1,), 3), ((4,), 3), ((1, 2), 3), ((1, 3), 5), ((2, 3), 5)))
 
 
-# the memos of the per-polymatroid answers: `analyze_polytope` and
-# `delta_vector` normalize their arguments and call these private caches,
-# and `_report` asks `_class_report` on a miss
-MEMOS = (polymatroid.facets, levelness._report, levelness._class_report,
+# the memos of the per-polymatroid answers: `facets` asks `_class_facets`
+# on a miss, and `analyze_polytope` and `delta_vector` normalize their
+# arguments and call private caches
+MEMOS = (polymatroid.facets, polymatroid._class_facets, levelness._report,
          lattice._delta_vector)
 
 

@@ -188,11 +188,17 @@ def test_int_star_degree_rejects_max_level_1(capsys):
 
 
 def test_budget_below_one_is_an_input_error(capsys, p4_file):
-    """Exit 2 (input error), not 3 (work budget exceeded)."""
-    assert main(["delta-vector", "--veronese", "6,5,3,3,3", "--budget", "-5"]) == 2
-    assert "budget must be an integer >= 1" in capsys.readouterr().err
-    assert main(["search-labeling", p4_file, "--cmax", "2", "--budget", "0"]) == 2
-    assert "candidate_cap must be an integer >= 1" in capsys.readouterr().err
+    """Exit 2 (input error), not 3 (work budget exceeded), with the error
+    named by the option the user typed, whatever the command passes the
+    budget on to."""
+    for argv, value in ((["delta-vector", "--veronese", "6,5,3,3,3"], "-5"),
+                        (["search-labeling", p4_file, "--cmax", "2"], "0"),
+                        (["analyze", p4_file, "--c", "2,2,2,2"], "x")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --budget: must be an integer >= 1, got '{value}'" in err
 
 
 @pytest.mark.parametrize("max_level", [[], ["--max-level", "4"]])

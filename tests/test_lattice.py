@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_count,
-                               _normality_scan, _structure, iter_lattice_points)
+                               _interior_at, _normality_scan, _structure, iter_lattice_points)
 from polylevel.oracle import brute_count, brute_interior_points, brute_normality, brute_volume
 
 from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, veronese_specs
@@ -56,6 +57,30 @@ def test_enumeration_at_level_zero(path3_hull):
             assert all(pl.membership(P, x, 0, region) for x in points)
     with pytest.raises(ValueError, match=">= 0"):
         iter_lattice_points(simplex, -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+                 facet_systems(max_n=4, max_t=3)))
+@example(pl.facets(pl.enumerate_bases(pl.path(3), (2, 3, 2))))   # interior points
+@example(pl.facets(pl.enumerate_bases(pl.cycle(3), (1, 1, 1))))   # none
+def test_interior_points_match_oracle(P):
+    """The interior points of N*P, N = 0..3, against a flat scan; a dilate
+    whose interior fails the all-ones test builds no facet structure."""
+    for N in range(4):
+        _structure.cache_clear()
+        assert pl.lattice_points(P, N, "interior") == brute_interior_points(P, N)
+        assert _structure.cache_info().misses == (1 if _interior_at(P, N) else 0)
+
+
+def test_empty_interior_is_a_generator(triangle_hull):
+    """An empty interior is still a generator, so a caller may close it."""
+    assert pl.count_lattice_points(triangle_hull, 1, "interior") == 0
+    _structure.cache_clear()
+    points = iter_lattice_points(triangle_hull, 1, "interior")
+    assert inspect.isgenerator(points) and list(points) == []
+    points.close()
+    assert _structure.cache_info().misses == 0
 
 
 def test_count_conventions(cube4):

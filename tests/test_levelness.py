@@ -11,6 +11,7 @@ import polylevel as pl
 from polylevel import levelness
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (
+    _interior_at,
     _normality_scan,
     _split_exists,
     _split_exists_dfs,
@@ -21,7 +22,6 @@ from polylevel.lattice import (
 from polylevel.levelness import (
     _block_fails,
     _cost_rows,
-    _interior_at,
     _is_degree,
     _restrict,
     _state_budget,
@@ -34,7 +34,7 @@ from polylevel.oracle import (
 )
 from polylevel.polymatroid import Polymatroid
 
-from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, relabel
+from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, relabel_graph
 
 
 @pytest.fixture(scope="module")
@@ -820,8 +820,9 @@ def test_structure_built_once_per_polytope():
     Structures are kept as long as the answers: a second request for a
     hull (bases, report, delta vector, interior points), after more
     distinct hulls than the 16 structures once kept, builds none.  Nor
-    does the report of a relabelled copy of a hull with no witness, which
-    its class answers."""
+    does a request for the hull of a relabelled graph whose hull has no
+    witness and no interior point: its class answers the report and the
+    delta vector, and the all-ones test the interior points."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     assert pl.count_lattice_points(P, 1, "interior") == 0
     assert _structure(P).disjoint
@@ -851,7 +852,9 @@ def test_structure_built_once_per_polytope():
     built = _structure.cache_info().misses
     request(pl.path(4), (1, 1, 2, 1))
     assert _structure.cache_info().misses == built
-    copy = relabel(P, (4, 3, 2, 1))
-    assert copy != P and pl.analyze_polytope(P).failure_witness is None
+    copy = pl.facets(pl.enumerate_bases(*relabel_graph(pl.path(4), (1, 1, 2, 1), (4, 3, 2, 1))))
+    assert copy.first is P and pl.analyze_polytope(P).failure_witness is None
     pl.analyze_polytope(copy)
+    pl.delta_vector(copy)
+    pl.lattice_points(copy, 1, "interior")
     assert _structure.cache_info().misses == built

@@ -1,23 +1,26 @@
 """The memos of the per-polymatroid answers: `facets` by the basis set,
 `analyze_polytope` by the polytope, the scan bound and the budget, and
-shared by the relabellings of the polytope, and `delta_vector` by the
-polytope and the budget, however a call spells them."""
+`delta_vector` by the polytope and the budget, however a call spells
+them; the relabellings of one basis set share one facet scan, one delta
+vector and one report but its witness."""
 
 import importlib
 import itertools
 import pkgutil
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
-from polylevel import lattice, levelness
+from polylevel import lattice, levelness, polymatroid
+from polylevel.bounded import BasisSet
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import DEFAULT_NODE_BUDGET
 from polylevel.polymatroid import Polymatroid
 
-from conftest import MEMOS, NON_MONOTONE, clear_memos, facet_systems, graph_and_bounds, relabel
+from conftest import MEMOS, NON_MONOTONE, clear_memos, graph_and_bounds, relabel, relabel_graph
 
 
 def _answers(G, c):
@@ -124,66 +127,118 @@ def test_the_memo_fixture_clears_every_memo():
     assert caches <= {*MEMOS, lattice._structure}
 
 
-# --- one report per relabelling class --------------------------------------
+# --- one facet scan, delta vector and report per relabelling class -------
 
 @st.composite
-def relabelled_hulls(draw):
-    """A graph hull with n <= 6 or a laminar facet system, and a random
-    relabelling of it."""
-    gc = st.one_of(graph_and_bounds(max_n=5, max_c=3), graph_and_bounds(max_n=6, max_c=2))
-    P = draw(st.one_of(gc.map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
-                       facet_systems(max_n=5, max_t=4, laminar=True)))
-    return P, relabel(P, draw(st.permutations(range(1, P.n + 1))))
+def relabelled_graphs(draw):
+    """A graph with bounds, n <= 6, and a random relabelling of its vertices."""
+    G, c = draw(st.one_of(graph_and_bounds(max_n=5, max_c=3), graph_and_bounds(max_n=6, max_c=2)))
+    return G, c, tuple(draw(st.permutations(range(1, G.n + 1))))
 
 
-def _graph_hull(n, edges, c):
-    return pl.facets(pl.enumerate_bases(pl.graph(n, edges), c))
+def _hull(G, c):
+    return pl.facets(pl.enumerate_bases(G, c))
 
 
 # a nested graph hull with interior points, not level*, and a crossing one
 # with interior points: both walk their interior for the witness
-_NESTED = _graph_hull(6, [(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
-_CROSSING = _graph_hull(6, [(1, 2), (1, 4), (2, 3), (3, 6), (4, 6), (5, 6)], (2, 2, 3, 3, 2, 2))
+_NESTED = (pl.graph(6, [(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)]), (3, 2, 2, 3, 3, 3))
+_CROSSING = (pl.graph(6, [(1, 2), (1, 4), (2, 3), (3, 6), (4, 6), (5, 6)]), (2, 2, 3, 3, 2, 2))
 
 
 @settings(max_examples=150, deadline=None)
-@given(relabelled_hulls())
-@example((_NESTED, relabel(_NESTED, (6, 5, 4, 3, 2, 1))))
-@example((_NESTED, relabel(_NESTED, (2, 1, 4, 3, 6, 5))))
-@example((_CROSSING, relabel(_CROSSING, (3, 1, 2, 6, 4, 5))))
-@example((NON_MONOTONE, relabel(NON_MONOTONE, (4, 3, 2, 1))))
-def test_relabelled_hull_gets_its_own_report(hulls):
-    """Analysed after P, a relabelling Q of P is answered from P's class:
-    every field, the witness included, equals a fresh report of Q."""
-    P, Q = hulls
+@given(relabelled_graphs())
+@example((*_NESTED, (6, 5, 4, 3, 2, 1)))
+@example((*_NESTED, (2, 1, 4, 3, 6, 5)))
+@example((*_CROSSING, (3, 1, 2, 6, 4, 5)))
+def test_relabelled_hull_gets_its_own_report(case):
+    """Built after the hull P of (G, c), the hull Q of a relabelled graph
+    is answered from P's class: every field of its report, the witness
+    included, and its delta vector equal fresh answers for Q."""
+    G, c, perm = case
+    clear_memos()               # P is the first hull of its class
+    P = _hull(G, c)
     pl.analyze_polytope(P)
-    served = pl.analyze_polytope(Q)
+    pl.delta_vector(P)
+    Q = _hull(*relabel_graph(G, c, perm))
+    assert set(Q.upper_facets) == set(relabel(P, perm).upper_facets) and Q.first in (None, P)
+    served = pl.analyze_polytope(Q), pl.delta_vector(Q)
     clear_memos()
-    fresh = pl.analyze_polytope(Q)
+    fresh = pl.analyze_polytope(Q), pl.delta_vector(Q)
     assert served == fresh
-    assert served.failure_witness == fresh.failure_witness
-    assert len(served.reduced_degree_table) == len(fresh.reduced_degree_table)
+    assert served[0].failure_witness == fresh[0].failure_witness
+    assert len(served[0].reduced_degree_table) == len(fresh[0].reduced_degree_table)
 
 
-def test_relabelled_copy_gets_its_own_witness(k34_hull):
-    """Reversing the coordinates of K(3,4) with c = 2 keeps the class but
-    not the lex-least witness: the copy's is (2, 3, 3, 3, 1, 1, 1), not
-    the reversed (3, 3, 3, 2, 1, 1, 1)."""
-    copy = relabel(k34_hull, (7, 6, 5, 4, 3, 2, 1))
-    assert pl.analyze_polytope(k34_hull).failure_witness[:2] == (2, (1, 1, 1, 2, 3, 3, 3))
+def test_relabelled_copy_gets_its_own_witness():
+    """Reversing the vertices of K(3,4) with c = 2 keeps the class but not
+    the lex-least witness: the copy's is (2, 3, 3, 3, 1, 1, 1), not the
+    reversed (3, 3, 3, 2, 1, 1, 1).  The copy's facets, report and delta
+    vector are each served by its class: one scan and one delta vector
+    for the two hulls, and one report of the class's first hull, from
+    which the copy's is made."""
+    G, c = relabel_graph(pl.complete_bipartite(3, 4), (2,) * 7, (7, 6, 5, 4, 3, 2, 1))
+    k34 = pl.facets(pl.enumerate_bases(pl.complete_bipartite(3, 4), (2,) * 7))
+    assert pl.analyze_polytope(k34).failure_witness[:2] == (2, (1, 1, 1, 2, 3, 3, 3))
+    copy = _hull(G, c)
+    assert copy.first is k34 and k34.first is None
     rep = pl.analyze_polytope(copy)
-    info = levelness._class_report.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert pl.delta_vector(copy) is pl.delta_vector(k34)
+    assert polymatroid._class_facets.cache_info().misses == 1
+    assert lattice._delta_vector.cache_info().misses == 1
+    assert levelness._report.cache_info()[:2] == (1, 2)     # hits, misses
     assert rep.failure_witness[:2] == (2, (2, 3, 3, 3, 1, 1, 1))
     clear_memos()
-    assert pl.analyze_polytope(copy) == rep
+    assert pl.analyze_polytope(_hull(G, c)) == rep
+
+
+def _relabelled_bases(B, perm):
+    """B with coordinate i renamed perm[i - 1]."""
+    bases = sorted(tuple(a[perm.index(v)] for v in range(1, B.n + 1)) for a in B.bases)
+    return BasisSet(B.n, B.delta_c, tuple(bases))
+
+
+def _census_bases():
+    """The basis sets of the connected labelled graphs on 4 vertices with
+    c in [1..3]^4, the census of scripts/polymatroid_census.py."""
+    return {pl.enumerate_bases(G, c) for G in _connected_graphs(4)
+            for c in itertools.product((1, 2, 3), repeat=4)}
+
+
+def test_census_relabellings_get_fresh_answers():
+    """Every basis set of the census, under a random relabelling, after
+    the whole census: its facets equal a direct scan of the relabelled
+    set, and its report and delta vector equal fresh answers."""
+    rng = random.Random(1)
+    bases = sorted(_census_bases(), key=lambda B: B.bases)
+    for B in bases:
+        P = pl.facets(B)
+        pl.analyze_polytope(P)
+        pl.delta_vector(P)
+    served = {}
+    for B in bases:
+        perm = tuple(rng.sample(range(1, 5), 4))
+        Q = pl.facets(_relabelled_bases(B, perm))
+        rep = pl.analyze_polytope(Q)
+        served[B, perm] = Q, rep, len(rep.reduced_degree_table), pl.delta_vector(Q)
+    assert sum(Q.first is not None for Q, *_ in served.values()) > 300
+    for (B, perm), (Q, rep, length, dv) in served.items():
+        clear_memos()
+        relabelled = _relabelled_bases(B, perm)
+        scan, _order = polymatroid._class_facets(polymatroid._class_of(relabelled))
+        assert Q.upper_facets == scan.upper_facets
+        clear_memos()
+        fresh = pl.analyze_polytope(scan)
+        assert (rep, rep.failure_witness, length) == (
+            fresh, fresh.failure_witness, len(fresh.reduced_degree_table))
+        assert dv == pl.delta_vector(scan)
 
 
 def test_class_key_keeps_the_bounds_and_the_type():
-    """Hulls that differ only in their bounds, or only in their type, are
-    not relabellings of one another.  `Polymatroid` claims the integer
-    decomposition property, and the crossing `NON_MONOTONE` (level*) marked
-    as one is wrongly tested as such; it must not answer the true type."""
+    """Hulls that differ only in their bounds, or only in their type, do
+    not share answers.  `Polymatroid` claims the integer decomposition
+    property, and the crossing `NON_MONOTONE` (level*) marked as one is
+    wrongly tested as such; it must not answer the true type."""
     small, large = (pl.HPolytope(2, (((1,), t), ((2,), t))) for t in (2, 3))
     assert pl.analyze_polytope(small).interior_count_1 == 1
     assert pl.analyze_polytope(large).interior_count_1 == 4
@@ -212,23 +267,18 @@ def _connected_graphs(n):
                 yield pl.graph(n, edges)
 
 
-def _least_image(P):
-    """The relabelling class of P by brute force: the least image over
+def _least_image(B):
+    """The relabelling class of B by brute force: the least image over
     all n! relabellings."""
-    return type(P), P.n, min(
-        tuple(sorted((len(A), tuple(sorted(perm[i - 1] for i in A)), t)
-                     for A, t in P.upper_facets))
-        for perm in itertools.permutations(range(1, P.n + 1)))
+    return B.n, min(tuple(sorted(tuple(a[i] for i in perm) for a in B.bases))
+                    for perm in itertools.permutations(range(B.n)))
 
 
 def test_census_relabelling_classes():
-    """The connected labelled graphs on 4 vertices with c in [1..3]^4 (the
-    census of scripts/polymatroid_census.py) have 377 basis sets, whose
-    hulls fall into 40 relabelling classes: the class keys merge every
-    relabelling the brute-force classes do."""
-    bases = {pl.enumerate_bases(G, c) for G in _connected_graphs(4)
-             for c in itertools.product((1, 2, 3), repeat=4)}
-    hulls = [pl.facets(B) for B in bases]
+    """The census has 377 basis sets, which fall into 40 relabelling
+    classes: the class keys merge every relabelling the brute-force
+    classes do."""
+    bases = _census_bases()
     assert len(bases) == 377
-    keys = {levelness._relabelling(P) for P in hulls}
-    assert len(keys) == len({_least_image(P) for P in hulls}) == 40
+    keys = {polymatroid._class_of(B) for B in bases}
+    assert len(keys) == len({_least_image(B) for B in bases}) == 40

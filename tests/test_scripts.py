@@ -49,4 +49,5 @@ def test_polymatroid_census_counts_the_n4_requests():
     """Every connected labelled graph on 4 vertices with c in [1..3]^4."""
     done = run_script("polymatroid_census.py", "--n", "4", "--cmax", "3")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[:2] == ["requests: 3078", "distinct basis sets: 377"]
+    assert done.stdout.splitlines()[:3] == ["requests: 3078", "distinct basis sets: 377",
+                                            "relabelling classes: 40"]
