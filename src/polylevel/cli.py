@@ -31,7 +31,7 @@ from .criteria import (
     veronese_uniform_formula,
 )
 from .errors import BudgetExceededError
-from .graphs import Graph, graph, is_tree
+from .graphs import graph, is_tree
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     count_lattice_points,
@@ -83,12 +83,12 @@ def _json_ints(v) -> bool:
     return isinstance(v, list) and all(type(x) is int for x in v)
 
 
-def _require_bounds(G: Graph, c) -> tuple[int, ...]:
+def _graph_bases(args):
+    """(G, c, bases) of the graph file; `enumerate_bases` checks c against G."""
+    G, c = _load_graph(args.graph_file, args.c)
     if c is None:
         raise ValueError("no bound vector: add a 'c' field to the graph file or pass --c")
-    if len(c) != G.n:
-        raise ValueError(f"bound vector has length {len(c)}, graph has {G.n} vertices")
-    return tuple(c)
+    return G, c, enumerate_bases(G, c, candidate_cap=args.budget)
 
 
 def _veronese_from_flag(text: str) -> VeroneseSpec:
@@ -103,8 +103,7 @@ def _polytope(args) -> HPolytope:
         return veronese_polytope(_veronese_from_flag(args.veronese))
     if not args.graph_file:
         raise ValueError("need a graph file or --veronese a,c1,...,cn")
-    G, c = _load_graph(args.graph_file, args.c)
-    return facets(enumerate_bases(G, _require_bounds(G, c), candidate_cap=args.budget))
+    return facets(_graph_bases(args)[2])
 
 
 def _facets_json(P: HPolytope) -> list[dict]:
@@ -130,9 +129,7 @@ def _strict_exit(args, verdict: bool) -> int:
 # --- subcommands ----------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    G, c = _load_graph(args.graph_file, args.c)
-    c = _require_bounds(G, c)
-    B = enumerate_bases(G, c, candidate_cap=args.budget)
+    G, c, B = _graph_bases(args)
     P = facets(B)
     rep = analyze_polytope(P, max_level=args.max_level, budget=args.budget)
     dv = delta_vector(P, budget=args.budget)

@@ -89,7 +89,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 from .bounded import _cap, _integer, _integers
@@ -138,8 +138,10 @@ class _Structure:
 
     `after[k][i]` counts the members of aggregate k above coordinate i+1.
     Blocks are the connected components of the aggregate supports, least
-    member first; a coordinate in no aggregate is a block of its own.  When
-    the aggregates form a laminar family (pairwise disjoint or nested),
+    member first; a coordinate in no aggregate is a block of its own.
+    Every facet lives in one block, so P is the product of its block
+    polytopes, and counting and `levelness` work block by block.  When the
+    aggregates form a laminar family (pairwise disjoint or nested),
     `forest` holds per aggregate its child aggregates and `own` the member
     coordinates not covered by a child; aggregates are sorted by (size,
     members), so children come first.
@@ -151,7 +153,6 @@ class _Structure:
     agg_at: tuple[tuple[int, ...], ...]    # per coordinate: aggregates through it
     after: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[int, ...], ...]
-    disjoint: bool
     laminar: bool
     forest: tuple[tuple[int, ...], ...]
     own: tuple[tuple[int, ...], ...]
@@ -186,13 +187,7 @@ def _structure(P: HPolytope) -> _Structure:
         blocks.setdefault(x, []).append(i)
 
     sets = [frozenset(A) for A, _ in aggs]
-    disjoint = laminar = True
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                disjoint = False
-                if not (sets[i] <= sets[j] or sets[j] <= sets[i]):
-                    laminar = False
+    laminar = all(not X & Y or X <= Y or Y <= X for X, Y in combinations(sets, 2))
     forest: list[tuple[int, ...]] = [()] * len(aggs)
     own: list[tuple[int, ...]] = [A for A, _ in aggs]
     if laminar:
@@ -209,7 +204,7 @@ def _structure(P: HPolytope) -> _Structure:
     return _Structure(n=n, u=tuple(u), aggs=tuple(aggs),
                       agg_at=tuple(map(tuple, agg_at)), after=after,
                       blocks=tuple(map(tuple, blocks.values())),
-                      disjoint=disjoint, laminar=laminar,
+                      laminar=laminar,
                       forest=tuple(forest), own=tuple(own))
 
 

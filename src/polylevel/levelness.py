@@ -36,9 +36,7 @@ overridable for exploratory runs and recorded in reports.
 
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
-forms that `lattice._normality_scan` uses with slack 0.  With disjoint
-aggregates, the witness is found by a descent on the knapsack rows
-below, at r = 1.
+forms that `lattice._normality_scan` uses with slack 0.
 
 Degrees by one test per level.  `_is_degree` asks whether some interior
 point of N*P has reduced degree N.  If N*P has no interior point (the
@@ -50,25 +48,21 @@ other summand into the interior one.  A laminar system has it, being
 totally unimodular, and so does every integral polymatroid (the
 `lattice` docstring cites the theorems); `facets` and
 `veronese_polytope` mark theirs with the type `Polymatroid`.  Then a
-point has degree N exactly when it does not split at N - 1, and the
-test asks that:
-
-* with pairwise disjoint aggregates, by the knapsack below;
-* for any other laminar system or `Polymatroid`, block by block.  The
-  blocks are the connected components of the aggregate facet supports.
-  Every facet lives in one block, so P is the product of its block
-  polytopes, the interior of N*P is the product of the block interiors,
-  and the summand window at (N, r) constrains each block separately: a
-  point splits at r exactly when each of its block parts does, which
-  needs no monotonicity.  So some point fails at N - 1 exactly when some
-  block has more interior points than points that split at N - 1.  A
-  lone coordinate always splits.  A laminar block is counted without
-  visiting a point, by a dynamic program over its laminar forest that
-  counts the interval propagation of `lattice._split_feasible_laminar`
-  instead of testing it: per aggregate (A, t) the state is (s, lo, hi),
-  s the sum over A and lo..hi the sums over A the summand can reach,
-  pruned at s > N t - 1 and lo > r t - 1.  A crossing block is walked up
-  to its first point with no split.
+point has degree N exactly when it does not split at N - 1, and the test
+asks that block by block.  The blocks are the connected components of
+the aggregate facet supports.  Every facet lives in one block, so P is
+the product of its block polytopes, the interior of N*P is the product
+of the block interiors, and the summand window at (N, r) constrains each
+block separately: a point splits at r exactly when each of its block
+parts does, which needs no monotonicity.  A lone coordinate always
+splits, a block of one aggregate asks the knapsack below and a crossing
+block is walked up to its first part with no split.  Any other block
+fails when it has more interior points than points that split at N - 1,
+counted without visiting a point by a dynamic program over its laminar
+forest that counts the interval propagation of
+`lattice._split_feasible_laminar` instead of testing it: per aggregate
+(A, t) the state is (s, lo, hi), s the sum over A and lo..hi the sums
+over A the summand can reach, pruned at s > N t - 1 and lo > r t - 1.
 
 A hand-built system with crossing aggregates has no such theorem, and
 splits need not be monotone: in {x1 <= 3, x4 <= 3, x1 + x2 <= 3,
@@ -78,9 +72,9 @@ interior points of N*P are walked for one whose least split is N.
 `budget` bounds the states of the dynamic programs of one level and the
 nodes of every walk.
 
-With pairwise disjoint aggregates a coordinate window is never empty, a
-lone coordinate always splits, and a point of N*P fails to split at r
-(here r = N - 1) exactly when, for some aggregate (A, t) with m members,
+In a block of one aggregate (A, t) with m members a coordinate window
+is never empty, and the part over A of a point of N*P fails to split at
+r exactly when
 
     top:     sum_A (a_i - (r u_i - 1))^+     >  (N - r) t,   or
     bottom:  sum_A max(1, a_i - (N - r) u_i) >  r t - 1,
@@ -91,18 +85,18 @@ threshold: a condition can be met under sum_A a <= N t - 1 exactly when
 some S has sum_S mx_i >= need and sum_S cost_i + need <= N t - 1 - m,
 with cost_i = r u_i - 2, mx_i = (N - r) u_i, need = (N - r) t + 1 for
 the top and cost_i = (N - r) u_i, mx_i = r u_i - 2, need = r t - m for
-the bottom, both written once, in `_met_conditions`.  One suffix
-knapsack serves every test: rows[j][c] is the least cost of a set of
-the capped members j.. whose mx sum to at least c, O(m N t) per
-aggregate and condition.  The degree test reads row 0 at r = N - 1.  The
-same rows give the witness at r = 1: with the first j members placed, a
-member at value v gains (v - 1 - cost_i)^+ (an uncapped one nothing),
-the need drops by the gains, and the room is N t - 1 less the placed sum
-and the m - j members left; some completion meets the condition exactly
-when rows[j][need] + need fits the room.  The test is exact, so a
-descent over the coordinates never backtracks: each takes the least
-value after which some aggregate can still fail, that is 1 unless its
-own aggregate is the only one left that can.
+the bottom, both written once, in `_met_conditions`.  A suffix knapsack
+decides it: rows[j][c] is the least cost of a set of the capped members
+j.. whose mx sum to at least c, O(m N t) per condition.  The degree test
+reads row 0 at r = N - 1.  The witness descends at r = 1: with the first
+j members placed, a member at value v gains (v - 1 - cost_i)^+ (an
+uncapped one nothing), the need drops by the gains, and the room is
+N t - 1 less the placed sum and the m - j members left; some completion
+meets the condition exactly when rows[j][need] + need fits the room.
+The test is exact, so a descent finds the lex-least part that meets a
+condition without backtracking, each member at the least value after
+which some completion still meets it; the block's lex-least failing
+part is the lesser of the two conditions' (`_descent`).
 
 The table's length.  A degree r >= 2 is met at level r (above), so the
 least degree the tests find is the first level holding a failing point
@@ -112,19 +106,25 @@ of that level, and the report's table starts there.  The table is a
 count that holds no point: its length, taken on demand, is per level the
 interior count less the points that split at r = 1, counted block by
 block as above (their product; none when P has no interior point).  The
-degree of one point is `reduced_degree`.  The witness is asked only
-when P has an interior point.  With disjoint aggregates it is the
-descent above, which visits no point, where plain enumeration visits
-every interior point before the witness; any other hull walks its
-interior points in lex order up to the first that fails.  With plain
-enumeration in place of the descent acceptance check A05 took 32 s,
-against 1.9-2.1 s with it (single runs on a shared 2-vCPU Xeon host).
+degree of one point is `reduced_degree`.
+
+The witness, block by block.  With an interior point of P every block's
+all-ones part splits at r = 1, so the lex-least failing point of N*P is
+the least, over the blocks B that can fail, of the point that is 1
+outside B and B's lex-least failing part inside: any point whose part
+over B fails is at least that.  This holds for every facet system.  A
+walk of the whole hull multiplies a block's walk by the ranges of every
+other coordinate (on the n = 12 laminar hull of `tests/catalogue.py`,
+8.5 s and over 10^5 nodes against 0.01 s); with plain enumeration in
+place of the descent, acceptance check A05 took 32 s against 1.9-2.1 s
+(single runs on a shared 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import count
 from math import prod
 
 from .bounded import _cap, _integer
@@ -162,7 +162,7 @@ def reduced_degree(P: HPolytope, a, N: int) -> int:
     return _least_split(_structure(P), a, N, 1)
 
 
-# --- the failure conditions of an aggregate --------------------------------
+# --- the lex-least failing part over one aggregate ------------------------
 
 def _cost_rows(items, need: int, cap: int) -> list[list[int]]:
     """Suffix knapsack: rows[j][c], for c in 0..need, is the least sum of
@@ -203,47 +203,54 @@ def _met_conditions(st: _Structure, A: tuple[int, ...], t: int, N: int, r: int):
                 yield need, items, rows
 
 
+def _descent(st: _Structure, k: int, N: int):
+    """The lex-least part over the aggregate k, alone in its block, of an
+    interior point of N*P with no degree-1 split, or None: the least of the
+    descents of the conditions met (the module docstring)."""
+    A, t = st.aggs[k]
+    parts = []
+    for need, items, rows in _met_conditions(st, A, t, N, 1):
+        part, room = [], N * t - 1 - len(A)
+        for j, item in enumerate(items, 1):     # member j - 1 of A takes the least
+            for v in count(1):                  # value some completion allows
+                rest = max(0, need - (0 if item is None else max(0, v - 1 - item[0])))
+                if rows[j][rest] + rest <= room - (v - 1):
+                    break
+            part.append(v)
+            need, room = rest, room - (v - 1)
+        parts.append(tuple(part))
+    return min(parts, default=None)
+
+
 # --- the lex-least point with no degree-1 split ----------------------------
 
-def _witness(P: HPolytope, st: _Structure, N: int, budget: int):
-    """The lex-least interior point of N*P with no degree-1 split, or None;
-    P has an interior point.  With pairwise disjoint aggregates, by the
-    descent of the module docstring; any other hull is walked in lex
-    order."""
-    if not st.disjoint:
-        return next((a for a in iter_lattice_points(P, N, "interior", budget=budget)
-                     if not _split_exists(st, a, N, 1, 1)), None)
-    # per aggregate: (need left, items, rows) of each condition it can still meet
-    conds = [list(_met_conditions(st, A, t, N, 1)) for A, t in st.aggs]
-    if not any(conds):
-        return None
-    used = [0] * len(conds)             # per aggregate: the sum of its placed members
-    point = []
-    for i in range(st.n):
-        v = 1                           # a lone coordinate always splits
-        if st.agg_at[i]:
-            k = st.agg_at[i][0]                     # disjoint: the only one
-            A, t = st.aggs[k]
-            left = st.after[k][i]                   # members still to place
-            j = len(A) - left                       # this is member j - 1 of A
-            room = N * t - 1 - used[k] - left
+def _witness(P: HPolytope, N: int, budget: int):
+    """The lex-least interior point of N*P with no degree-1 split, or None,
+    block by block (the module docstring); P has an interior point."""
+    st = _structure(P)
+    failing = []
+    for block in (b for b in st.blocks if len(b) > 1):  # a lone coordinate splits
+        k = _sole_aggregate(st, block)
+        part = (_descent(st, k, N) if k is not None
+                else _first_failure(_restrict(P, block), N, 1, budget))
+        if part is not None:
+            at = dict(zip(block, part))
+            failing.append(tuple(at.get(i, 1) for i in range(1, P.n + 1)))
+    return min(failing, default=None)
 
-            def alive(v: int) -> list:  # the conditions some completion meets, a_i = v
-                out = []
-                for need, items, rows in conds[k]:
-                    item = items[j - 1]
-                    rest = max(0, need - (0 if item is None else max(0, v - 1 - item[0])))
-                    if rows[j][rest] + rest <= room - v:
-                        out.append((rest, items, rows))
-                return out
 
-            others = any(c for h, c in enumerate(conds) if h != k)
-            while not (now := alive(v)) and not others:
-                v += 1
-            conds[k] = now
-            used[k] += v
-        point.append(v)
-    return tuple(point)
+def _first_failure(Q: HPolytope, N: int, r: int, budget: int):
+    """The lex-least interior point of N*Q with no split at r, or None, by a
+    walk of the interior in lex order; r*Q has an interior point."""
+    st = _structure(Q)
+    return next((a for a in iter_lattice_points(Q, N, "interior", budget=budget)
+                 if not _split_exists(st, a, N, r, 1)), None)
+
+
+def _sole_aggregate(st: _Structure, block: tuple[int, ...]) -> int | None:
+    """The aggregate of `block` if it is the block's only one, else None."""
+    ks = {k for i in block for k in st.agg_at[i - 1]}
+    return ks.pop() if len(ks) == 1 else None
 
 
 def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
@@ -340,26 +347,27 @@ def _is_degree(P: HPolytope, N: int, budget: int) -> bool:
     if not _interior_at(P, N - 1):
         return True
     st = _structure(P)
-    if st.disjoint:
-        # the first condition met stops the search
-        return any(True for A, t in st.aggs for _ in _met_conditions(st, A, t, N, N - 1))
     if not _decomposes(P):
         return any(_least_split(st, a, N, 1) == N
                    for a in iter_lattice_points(P, N, "interior", budget=budget))
     spend = _state_budget(budget)
-    blocks = {_restrict(P, members) for members in st.blocks if len(members) > 1}
-    return any(_block_fails(Q, N, budget, spend) for Q in blocks)
+    return any(_block_fails(P, block, N, budget, spend)
+               for block in st.blocks if len(block) > 1)
 
 
-def _block_fails(Q: HPolytope, N: int, budget: int, spend) -> bool:
-    """Has some interior point of N*Q, Q one block, no split at N - 1?  A
-    crossing block is walked up to its first such point."""
-    st = _structure(Q)
-    if st.laminar:
+def _block_fails(P: HPolytope, block, N: int, budget: int, spend) -> bool:
+    """Has some interior point of N*P a part over `block` with no split at
+    N - 1?  A block of one aggregate asks the knapsack, a laminar block its
+    dynamic program, and a crossing block is walked."""
+    st = _structure(P)
+    k = _sole_aggregate(st, block)
+    if k is not None:   # the first condition met stops the search
+        return any(True for _ in _met_conditions(st, *st.aggs[k], N, N - 1))
+    Q = _restrict(P, block)
+    if _structure(Q).laminar:
         return (count_lattice_points(Q, N, "interior", budget=budget)
                 > _block_splits(Q, N, N - 1, budget, spend))
-    return any(not _split_exists(st, a, N, N - 1, 1)
-               for a in iter_lattice_points(Q, N, "interior", budget=budget))
+    return _first_failure(Q, N, N - 1, budget) is not None
 
 
 def _degree_one_count(P: HPolytope, N: int, budget: int) -> int:
@@ -457,7 +465,7 @@ def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
         witness = rep.failure_witness
         if witness is not None:     # the same level for every relabelling
             N, _point, why = witness
-            witness = (N, _witness(P, _structure(P), N, budget), why)
+            witness = (N, _witness(P, N, budget), why)
         table = rep.reduced_degree_table
         return replace(rep, failure_witness=witness,
                        reduced_degree_table=_DegreeTable(P, table._levels, budget, table))
@@ -468,7 +476,7 @@ def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
     first = min(degrees, default=scan_bound + 1)
     witness = None
     if degrees and interior1 > 0:
-        witness = (first, _witness(P, _structure(P), first, budget),
+        witness = (first, _witness(P, first, budget),
                    f"no interior summand of the base polytope splits off at level {first}")
     int_star = max(degrees, default=1 if interior1 > 0 else None)
     spectrum = None if int_star is None else all(i in degrees for i in range(2, int_star))

@@ -93,6 +93,14 @@ def relabel_graph(G, c, perm):
     return pl.graph(G.n, [(perm[i - 1], perm[j - 1]) for i, j in G.edges]), tuple(c)
 
 
+def aggregates_disjoint(P):
+    """Are the aggregate facets of P (|A| >= 2) pairwise disjoint, so that
+    every block is one aggregate or a lone coordinate?  Read off the
+    facets, not off `lattice._structure`."""
+    aggs = [set(A) for A, _t in P.upper_facets if len(A) > 1]
+    return all(not X & Y for X, Y in itertools.combinations(aggs, 2))
+
+
 # a hand-built crossing system, not a polymatroid, whose splits are not
 # monotone in r
 NON_MONOTONE = pl.HPolytope(4, (((1,), 3), ((4,), 3), ((1, 2), 3), ((1, 3), 5), ((2, 3), 5)))

@@ -163,6 +163,14 @@ def test_input_error_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["analyze", "facets"])
+def test_bound_vector_of_wrong_length_exits_2(capsys, path3_file, command):
+    """A `--c` whose length is not the graph's vertex count is an input
+    error, named by the library's check of the bound vector."""
+    assert main([command, path3_file, "--c", "2,2"]) == 2
+    assert "bound vector has length 2, graph has 3 vertices" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", [
     {"n": 3, "edges": [1, 2], "c": [2, 2, 2]},
     {"n": 3, "edges": [[1, 2], [2, 3]], "c": 5},

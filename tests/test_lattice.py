@@ -11,7 +11,8 @@ from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_
                                _interior_at, _normality_scan, _structure, iter_lattice_points)
 from polylevel.oracle import brute_count, brute_interior_points, brute_normality, brute_volume
 
-from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, veronese_specs
+from conftest import (NON_MONOTONE, aggregates_disjoint, facet_systems, graph_and_bounds,
+                      veronese_specs)
 
 
 def test_membership_examples(k34_hull):
@@ -147,8 +148,7 @@ def test_non_integer_point_is_rejected(path3_hull):
 
 
 def _nested(P):
-    st_ = _structure(P)
-    return st_.laminar and not st_.disjoint
+    return _structure(P).laminar and not aggregates_disjoint(P)
 
 
 def _graph_hull(gc):

@@ -20,7 +20,7 @@ from polylevel.lattice import (
     iter_lattice_points,
 )
 from polylevel.levelness import (
-    _block_fails,
+    _block_splits,
     _cost_rows,
     _is_degree,
     _restrict,
@@ -34,7 +34,13 @@ from polylevel.oracle import (
 )
 from polylevel.polymatroid import Polymatroid
 
-from conftest import NON_MONOTONE, facet_systems, graph_and_bounds, relabel_graph
+from conftest import (
+    NON_MONOTONE,
+    aggregates_disjoint,
+    facet_systems,
+    graph_and_bounds,
+    relabel_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -260,17 +266,19 @@ def test_non_monotone_crossing_system():
     assert len(pl.analyze_polytope(P).reduced_degree_table) == 0
 
 
-def _check_witness(P):
-    """P has disjoint aggregates and an interior point: at N = 2 and 3,
-    `_witness` is the first naive failing point, or None, found without
-    enumerating a point."""
+def _check_witness(P, levels=(2, 3)):
+    """P has an interior point: at each level N, `_witness` is the first
+    point of a flat walk of N*P that the direct search cannot split at
+    r = 1, or None.  Where every block is one aggregate or a lone
+    coordinate, it is found without enumerating a point."""
     st = _structure(P)
-    for N in (2, 3):
+    for N in levels:
         naive = next((a for a in iter_lattice_points(P, N, "interior")
                       if not _split_exists_dfs(st, a, N, 1, 1)), None)
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(levelness, "iter_lattice_points", _no_points)
-            assert _witness(P, st, N, 10**8) == naive
+            if aggregates_disjoint(P):
+                m.setattr(levelness, "iter_lattice_points", _no_points)
+            assert _witness(P, N, 10**8) == naive, N
 
 
 def _no_points(*args, **kwargs):
@@ -282,31 +290,91 @@ def test_witness_on_two_disjoint_aggregates():
     G = pl.graph(6, [(1, 2), (1, 5), (1, 6), (2, 3), (2, 4)])
     P = pl.facets(pl.enumerate_bases(G, (3, 3, 2, 2, 2, 2)))
     st = _structure(P)
-    assert [A for A, _ in st.aggs] == [(3, 4), (5, 6)] and st.disjoint
+    assert [A for A, _ in st.aggs] == [(3, 4), (5, 6)] and aggregates_disjoint(P)
     assert pl.count_lattice_points(P, 1, "interior") > 0
     _check_witness(P)
 
 
-def _disjoint_with_interior(P):
-    return _structure(P).disjoint and pl.count_lattice_points(P, 1, "interior") > 0
+def _graph_hull(gc):
+    return pl.facets(pl.enumerate_bases(*gc))
 
 
-@settings(max_examples=30, deadline=None)
+# a laminar graph hull with nested aggregates and interior points, not level*
+_FAILING_NESTED = ([(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
+
+
+def _with_interior(P):
+    return _interior_at(P, 1)
+
+
+def _lifted(P):
+    """P with each bound raised by its facet's size, so that the all-ones
+    point is interior."""
+    return pl.HPolytope(P.n, tuple((A, t + len(A)) for A, t in P.upper_facets))
+
+
+@st.composite
+def interleaved_pairs(draw):
+    """The product of two lifted hand-built systems of dimension 2-3,
+    crossing ones included, with their coordinates shuffled together."""
+    blocks = []
+    for _ in range(2):
+        Q = _lifted(draw(facet_systems(max_n=3, max_t=2)))
+        blocks.append((Q.n, [(tuple(i - 1 for i in A), t) for A, t in Q.upper_facets]))
+    return _shuffled_product(draw, blocks)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
-    facet_systems(max_n=5, max_t=3, laminar=True).filter(_disjoint_with_interior),
+    graph_and_bounds(max_n=5, max_c=3).map(_graph_hull).filter(_with_interior),
+    facet_systems(max_n=5, max_t=2, laminar=True).map(_lifted),
+    facet_systems(max_n=4, max_t=3).map(_lifted),
+    interleaved_pairs(),
 ))
 @example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 3), ((2,), 3), ((3,), 2))))
 @example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 2), ((3,), 3))))   # x2 uncapped
-# both aggregates can fail; the witness keeps x3 = 1 while {1, 2, 4} still can
-@example(pl.HPolytope(6, (((1, 2, 4), 4), ((3, 5, 6), 4), ((1,), 4), ((2,), 2), ((3,), 3),
-                          ((4,), 3), ((5,), 4), ((6,), 4))))
+# one aggregate meeting both conditions at N = 2: the bottom's part,
+# (1, 1, 13, 1, 1), is less than the top's, (5, 3, 1, 7, 3)
+@example(pl.HPolytope(5, (((1,), 3), ((2,), 2), ((3,), 7), ((4,), 4), ((5,), 2),
+                          ((1, 2, 3, 4, 5), 10))))
+@example(NON_MONOTONE)
+# a crossing graph hull, level* at levels 2 and 3
+@example(_graph_hull((pl.graph(6, [(1, 2), (1, 4), (2, 3), (3, 6), (4, 6), (5, 6)]),
+                      (2, 2, 3, 3, 2, 2))))
 def test_witness_matches_naive(P):
-    """The descent finds the lex-least failing point, or None, on graph
-    hulls and on hand-built systems with uncapped aggregate members: its
-    knapsack pruning is exact, so it never backtracks."""
-    if _disjoint_with_interior(P):
-        _check_witness(P)
+    """The witness, the least over the blocks of each failing block's
+    lex-least part, is the lex-least failing point of a flat walk, or
+    None: on graph hulls, on hand-built systems, laminar, crossing and
+    non-monotone ones, and on products of two such systems whose blocks
+    interleave; where every block is one aggregate, the descent prunes
+    exactly, so it never backtracks.  A flat walk of all of 3P takes up
+    to a second at n = 6, so there only level 2 is checked."""
+    _check_witness(P, (2, 3) if P.n <= 5 else (2,))
+
+
+@pytest.mark.parametrize("P", [
+    # both aggregates can fail, and they interleave; the witness keeps x3 = 1
+    pl.HPolytope(6, (((1, 2, 4), 4), ((3, 5, 6), 4), ((1,), 4), ((2,), 2), ((3,), 3),
+                     ((4,), 3), ((5,), 4), ((6,), 4))),
+    # both blocks fail, they interleave, and the later, crossing one gives
+    # the witness
+    pl.HPolytope(6, (((1,), 3), ((3,), 4), ((5,), 4), ((1, 3, 5), 4), ((4,), 4), ((6,), 2),
+                     ((2, 6), 4), ((2, 4, 6), 5), ((4, 6), 5))),
+    _graph_hull((pl.graph(6, _FAILING_NESTED[0]), _FAILING_NESTED[1])),   # nested
+], ids=["interleaved-aggregates", "interleaved-crossing", "nested-graph-hull"])
+def test_witness_matches_naive_at_n6(P):
+    """Hulls with n = 6 whose walks of 3P stop early, at levels 2 and 3."""
+    _check_witness(P)
+
+
+def test_witness_from_the_later_block():
+    """Both blocks fail, at levels 2 and 3; the later block gives the
+    witness, so taking the first failing block would be wrong."""
+    P = pl.HPolytope(6, (((1,), 4), ((2,), 2), ((3,), 3), ((4,), 3), ((5,), 4), ((6,), 4),
+                         ((1, 2, 3), 4), ((4, 5, 6), 4)))
+    assert _witness(_restrict(P, (1, 2, 3)), 2, 10**8) is not None
+    assert [_witness(P, N, 10**8) for N in (2, 3)] == [(1, 1, 1, 5, 1, 1), (1, 1, 1, 8, 1, 1)]
+    _check_witness(P)
 
 
 @settings(max_examples=100, deadline=None)
@@ -332,14 +400,9 @@ def test_split_paths_agree(P, slack):
 
 def _nested_hull(edges, c):
     P = pl.facets(pl.enumerate_bases(pl.graph(6, edges), c))
-    st_ = _structure(P)
-    assert st_.laminar and not st_.disjoint
+    assert _structure(P).laminar and not aggregates_disjoint(P)
     assert pl.count_lattice_points(P, 1, "interior") > 0
     return P
-
-
-# a laminar graph hull with nested aggregates and interior points, not level*
-_FAILING_NESTED = ([(1, 6), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (5, 6)], (3, 2, 2, 3, 3, 3))
 
 
 @pytest.mark.parametrize("call", [
@@ -356,13 +419,20 @@ def test_budget_must_be_a_positive_integer(call, budget):
 
 
 def test_level_scan_budget(k34_hull):
-    """The walk for the witness of a hull with nested aggregates counts its
-    nodes against `budget`; the descent on a disjoint hull needs none."""
+    """The witness of a hull with nested aggregates walks only its
+    five-member block, 238 nodes, and counts them against `budget` (a
+    walk of the whole hull needed over 1000).  The report's degree tests
+    need 764 states, so a report at budget 100 raises in them, and one at
+    1000 answers.  The descent on a disjoint hull visits no node."""
     nested = _nested_hull(*_FAILING_NESTED)
-    with pytest.raises(BudgetExceededError, match="enumeration exceeded") as err:
-        pl.level_star(nested, budget=1000)
-    assert err.value.cap == "budget" and err.value.limit == 1000
-    assert pl.level_star(nested, budget=5000) == (False, (2, (1, 3, 3, 5, 4, 1)))
+    with pytest.raises(BudgetExceededError, match="enumeration exceeded 237 nodes") as err:
+        _witness(nested, 2, 237)
+    assert err.value.cap == "budget" and err.value.limit == 237
+    assert _witness(nested, 2, 238) == (1, 3, 3, 5, 4, 1)
+    with pytest.raises(BudgetExceededError) as err:
+        pl.level_star(nested, budget=100)
+    assert err.value.cap == "budget" and err.value.limit == 100
+    assert pl.level_star(nested, budget=1000) == (False, (2, (1, 3, 3, 5, 4, 1)))
     assert pl.level_star(k34_hull, budget=5) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
 
 
@@ -391,7 +461,7 @@ def test_analyze_walks_only_the_witness_level(monkeypatch, k34_hull):
     descend = levelness._witness
     monkeypatch.setattr(levelness, "level_star", no_level_star)
     monkeypatch.setattr(levelness, "_witness",
-                        lambda P, st, N, budget: walked.append(N) or descend(P, st, N, budget))
+                        lambda P, N, budget: walked.append(N) or descend(P, N, budget))
     for P, witness in ((k34_hull, (2, (1, 1, 1, 2, 3, 3, 3))),
                        (_nested_hull(*_FAILING_NESTED), (2, (1, 3, 3, 5, 4, 1)))):
         walked.clear()
@@ -659,7 +729,7 @@ def test_degree_count_budget():
     degree 2: each interior count up to level 3 needs at most 27 states,
     the dynamic program of level 2 needs 37 and that of level 3 126."""
     P = pl.HPolytope(4, (((1,), 2), ((3,), 3), ((4,), 2), ((1, 2), 4), ((1, 2, 3, 4), 5)))
-    assert not _structure(P).disjoint
+    assert not aggregates_disjoint(P)
     for N in (1, 2, 3):
         pl.count_lattice_points(P, N, "interior", budget=100)
     with pytest.raises(BudgetExceededError, match="degree count") as err:
@@ -693,13 +763,17 @@ def test_cost_rows_match_subsets(items, need, cap):
 
 
 def _blockwise_is_degree(P, N):
-    """`_is_degree` by its block-by-block branch, which a system with
-    disjoint aggregates, being laminar, may also take."""
+    """`_is_degree` of a laminar system by the dynamic program of every
+    block, never by the knapsack: does some block have more interior
+    points than points that split at N - 1?"""
     if not _interior_at(P, N - 1):
         return _interior_at(P, N)
     spend = _state_budget(10**8)
-    return any(_block_fails(_restrict(P, members), N, 10**8, spend)
-               for members in _structure(P).blocks)
+    for members in _structure(P).blocks:
+        Q = _restrict(P, members)
+        if pl.count_lattice_points(Q, N, "interior") > _block_splits(Q, N, N - 1, 10**8, spend):
+            return True
+    return False
 
 
 @settings(max_examples=150, deadline=None)
@@ -712,7 +786,7 @@ def test_knapsack_degree_test_matches_blockwise(P):
     test per level; it must equal the block-by-block test at levels 2..4,
     on hand-built systems with uncapped aggregate members and on graph
     hulls."""
-    if not _structure(P).disjoint:
+    if not aggregates_disjoint(P):
         return
     for N in range(2, 5):
         assert _is_degree(P, N, 10**8) == _blockwise_is_degree(P, N), N
@@ -726,7 +800,7 @@ def test_knapsack_degree_test_matches_blockwise(P):
 def test_knapsack_degree_test_matches_flat_oracle(P):
     """The knapsack's degree set against the flat per-point oracle at
     levels 2..3, with the table's length and `reduced_degree`."""
-    if not _structure(P).disjoint:
+    if not aggregates_disjoint(P):
         return
     _check_degrees(P)
 
@@ -752,7 +826,7 @@ def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
     count; the table's length is counted level by level on the first
     `len()` and kept, and a budget too small for that count (108 states
     here) raises there."""
-    assert _structure(veronese_5333).disjoint
+    assert aggregates_disjoint(veronese_5333)
 
     def no_dp(*args):
         raise AssertionError("the degree count ran")
@@ -825,7 +899,7 @@ def test_structure_built_once_per_polytope():
     delta vector, and the all-ones test the interior points."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (1, 1, 2, 1)))
     assert pl.count_lattice_points(P, 1, "interior") == 0
-    assert _structure(P).disjoint
+    assert aggregates_disjoint(P)
     nested = _nested_hull(*_FAILING_NESTED)
     blocks = _structure(nested).blocks
     assert blocks == ((1, 2, 3, 4, 5), (6,))
