@@ -45,9 +45,9 @@ property: every lattice point of N*P is a sum of N lattice points of P,
 for every N (Baum-Trotter, Integer rounding and polyhedral decomposition
 for totally unimodular systems, 1978).  So has every integral
 polymatroid (Herzog-Hibi, Discrete polymatroids, 2002), such as every
-hull and box-and-cutoff polytope, which `facets` and `veronese_polytope`
-mark with the type `polymatroid.Polymatroid`.  `normality_check` answers
-both kinds without a scan (`_decomposes`) and scans any other system.
+hull and box-and-cutoff polytope (the type `polymatroid.Polymatroid`,
+the one that may hold crossing aggregates).  So every polytope the
+package accepts is normal, and `normality_check` scans nothing.
 
 Counting by blocks.  Every facet lives in one block, so N*P and its
 interior are products of the block dilates (the product separability of
@@ -89,12 +89,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 
 from .bounded import _cap, _integer, _integers
 from .errors import BudgetExceededError
-from .polymatroid import _MEMO_SIZE, HPolytope, Polymatroid
+from .polymatroid import _MEMO_SIZE, HPolytope, _crossing
 
 ExponentVector = tuple[int, ...]
 
@@ -187,7 +187,7 @@ def _structure(P: HPolytope) -> _Structure:
         blocks.setdefault(x, []).append(i)
 
     sets = [frozenset(A) for A, _ in aggs]
-    laminar = all(not X & Y or X <= Y or Y <= X for X, Y in combinations(sets, 2))
+    laminar = _crossing(sets) is None
     forest: list[tuple[int, ...]] = [()] * len(aggs)
     own: list[tuple[int, ...]] = [A for A, _ in aggs]
     if laminar:
@@ -577,28 +577,22 @@ def is_unimodal(d) -> bool:
 def normality_check(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET):
     """Does every lattice point of N*P split into N points of P, N <= max_n?
 
-    Returns (True, None) or (False, (N, witness_point)), the witness the
-    lex-least point of the first level that fails.  A `Polymatroid` (every
-    hull and box-and-cutoff polytope) and a laminar facet system are
-    normal by the theorems in the module docstring, so the answer is
-    (True, None) without enumeration.  Any other system goes through
-    `_normality_scan`; `budget` bounds only that scan.
+    Returns (True, None), as `_normality_scan` would, without enumeration:
+    every polytope the package accepts has the integer decomposition
+    property, being an integral polymatroid (Herzog-Hibi 2002) or laminar
+    (Baum-Trotter 1978; the module docstring).  `max_n` must be an integer
+    >= 2 and `budget` one >= 1.
     """
     if _integer(max_n, "max_n") < 2:
         raise ValueError("max_n must be >= 2")
-    budget = _cap(budget, "budget")
-    if _decomposes(P):
-        return True, None
-    return _normality_scan(P, max_n, budget)
-
-
-def _decomposes(P: HPolytope) -> bool:
-    """Is P a `Polymatroid` or laminar, so normal by the module docstring?"""
-    return isinstance(P, Polymatroid) or _structure(P).laminar
+    _cap(budget, "budget")
+    return True, None
 
 
 def _normality_scan(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET):
-    """`normality_check` by enumerating N*P, for any facet system.
+    """`normality_check` by enumerating N*P, for any facet system: (True,
+    None) or (False, (N, point)), the lex-least point of the first level
+    that fails.  It referees the theorem in acceptance check A14.
 
     Checks level by level: once level N-1 is verified, a point of N*P
     decomposes iff it is p + q with p a point of P and q a point of

@@ -4,8 +4,8 @@ Definitions, for a full-dimensional lattice polytope P given by x >= 0 and
 0/1-normal upper facets:
 
 * P is pseudo-Gorenstein* when its interior holds exactly one lattice
-  point (P is normal by construction for every polytope this package
-  produces).
+  point (P is normal, as every polytope the package accepts has the
+  integer decomposition property: the `polymatroid` docstring).
 
 * P is level* when the interior is nonempty and every interior lattice
   point a of every dilate N*P splits as a = a0 + a' with a0 an interior
@@ -41,36 +41,27 @@ forms that `lattice._normality_scan` uses with slack 0.
 Degrees by one test per level.  `_is_degree` asks whether some interior
 point of N*P has reduced degree N.  If N*P has no interior point (the
 all-ones test) the answer is no; if (N-1)*P has none it is yes.
-Otherwise it hangs on whether splits are monotone in r, that is, whether
-a point that splits at r splits at every r' > r.  They are when P has
-the integer decomposition property: move a lattice point of P from the
-other summand into the interior one.  A laminar system has it, being
-totally unimodular, and so does every integral polymatroid (the
-`lattice` docstring cites the theorems); `facets` and
-`veronese_polytope` mark theirs with the type `Polymatroid`.  Then a
-point has degree N exactly when it does not split at N - 1, and the test
-asks that block by block.  The blocks are the connected components of
-the aggregate facet supports.  Every facet lives in one block, so P is
-the product of its block polytopes, the interior of N*P is the product
-of the block interiors, and the summand window at (N, r) constrains each
-block separately: a point splits at r exactly when each of its block
-parts does, which needs no monotonicity.  A lone coordinate always
-splits, a block of one aggregate asks the knapsack below and a crossing
-block is walked up to its first part with no split.  Any other block
-fails when it has more interior points than points that split at N - 1,
-counted without visiting a point by a dynamic program over its laminar
-forest that counts the interval propagation of
-`lattice._split_feasible_laminar` instead of testing it: per aggregate
-(A, t) the state is (s, lo, hi), s the sum over A and lo..hi the sums
-over A the summand can reach, pruned at s > N t - 1 and lo > r t - 1.
-
-A hand-built system with crossing aggregates has no such theorem, and
-splits need not be monotone: in {x1 <= 3, x4 <= 3, x1 + x2 <= 3,
-x1 + x3 <= 5, x2 + x3 <= 5}, which is level*, the point (4, 4, 10, 1) of
-the interior of 3P splits at r = 1 and r = 3 but not at r = 2.  Its
-interior points of N*P are walked for one whose least split is N.
-`budget` bounds the states of the dynamic programs of one level and the
-nodes of every walk.
+Otherwise splits are monotone in r: a point that splits at r splits at
+every r' > r, since P has the integer decomposition property (a
+`Polymatroid` by Herzog-Hibi, a laminar `HPolytope` by Baum-Trotter; the
+`lattice` docstring cites both), so a lattice point of P moves from the
+other summand into the interior one.  So a point has degree N exactly
+when it does not split at N - 1, and the test asks that block by block.
+The blocks are the connected components of the aggregate facet supports.
+Every facet lives in one block, so P is the product of its block
+polytopes, the interior of N*P is the product of the block interiors,
+and the summand window at (N, r) constrains each block separately: a
+point splits at r exactly when each of its block parts does, which needs
+no monotonicity.  A lone coordinate always splits, a block of one
+aggregate asks the knapsack below and a crossing block is walked up to
+its first part with no split.  Any other block fails when it has more
+interior points than points that split at N - 1, counted without
+visiting a point by a dynamic program over its laminar forest that
+counts the interval propagation of `lattice._split_feasible_laminar`
+instead of testing it: per aggregate (A, t) the state is (s, lo, hi), s
+the sum over A and lo..hi the sums over A the summand can reach, pruned
+at s > N t - 1 and lo > r t - 1.  `budget` bounds the states of the
+dynamic programs of one level and the nodes of every walk.
 
 In a block of one aggregate (A, t) with m members a coordinate window
 is never empty, and the part over A of a point of N*P fails to split at
@@ -134,7 +125,6 @@ from .errors import BudgetExceededError
 from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
-    _decomposes,
     _interior_at,
     _split_exists,
     _structure,
@@ -346,13 +336,9 @@ def _is_degree(P: HPolytope, N: int, budget: int) -> bool:
         return False
     if not _interior_at(P, N - 1):
         return True
-    st = _structure(P)
-    if not _decomposes(P):
-        return any(_least_split(st, a, N, 1) == N
-                   for a in iter_lattice_points(P, N, "interior", budget=budget))
     spend = _state_budget(budget)
     return any(_block_fails(P, block, N, budget, spend)
-               for block in st.blocks if len(block) > 1)
+               for block in _structure(P).blocks if len(block) > 1)
 
 
 def _block_fails(P: HPolytope, block, N: int, budget: int, spend) -> bool:

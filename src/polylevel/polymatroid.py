@@ -15,8 +15,12 @@ what `facets` computes, by direct scan over all 2^n subsets.
 x_i >= 0 plus upper facets with 0/1 normal vectors and integer bounds.
 Polytopes of Veronese type (a box truncated by one full simplex
 inequality) are built directly from their parameter sequence.  Both
-constructions return a `Polymatroid`, the subclass that marks the
-integer decomposition property.
+constructions return a `Polymatroid`, the subclass that marks an
+integral polymatroid, the one type whose aggregate facets may cross.
+Every polytope the package accepts has the integer decomposition
+property: an integral polymatroid has it, and so has a laminar system
+(the `lattice` docstring cites both theorems), which is why a hand-built
+`HPolytope` may not hold crossing aggregate facets.
 
 Relabelling.  Permuting the coordinates of B permutes the facets, the
 lattice points of every dilate and its interior, and the splits, so the
@@ -125,6 +129,13 @@ def is_inseparable_mask(R: RankOracle, mask: int) -> bool:
     return True
 
 
+def _crossing(sets):
+    """The first two of `sets` (frozensets) that cross, meeting with
+    neither holding the other, or None when the family is laminar."""
+    return next(((X, Y) for X, Y in itertools.combinations(sets, 2)
+                 if X & Y and not X <= Y and not Y <= X), None)
+
+
 def _mask_of(subset: Subset) -> int:
     m = 0
     for i in subset:
@@ -138,7 +149,8 @@ class HPolytope:
 
     Every coordinate must occur in some upper facet, which makes the body
     bounded; all bounds are positive integers, so the standard simplex
-    sits inside and the polytope is full-dimensional.
+    sits inside and the polytope is full-dimensional.  The facets are kept
+    as tuples, and two aggregate facets that cross raise ValueError.
     """
 
     n: int
@@ -146,14 +158,18 @@ class HPolytope:
     first = None        # not a field: see `Polymatroid`
 
     def __post_init__(self):
+        ups = tuple((tuple(A), t) for A, t in self.upper_facets)
+        object.__setattr__(self, "upper_facets", ups)
+        _integers((self.n, *(i for A, _t in ups for i in A), *(t for _A, t in ups)),
+                  "dimension, facet indices and bounds")
         if self.n < 1:
             raise ValueError("dimension must be positive")
         covered = set()
         seen = set()
-        for A, t in self.upper_facets:
+        for A, t in ups:
             if not A or any(not 1 <= i <= self.n for i in A):
                 raise ValueError(f"bad facet subset {A}")
-            if tuple(A) != tuple(sorted(set(A))):
+            if A != tuple(sorted(set(A))):
                 raise ValueError(f"facet subset {A} must be sorted and duplicate-free")
             if A in seen:
                 raise ValueError(f"duplicate facet subset {A}")
@@ -161,26 +177,28 @@ class HPolytope:
             if t < 1:
                 raise ValueError(f"facet bound {t} must be positive")
             covered.update(A)
-        _integers((self.n, *covered, *(t for _A, t in self.upper_facets)),
-                  "dimension, facet indices and bounds")
         if covered != set(range(1, self.n + 1)):
             missing = sorted(set(range(1, self.n + 1)) - covered)
             raise ValueError(f"unbounded coordinates (no upper facet): {missing}")
+        if type(self) is HPolytope:     # a `Polymatroid` may hold crossing facets
+            pair = _crossing([frozenset(A) for A, _t in ups if len(A) > 1])
+            if pair is not None:
+                raise ValueError(f"aggregate facets over {sorted(pair[0])} and {sorted(pair[1])} "
+                                 "cross: a hand-built HPolytope must be laminar")
 
 
 @dataclass(frozen=True)
 class Polymatroid(HPolytope):
     """An `HPolytope` that is an integral polymatroid.
 
-    The type is a claim, made by `facets` and `veronese_polytope`: an
-    integral polymatroid has the integer decomposition property, every
-    lattice point of N*P is a sum of N lattice points of P (Herzog-Hibi,
-    Discrete polymatroids, 2002), and so has each of its product blocks.
-    `lattice.normality_check` and the degree test of `levelness` rely on
-    it.  An `HPolytope` with the same facets is not one.  The constructor
-    checks nothing, so the package does not export it: one built by hand
-    from a non-polymatroid voids those theorems and gets wrong answers.
-    `first` is the first hull of its relabelling class, if another one.
+    The type is a claim, made by `facets`, `veronese_polytope` and
+    `levelness._restrict`: P and each of its product blocks have the
+    integer decomposition property (Herzog-Hibi 2002), which
+    `lattice.normality_check` and the degree test of `levelness` rely on.
+    The constructor checks no polymatroid axiom, so the package does not
+    export it: one built by hand from a crossing system that is no
+    polymatroid voids those theorems and gets wrong answers.  `first` is
+    the first hull of its relabelling class, if another one.
     """
 
     first: Polymatroid | None = field(default=None, compare=False, repr=False)

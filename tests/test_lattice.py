@@ -9,10 +9,12 @@ import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_count,
                                _interior_at, _normality_scan, _structure, iter_lattice_points)
-from polylevel.oracle import brute_count, brute_interior_points, brute_normality, brute_volume
+from polylevel.oracle import (brute_count, brute_interior_points, brute_normality,
+                              brute_reduced_degree, brute_volume)
+from polylevel.polymatroid import Polymatroid
 
-from conftest import (NON_MONOTONE, aggregates_disjoint, facet_systems, graph_and_bounds,
-                      veronese_specs)
+from conftest import (TRIANGLE, admissible, aggregates_disjoint, crossing_hull, crossing_systems,
+                      facet_systems, graph_and_bounds, system, veronese_specs)
 
 
 def test_membership_examples(k34_hull):
@@ -49,7 +51,7 @@ def test_enumeration_at_level_zero(path3_hull):
     """N = 0 enumerates the origin alone, and no interior point, as
     counting and membership have it."""
     simplex = pl.HPolytope(3, (((1, 2, 3), 1),))
-    for P in (path3_hull, simplex, NON_MONOTONE):
+    for P in (path3_hull, simplex, crossing_hull(2)):
         assert pl.lattice_points(P, 0) == [(0,) * P.n]
         assert pl.lattice_points(P, 0, "interior") == []
         for region in ("full", "interior"):
@@ -199,6 +201,18 @@ def test_laminar_counts_match_dp_and_oracle(P, N, region):
                 == _aggregate_block_count(st_, *st_.aggs[ks[-1]], N, lo)[0]
 
 
+@settings(max_examples=80, deadline=None)
+@given(crossing_systems(max_n=4, max_t=3), st.integers(1, 3), st.sampled_from(("full", "interior")))
+def test_crossing_polymatroids_match_oracles(P, N, region):
+    """Crossing aggregates are counted by the dynamic program and split by
+    the depth-first search: on crossing polymatroids the count of N*P, and
+    the reduced degrees of the first interior points of (N+2)*P, which has
+    some more often, agree with flat scans."""
+    assert pl.count_lattice_points(P, N, region) == brute_count(P, N, region == "interior")
+    for a in itertools.islice(iter_lattice_points(P, N + 2, "interior"), 8):
+        assert pl.reduced_degree(P, a, N + 2) == brute_reduced_degree(P, a, N + 2)
+
+
 def test_disjoint_counts_skip_the_dp(monkeypatch, cube4):
     def refuse(*args, **kwargs):
         raise AssertionError("dynamic program")
@@ -206,9 +220,8 @@ def test_disjoint_counts_skip_the_dp(monkeypatch, cube4):
     dv = pl.delta_vector(pl.veronese_polytope(pl.VeroneseSpec(n=8, a=20, c=(5,) * 8)))
     assert dv.delta[0] == 1 and len(dv.counts) == 9
     assert pl.count_lattice_points(cube4, 3) == 7 ** 4
-    crossing = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
     with pytest.raises(AssertionError, match="dynamic program"):
-        pl.count_lattice_points(crossing, 2)
+        pl.count_lattice_points(crossing_hull(), 2)
     box = pl.veronese_polytope(pl.VeroneseSpec(n=3, a=4, c=(2, 2, 2)))
     with pytest.raises(BudgetExceededError) as exc:
         pl.count_lattice_points(box, 2, budget=1)
@@ -223,9 +236,8 @@ def test_nested_counts_skip_the_dp(monkeypatch):
     assert [pl.count_lattice_points(nested, N) for N in range(4)] \
         == [brute_count(nested, N) for N in range(4)]
     assert pl.delta_vector(_graph_hull(NESTED_INTERIOR_GRAPH)).delta[6] == 16
-    crossing = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
     with pytest.raises(AssertionError, match="dynamic program"):
-        pl.count_lattice_points(crossing, 2)
+        pl.count_lattice_points(crossing_hull(), 2)
     # at N = 3 the forest pass builds two lists of 4 entries, one per aggregate
     assert pl.count_lattice_points(nested, 3, budget=8) == brute_count(nested, 3)
     with pytest.raises(BudgetExceededError) as exc:
@@ -299,27 +311,40 @@ def test_normality_level_must_be_an_integer(path3_hull):
 
 
 def test_normality_detects_failure():
-    # {x >= 0, x1+x2 <= 1, x2+x3 <= 1, x1+x3 <= 1} holds only 0 and the unit
-    # vectors, yet (1,1,1) lies in the double dilate: not a sum of two points
-    P = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
-    ok, wit = pl.normality_check(P, 2)
-    assert not ok and wit == (2, (1, 1, 1))
+    """The enumerating scan, the referee of the theorem in acceptance check
+    A14, finds a failure: TRIANGLE, {x1+x2 <= 1, x2+x3 <= 1, x1+x3 <= 1},
+    holds only 0 and the unit vectors, yet (1,1,1) lies in the double
+    dilate: not a sum of two points.  No polytope the package accepts is
+    one, so it is built through the private type."""
+    P = Polymatroid(*TRIANGLE)
+    assert _normality_scan(P, 2) == brute_normality(P, 2) == (False, (2, (1, 1, 1)))
+
+
+@pytest.mark.parametrize("P, max_n", [
+    (Polymatroid(4, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((4,), 2))), 2),
+    (Polymatroid(3, (((1, 2), 2), ((1, 3), 2), ((2, 3), 2), ((1, 2, 3), 3))), 3),
+], ids=["triangle-and-a-cap", "triangle-under-a-simplex"])
+def test_normality_scan_matches_oracle_off_the_contract(P, max_n):
+    """More crossing systems that are no polymatroids, built through the
+    private type: the scan agrees with explicit sumsets, verdict and
+    witness."""
+    assert not admissible(P)
+    assert _normality_scan(P, max_n) == brute_normality(P, max_n)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=4, max_t=2),
     graph_and_bounds(max_n=4, max_c=2).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
     facet_systems(max_n=4, max_t=2),
 ), st.integers(2, 3))
-@example(pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1))), 3)
-@example(pl.HPolytope(4, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((4,), 2))), 2)
-@example(pl.HPolytope(3, (((1, 2), 2), ((1, 3), 2), ((2, 3), 2), ((1, 2, 3), 3))), 3)
 @example(pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 1))), 2)
 def test_normality_matches_oracle(P, max_n):
-    """The split test agrees with explicit sumsets, verdict and witness,
-    on graph hulls and on hand-built systems with nested or crossing
-    aggregates."""
-    assert pl.normality_check(P, max_n) == brute_normality(P, max_n)
+    """The theorem, the enumerating scan and explicit sumsets agree,
+    verdict and witness, on graph hulls and on hand-built systems with
+    nested or crossing aggregates."""
+    assert pl.normality_check(P, max_n) == _normality_scan(P, max_n) \
+        == brute_normality(P, max_n)
 
 
 BOX_AND_CUTOFF = [pl.veronese_polytope(pl.VeroneseSpec(n=n, a=a, c=c))
@@ -345,16 +370,14 @@ def test_laminar_normality_matches_scan_and_oracle(P, max_n):
 
 
 def test_laminar_normality_enumerates_nothing(monkeypatch):
+    """Nor does a crossing graph hull, a `Polymatroid`."""
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
     monkeypatch.setattr("polylevel.lattice.iter_lattice_points", refuse)
     box = pl.veronese_polytope(pl.VeroneseSpec(n=5, a=12, c=(5, 5, 5, 5, 5)))
     nested = pl.HPolytope(3, (((1, 2), 1), ((1, 2, 3), 1)))
-    for P in (box, nested):
+    for P in (box, nested, crossing_hull()):
         assert pl.normality_check(P, 4) == (True, None)
-    crossing = pl.HPolytope(3, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1)))
-    with pytest.raises(AssertionError, match="enumerated"):
-        pl.normality_check(crossing, 2)
     cube3 = pl.HPolytope(3, tuple(((i,), 2) for i in range(1, 4)))
     with pytest.raises(ValueError):
         pl.normality_check(cube3, 1)
@@ -385,23 +408,25 @@ def test_reflexive_iff_level_for_pg(gc):
 def _lift(P):
     """P with every bound t raised to |A| + t: the all-ones point is then
     interior, at slack t from (A, t)."""
-    return pl.HPolytope(P.n, tuple((A, len(A) + t) for A, t in P.upper_facets))
+    return system(P.n, ((A, len(A) + t) for A, t in P.upper_facets))
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=4, max_t=4),
     facet_systems(max_n=4, max_t=4),
-    facet_systems(max_n=4, max_t=2).map(_lift),
+    facet_systems(max_n=4, max_t=2).map(_lift).filter(admissible),
     graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
 ))
-@example(pl.HPolytope(3, (((1, 2), 3), ((1, 3), 3), ((2, 3), 3))))
-@example(pl.HPolytope(3, (((1,), 3), ((1, 2), 3), ((1, 3), 3), ((2, 3), 4))))
+@example(Polymatroid(3, (((1,), 2), ((1, 2), 3), ((1, 3), 3), ((1, 2, 3), 4))))
+@example(Polymatroid(3, (((1,), 2), ((3,), 2), ((1, 2), 3), ((1, 3), 4))))
 def test_reflexive_matches_distance_check(P):
     """Where P has exactly one interior point, the answer read off the
     all-ones point equals the distance check on the point a flat scan
-    finds; elsewhere the test refuses.  Crossing systems included, and
-    lifted ones, which often have one interior point; the examples pin a
-    crossing triangle, reflexive and not."""
+    finds; elsewhere the test refuses.  Crossing polymatroids included,
+    and lifted systems, which often have one interior point; the examples
+    pin a crossing polymatroid with one interior point, reflexive and
+    not."""
     inner = brute_interior_points(P, 1)
     if len(inner) != 1:
         with pytest.raises(ValueError, match="pseudo-Gorenstein"):

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
@@ -35,11 +35,16 @@ from polylevel.oracle import (
 from polylevel.polymatroid import Polymatroid
 
 from conftest import (
-    NON_MONOTONE,
+    CROSSING_GRAPHS,
+    admissible,
     aggregates_disjoint,
+    crosses,
+    crossing_systems,
     facet_systems,
     graph_and_bounds,
+    is_integral_polymatroid,
     relabel_graph,
+    system,
 )
 
 
@@ -192,8 +197,16 @@ def test_reduced_degree_bounded(gc):
     assert pl.int_star_degree(P) == pl.int_star_degree(P, max_level=P.n + 1)
 
 
+def _lifted(P):
+    """P with each bound raised by its facet's size, so that the all-ones
+    point is interior; pass it through `admissible` if its aggregates
+    cross."""
+    return system(P.n, ((A, t + len(A)) for A, t in P.upper_facets))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=4, max_t=2).map(_lifted).filter(admissible),
     graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
     facet_systems(max_n=4, laminar=True),
 ))
@@ -204,10 +217,10 @@ def test_splits_are_monotone_in_degree(P):
     unimodular (Schrijver, Theory of Linear and Integer Programming, 1986),
     hence has the integer decomposition property (Baum-Trotter 1978), so
     the summand a' of (N-r)*P contains a lattice point p of P, and
-    a = (a0 + p) + (a' - p) splits at r+1.  A graph hull is an integral
-    polymatroid, which has the property too (Herzog-Hibi 2002).  The
-    per-level degree test relies on it.  Checked with the direct search,
-    level by level up to 3.
+    a = (a0 + p) + (a' - p) splits at r+1.  A graph hull, and a drawn
+    system whose aggregates cross, is an integral polymatroid, which has
+    the property too (Herzog-Hibi 2002).  The per-level degree test relies
+    on it.  Checked with the direct search, level by level up to 3.
     """
     st_ = _structure(P)
     for N in (2, 3):
@@ -216,16 +229,7 @@ def test_splits_are_monotone_in_degree(P):
             assert feasible == sorted(feasible), (N, a)
 
 
-# graph hulls on 6 vertices with crossing aggregates (the first n at which
-# they occur): two with an empty interior, one with four interior points
-_CROSSING_HULLS = [
-    ([(1, 2), (1, 3), (1, 5), (2, 4), (3, 6)], (1, 4, 2, 2, 3, 1)),
-    ([(1, 2), (1, 6), (2, 4), (2, 6), (3, 6), (4, 5), (5, 6)], (2, 1, 3, 1, 4, 2)),
-    ([(1, 2), (1, 4), (2, 3), (3, 6), (4, 6), (5, 6)], (2, 2, 3, 3, 2, 2)),
-]
-
-
-@pytest.mark.parametrize("edges, c", _CROSSING_HULLS)
+@pytest.mark.parametrize("edges, c", CROSSING_GRAPHS)
 def test_crossing_graph_hulls_split_monotonically(edges, c):
     """A crossing graph hull is a `Polymatroid`, so for every interior point
     of N*P the degrees r at which it splits form an up-set, which the
@@ -247,23 +251,6 @@ def test_crossing_graph_hulls_split_monotonically(edges, c):
               if pl.reduced_degree(P, a, N) == N}
     assert degrees == walked == (set() if interior else {2})
     assert pl.normality_check(P, 2) == _normality_scan(P, 2) == (True, None)
-
-
-def test_non_monotone_crossing_system():
-    """(4, 4, 10, 1) is interior to 3P and splits at r = 1 and 3 but not at
-    r = 2, so reading degree 3 off a failed split at r = 2, as the
-    block-by-block test does, would be wrong: P is level*, and its degrees
-    are found over the whole hull."""
-    P = NON_MONOTONE
-    st_ = _structure(P)
-    assert not st_.laminar and not isinstance(P, Polymatroid)
-    a = (4, 4, 10, 1)
-    assert pl.membership(P, a, 3, "interior")
-    assert [_split_exists_dfs(st_, a, 3, r, 1) for r in (1, 2, 3)] == [True, False, True]
-    assert brute_level_star(P) and pl.level_star(P) == (True, None)
-    assert pl.int_star_degree(P) == 1
-    assert not any(_is_degree(P, N, 10**8) for N in (2, 3))
-    assert len(pl.analyze_polytope(P).reduced_degree_table) == 0
 
 
 def _check_witness(P, levels=(2, 3)):
@@ -307,28 +294,23 @@ def _with_interior(P):
     return _interior_at(P, 1)
 
 
-def _lifted(P):
-    """P with each bound raised by its facet's size, so that the all-ones
-    point is interior."""
-    return pl.HPolytope(P.n, tuple((A, t + len(A)) for A, t in P.upper_facets))
-
-
 @st.composite
 def interleaved_pairs(draw):
     """The product of two lifted hand-built systems of dimension 2-3,
-    crossing ones included, with their coordinates shuffled together."""
-    blocks = []
-    for _ in range(2):
-        Q = _lifted(draw(facet_systems(max_n=3, max_t=2)))
-        blocks.append((Q.n, [(tuple(i - 1 for i in A), t) for A, t in Q.upper_facets]))
-    return _shuffled_product(draw, blocks)
+    crossing polymatroids included, with their coordinates shuffled
+    together."""
+    return _shuffled_product(draw, [draw(_LIFTED_SMALL), draw(_LIFTED_SMALL)])
+
+
+_LIFTED_SMALL = facet_systems(max_n=3, max_t=2).map(_lifted).filter(admissible)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=3, max_t=2).map(_lifted).filter(admissible),
     graph_and_bounds(max_n=5, max_c=3).map(_graph_hull).filter(_with_interior),
     facet_systems(max_n=5, max_t=2, laminar=True).map(_lifted),
-    facet_systems(max_n=4, max_t=3).map(_lifted),
+    facet_systems(max_n=4, max_t=3).map(_lifted).filter(admissible),
     interleaved_pairs(),
 ))
 @example(pl.HPolytope(3, (((1, 2, 3), 4), ((1,), 3), ((2,), 3), ((3,), 2))))
@@ -337,15 +319,14 @@ def interleaved_pairs(draw):
 # (1, 1, 13, 1, 1), is less than the top's, (5, 3, 1, 7, 3)
 @example(pl.HPolytope(5, (((1,), 3), ((2,), 2), ((3,), 7), ((4,), 4), ((5,), 2),
                           ((1, 2, 3, 4, 5), 10))))
-@example(NON_MONOTONE)
 # a crossing graph hull, level* at levels 2 and 3
 @example(_graph_hull((pl.graph(6, [(1, 2), (1, 4), (2, 3), (3, 6), (4, 6), (5, 6)]),
                       (2, 2, 3, 3, 2, 2))))
 def test_witness_matches_naive(P):
     """The witness, the least over the blocks of each failing block's
     lex-least part, is the lex-least failing point of a flat walk, or
-    None: on graph hulls, on hand-built systems, laminar, crossing and
-    non-monotone ones, and on products of two such systems whose blocks
+    None: on graph hulls, on hand-built systems, laminar ones and crossing
+    polymatroids, and on products of two such systems whose blocks
     interleave; where every block is one aggregate, the descent prunes
     exactly, so it never backtracks.  A flat walk of all of 3P takes up
     to a second at n = 6, so there only level 2 is checked."""
@@ -356,14 +337,18 @@ def test_witness_matches_naive(P):
     # both aggregates can fail, and they interleave; the witness keeps x3 = 1
     pl.HPolytope(6, (((1, 2, 4), 4), ((3, 5, 6), 4), ((1,), 4), ((2,), 2), ((3,), 3),
                      ((4,), 3), ((5,), 4), ((6,), 4))),
-    # both blocks fail, they interleave, and the later, crossing one gives
-    # the witness
-    pl.HPolytope(6, (((1,), 3), ((3,), 4), ((5,), 4), ((1, 3, 5), 4), ((4,), 4), ((6,), 2),
-                     ((2, 6), 4), ((2, 4, 6), 5), ((4, 6), 5))),
+    # both blocks fail, they interleave, and the later, crossing one, a
+    # polymatroid, gives the witness
+    Polymatroid(6, (((1,), 3), ((3,), 4), ((5,), 4), ((1, 3, 5), 4), ((4,), 4), ((6,), 2),
+                    ((2, 6), 4), ((2, 4, 6), 5), ((4, 6), 5))),
     _graph_hull((pl.graph(6, _FAILING_NESTED[0]), _FAILING_NESTED[1])),   # nested
 ], ids=["interleaved-aggregates", "interleaved-crossing", "nested-graph-hull"])
 def test_witness_matches_naive_at_n6(P):
-    """Hulls with n = 6 whose walks of 3P stop early, at levels 2 and 3."""
+    """Hulls with n = 6 whose walks of 3P stop early, at levels 2 and 3;
+    a crossing block is an integral polymatroid."""
+    for block in _structure(P).blocks:
+        Q = _restrict(P, block)
+        assert not crosses(Q.upper_facets) or is_integral_polymatroid(Q)
     _check_witness(P)
 
 
@@ -379,6 +364,7 @@ def test_witness_from_the_later_block():
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=4, max_t=3),
     graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
     facet_systems(max_n=4, max_t=3),
 ), st.sampled_from((0, 1)))
@@ -506,6 +492,7 @@ def _or_none(f, P):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=4),
     graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
     facet_systems(max_n=4),
     facet_systems(max_n=2),
@@ -537,17 +524,19 @@ def test_report_matches_the_verdict_functions(P):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
+    crossing_systems(max_n=4),
     graph_and_bounds(max_n=4, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
     facet_systems(max_n=4),
 ))
 @example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))    # empty interior
-# one interior point, and points of degree 2: one aggregate, then crossing ones
+# one interior point, and points of degree 2: one aggregate, then a
+# crossing polymatroid
 @example(pl.HPolytope(3, (((1,), 3), ((2,), 2), ((3,), 2), ((1, 2, 3), 4))))
-@example(pl.HPolytope(3, (((2, 3), 3), ((1, 2), 4), ((1, 3), 4), ((1,), 2))))
+@example(Polymatroid(3, (((1,), 2), ((3,), 3), ((1, 2), 3), ((1, 3), 4), ((1, 2, 3), 4))))
 def test_degree_table_matches_flat_oracle(P):
     """The report's table length and `reduced_degree` against the flat
     per-point oracle at levels 2..3: graph hulls and hand-built systems,
-    crossing ones included, with empty and nonempty interiors."""
+    crossing polymatroids included, with empty and nonempty interiors."""
     _check_table(P, 3)
 
 
@@ -594,35 +583,39 @@ def test_scan_bound_must_be_an_integer(f, veronese_5333):
 # --- the degree test against the flat oracle ---------------------------------
 
 def _shuffled_product(draw, blocks):
-    """HPolytope of the product of (size, facets) blocks, with the
-    coordinates of all blocks shuffled together."""
-    n = sum(size for size, _ in blocks)
+    """The product of the polytopes `blocks`, with the coordinates of all
+    blocks shuffled together.  A product whose aggregates cross is kept
+    only when each block is an integral polymatroid, so that their direct
+    sum is one."""
+    n = sum(Q.n for Q in blocks)
     perm = draw(st.permutations(range(1, n + 1)))
     upper, offset = [], 0
-    for size, facets in draw(st.permutations(blocks)):
-        for A, t in facets:
-            upper.append((tuple(sorted(perm[offset + i] for i in A)), t))
-        offset += size
-    return pl.HPolytope(n, tuple(upper))
+    for Q in draw(st.permutations(blocks)):
+        for A, t in Q.upper_facets:
+            upper.append((tuple(sorted(perm[offset + i - 1] for i in A)), t))
+        offset += Q.n
+    assume(not crosses(upper) or all(map(is_integral_polymatroid, blocks)))
+    return system(n, upper)
 
 
 @st.composite
 def block_products(draw):
-    """Two small blocks; P has an empty interior.
+    """Two small blocks.
 
     One block holds two twins (one singleton bound, one aggregate over
     them), optionally with a third member under a second aggregate over
-    all three; the other is a non-laminar pair of crossing aggregates
-    {x, y}, {y, z} with bounds too small for an interior point.
+    all three; the other is a polymatroid on three coordinates whose
+    aggregates cross.
     """
     u = draw(st.integers(1, 2))
-    twins = [((0,), u), ((1,), u), ((0, 1), draw(st.integers(1, 4)))]
+    twins = [((1,), u), ((2,), u), ((1, 2), draw(st.integers(1, 4)))]
     if draw(st.booleans()):
-        twins += [((2,), draw(st.integers(1, 3))), ((0, 1, 2), draw(st.integers(1, 5)))]
-    cross = [((0, 1), draw(st.integers(1, 2))), ((1, 2), draw(st.integers(1, 2)))]
-    if draw(st.booleans()):
-        cross.append(((1,), draw(st.integers(1, 3))))
-    return _shuffled_product(draw, [(2 + (len(twins) > 3), twins), (3, cross)])
+        twins += [((3,), draw(st.integers(1, 3))), ((1, 2, 3), draw(st.integers(1, 5)))]
+    return _shuffled_product(draw, [pl.HPolytope(2 + (len(twins) > 3), twins),
+                                    draw(_CROSSING_TRIPLES)])
+
+
+_CROSSING_TRIPLES = crossing_systems(max_n=3, max_t=3)
 
 
 @st.composite
@@ -631,10 +624,10 @@ def interior_products(draw):
     a capped coordinate, whose points all have degree 1; the interior is
     nonempty."""
     u = draw(st.integers(2, 3))
-    twins = [((0,), u), ((1,), u), ((0, 1), draw(st.integers(4, 5))),
-             ((2,), draw(st.integers(2, 3))), ((0, 1, 2), draw(st.integers(4, 5)))]
-    box = [((0,), draw(st.integers(2, 3)))]
-    return _shuffled_product(draw, [(3, twins), (1, box)])
+    twins = [((1,), u), ((2,), u), ((1, 2), draw(st.integers(4, 5))),
+             ((3,), draw(st.integers(2, 3))), ((1, 2, 3), draw(st.integers(4, 5)))]
+    box = [((1,), draw(st.integers(2, 3)))]
+    return _shuffled_product(draw, [pl.HPolytope(3, twins), pl.HPolytope(1, box)])
 
 
 def _plain_blocks(P):
@@ -674,11 +667,11 @@ def _check_degrees(P, top=3):
     assert {N for N in range(2, top + 1) if _is_degree(P, N, 10**8)} == degrees
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(block_products())
 def test_degree_test_matches_flat_oracle(P):
-    """Empty interior, a laminar and a crossing block: the crossing system
-    is not monotone by any theorem and is decided over the whole hull."""
+    """A laminar and a crossing block, the crossing one a polymatroid, so
+    the test asks it block by block and walks the crossing block."""
     assert _structure(P).blocks == _plain_blocks(P)
     assert len(_structure(P).blocks) >= 2
     assert not _structure(P).laminar
@@ -693,7 +686,7 @@ def test_degree_test_with_interior_matches_flat_oracle(P):
     _check_degrees(P)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(block_products())
 def test_degree_test_single_block(P):
     """One block alone, laminar or crossing."""

