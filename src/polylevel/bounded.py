@@ -41,30 +41,44 @@ merges the paths that reach the same r.
   slack0.  Let R be the residual sum and L the part of it on vertices
   with no edge ahead.  The edges ahead lower R by an even amount of at
   most R - L, so a state can only end at a residual sum of at least
-  R - 2*floor((R - L)/2).  A state is kept only while that bound is at
-  most slack0.  A weighting that ends at residual sum R_end passes the
-  test at each of its layers, since each bound is at most R_end; so with
-  slack0 at least the slack, every basis is found.  The greedy path
-  passes it too, so the final states are never empty.
+  L + ((R - L) mod 2).  R and slack0 both have the parity of sum(c), so
+  that bound is at most slack0 exactly when L is, and a state is kept
+  only while L <= slack0.  A weighting that ends at residual sum R_end
+  passes the test at each of its layers, since each bound is at most
+  R_end; so with slack0 at least the slack, every basis is found.  The
+  greedy path passes it too, so the final states are never empty.  A
+  state stores L alone: after the last edge every vertex has no edge
+  ahead, so L is then the residual sum.
 * delta_c from the least final R.  Every final state ends at R at least
   the slack, and the maximum weightings end at the slack itself, so
   delta_c = (sum(c) - min R) / 2, and the bases are c - r over the final
   states with R = min R.  The others (min R < R <= slack0) are dropped.
-* The weights on an edge are tried in descending order, and the bound
-  never decreases as w falls (it equals L + ((R - L) mod 2), and one unit
-  less weight raises L by 0, 1 or 2 while flipping the parity of R - L
-  only when L rises by 1), so the first w that fails ends the loop.
+* The weights kept on an edge form a window, found without a test per
+  weight.  Call an endpoint of {i, j} dying when {i, j} is its last
+  edge, and let A be L plus the residuals of the dying endpoints before
+  the edge.  Weight w lowers both residuals by w, so it leaves L = A - d*w,
+  d the number of dying endpoints, and w runs up to min(r_i, r_j) from
+  - 0 when neither endpoint dies: L is unchanged, and the state already
+    passed the test;
+  - A - slack0 (or 0) when one dies;
+  - ceil((A - slack0)/2) (or 0) when both die.
+  Testing each weight would keep exactly these states.
 
 `candidate_cap` bounds the number of states that one layer holds, the
 last one included, so it bounds both the work of the dynamic program and
 the number of bases; it is checked as each layer is built.
 
+Answers of `enumerate_bases` are memoized by (G, c, candidate_cap), c as
+the tuple of ints it normalizes to, so equal calls share one frozen
+`BasisSet`; a raised BudgetExceededError is not kept.
+
 One vector
 ----------
 `realize_degree_sequence(G, a, q)` runs the same program with bounds a
-and slack0 = 0.  A weighting ends at residual sum 0 exactly when its
-degree vector is a (its weight is then sum(a)/2 = q), and the pruning
-keeps every such path, so a is realizable iff a final state survives.
+and slack0 = 0, which has the parity of sum(a) = 2q.  A weighting ends
+at residual sum 0 exactly when its degree vector is a (its weight is
+then sum(a)/2 = q), and the pruning keeps every such path, so a is
+realizable iff a final state survives.
 Zero entries of a are fine: the program needs only L = 0 at the start,
 i.e. every vertex on an edge, as in every Graph.
 """
@@ -74,6 +88,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .graphs import Graph
@@ -81,6 +96,19 @@ from .graphs import Graph
 ExponentVector = tuple[int, ...]
 
 DEFAULT_CANDIDATE_CAP = 10**7
+
+# Entries kept by each memo of a per-input answer: `enumerate_bases` (by
+# graph, bounds and cap), `polymatroid.facets` (by basis set and by
+# relabelling class), `levelness.analyze_polytope` (by hull),
+# `lattice.delta_vector` (by the first hull of the class) and
+# `lattice._structure`.  1024 entries hold either census of
+# scripts/polymatroid_census.py (377 and 832 basis sets).  Measured with
+# tracemalloc on the seed 1-3 pools of `perfbench`, the memos after
+# `enumerate_bases` held about 2.1 KB per basis set (analyze, n = 4-5),
+# and the `enumerate_bases` memo 0.52 KB per entry on analyze and
+# 1.1-1.2 KB on labeling-search (n = 4-8): 1024 entries take about 2.1 MB
+# and 0.5-1.2 MB.
+_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -178,30 +206,48 @@ def _first_descent(edges, c) -> int:
 def _final_states(edges, c, slack0: int, candidate_cap: int):
     """The sorted degree vectors c - r of the bases dynamic program's final
     states at the least residual sum, where the program keeps exactly the
-    weightings of `edges` that end at a residual sum <= slack0.  Every
-    vertex must lie on an edge; raises BudgetExceededError once a layer
-    holds more than `candidate_cap` states."""
+    weightings of `edges` that end at a residual sum <= slack0.  slack0
+    must have the parity of sum(c), and every vertex must lie on an edge;
+    raises BudgetExceededError once a layer holds more than `candidate_cap`
+    states."""
     bits = max(c).bit_length()
     mask = (1 << bits) - 1
     shifts = [bits * v for v in range(len(c))]
     last = {v: k for k, e in enumerate(edges) for v in e}
-    # code -> (residual sum R, residual L on vertices with no edge ahead);
-    # L starts at 0 because every vertex lies on an edge
-    states = {sum(ci << s for ci, s in zip(c, shifts)): (sum(c), 0)}
+    # code -> residual L on vertices with no edge ahead, which is 0 at the
+    # start because every vertex lies on an edge, and the residual sum at
+    # the end, when every vertex has none
+    states = {sum(ci << s for ci, s in zip(c, shifts)): 0}
     for k, (i, j) in enumerate(edges):
         si, sj = shifts[i - 1], shifts[j - 1]
         step = (1 << si) + (1 << sj)
         dies_i, dies_j = last[i] == k, last[j] == k
-        layer: dict[int, tuple[int, int]] = {}
-        for code, (R, L) in states.items():
-            ri, rj = (code >> si) & mask, (code >> sj) & mask
-            for w in range(min(ri, rj), -1, -1):
-                R2 = R - 2 * w
-                L2 = L + dies_i * (ri - w) + dies_j * (rj - w)
-                # the edges ahead lower R2 by at most 2*floor((R2-L2)/2)
-                if R2 - 2 * ((R2 - L2) // 2) > slack0:
-                    break
-                layer[code - w * step] = (R2, L2)
+        layer: dict[int, int] = {}
+        # the weights w that leave at most slack0 on the dead vertices,
+        # from the least (the module docstring) up to min(ri, rj)
+        if dies_i and dies_j:
+            for code, L in states.items():
+                ri, rj = (code >> si) & mask, (code >> sj) & mask
+                A = L + ri + rj
+                low = (A - slack0 + 1) // 2
+                if low < 0:
+                    low = 0
+                for w in range(low, min(ri, rj) + 1):
+                    layer[code - w * step] = A - 2 * w
+        elif dies_i or dies_j:
+            sd = si if dies_i else sj
+            for code, L in states.items():
+                ri, rj = (code >> si) & mask, (code >> sj) & mask
+                A = L + ((code >> sd) & mask)
+                low = A - slack0
+                if low < 0:
+                    low = 0
+                for w in range(low, min(ri, rj) + 1):
+                    layer[code - w * step] = A - w
+        else:
+            for code, L in states.items():
+                for w in range(min((code >> si) & mask, (code >> sj) & mask) + 1):
+                    layer[code - w * step] = L
         if len(layer) > candidate_cap:
             raise BudgetExceededError(
                 f"{len(layer)} states after edge {k + 1} of {len(edges)} "
@@ -209,9 +255,9 @@ def _final_states(edges, c, slack0: int, candidate_cap: int):
                 cap="candidate_cap", limit=candidate_cap,
             )
         states = layer
-    least = min((R for R, _L in states.values()), default=None)
+    least = min(states.values(), default=None)
     return sorted([tuple(ci - ((code >> s) & mask) for ci, s in zip(c, shifts))
-                   for code, (R, _L) in states.items() if R == least])
+                   for code, R in states.items() if R == least])
 
 
 def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> BasisSet:
@@ -224,12 +270,17 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
     c - r over the final states that reach it.  See "Enumerating the
     bases" in the module docstring for why this is exact.
 
-    Raises BudgetExceededError once a layer of the dynamic program holds
-    more than `candidate_cap` states, an integer >= 1; a result is never
-    truncated.
+    Answers are memoized by (G, c, candidate_cap) (see `_MEMO_SIZE`),
+    however the call spells c, so equal calls share one frozen basis set;
+    a raised error is not kept.  Raises BudgetExceededError once a layer
+    of the dynamic program holds more than `candidate_cap` states, an
+    integer >= 1; a result is never truncated.
     """
-    c = _check_bounds(G, c)
-    candidate_cap = _cap(candidate_cap, "candidate_cap")
+    return _bases(G, _check_bounds(G, c), _cap(candidate_cap, "candidate_cap"))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _bases(G: Graph, c: tuple[int, ...], candidate_cap: int) -> BasisSet:
     edges = G.edge_list()
     slack0 = sum(c) - 2 * _first_descent(edges, c)
     bases = _final_states(edges, c, slack0, candidate_cap)

@@ -92,9 +92,9 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .bounded import _cap, _integer, _integers
+from .bounded import _MEMO_SIZE, _cap, _integer, _integers
 from .errors import BudgetExceededError
-from .polymatroid import _MEMO_SIZE, HPolytope, _crossing
+from .polymatroid import HPolytope, _crossing
 
 ExponentVector = tuple[int, ...]
 
@@ -574,18 +574,17 @@ def is_unimodal(d) -> bool:
     return peaked_at(n // 2) or peaked_at((n + 1) // 2)
 
 
-def normality_check(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET):
+def normality_check(P: HPolytope, max_n: int):
     """Does every lattice point of N*P split into N points of P, N <= max_n?
 
     Returns (True, None), as `_normality_scan` would, without enumeration:
     every polytope the package accepts has the integer decomposition
     property, being an integral polymatroid (Herzog-Hibi 2002) or laminar
     (Baum-Trotter 1978; the module docstring).  `max_n` must be an integer
-    >= 2 and `budget` one >= 1.
+    >= 2.
     """
     if _integer(max_n, "max_n") < 2:
         raise ValueError("max_n must be >= 2")
-    _cap(budget, "budget")
     return True, None
 
 

@@ -118,7 +118,7 @@ from functools import lru_cache
 from itertools import count
 from math import prod
 
-from .bounded import _cap, _integer
+from .bounded import _MEMO_SIZE, _cap, _integer
 from .errors import BudgetExceededError
 # `lattice_points` is not called here; it stays bound because the
 # benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
@@ -134,7 +134,7 @@ from .lattice import (
     lattice_points,
     membership,
 )
-from .polymatroid import _MEMO_SIZE, HPolytope
+from .polymatroid import HPolytope
 
 ExponentVector = tuple[int, ...]
 
@@ -437,7 +437,7 @@ class LevelnessReport:
 def analyze_polytope(P: HPolytope, max_level: int | None = None,
                      budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
     """The `LevelnessReport` of P.  Answers are memoized by (P, scan bound,
-    budget) (see `polymatroid._MEMO_SIZE`), however the call spells them,
+    budget) (see `bounded._MEMO_SIZE`), however the call spells them,
     so calls that ask for one report share one frozen report, and shared
     by the relabellings of one basis set (the `polymatroid` docstring); a
     raised error is not kept.  `budget` is an integer >= 1."""

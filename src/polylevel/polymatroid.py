@@ -42,20 +42,11 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bounded import BasisSet, _integers, enumerate_bases
+from .bounded import _MEMO_SIZE, BasisSet, _integers, enumerate_bases
 from .errors import BudgetExceededError
 from .graphs import star
 
 FACET_SCAN_MAX_DIM = 16
-
-# Entries kept by each memo of a per-polymatroid answer: `facets` (by
-# basis set and by relabelling class), `levelness.analyze_polytope` (by
-# hull), `lattice.delta_vector` (by the first hull of the class) and
-# `lattice._structure`.  1024 entries hold either census of
-# scripts/polymatroid_census.py (377 and 832 basis sets).  The memos held
-# about 2.1 KB per basis set (tracemalloc, seed 1-3 pools of `perfbench`
-# analyze, n = 4-5), so 1024 basis sets take about 2.2 MB.
-_MEMO_SIZE = 1024
 
 Subset = tuple[int, ...]
 
@@ -222,8 +213,9 @@ def facets(B: BasisSet) -> Polymatroid:
     """Irredundant facet system of the hull of the divisor set of B.
 
     Facets are listed in (size, lex) order, so reports are reproducible.
-    Answers are memoized by B (see `_MEMO_SIZE`), and only the first basis
-    set of a relabelling class is scanned; a raised error is not kept.
+    Answers are memoized by B (see `bounded._MEMO_SIZE`), and only the
+    first basis set of a relabelling class is scanned; a raised error is
+    not kept.
     """
     if B.n > FACET_SCAN_MAX_DIM:
         raise BudgetExceededError(

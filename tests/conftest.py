@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import polylevel as pl
-from polylevel import lattice, levelness, polymatroid
+from polylevel import bounded, lattice, levelness, polymatroid
 from polylevel.oracle import _box_points
 from polylevel.polymatroid import Polymatroid
 
@@ -234,10 +234,10 @@ def crossing_hull(k=0):
     return pl.facets(pl.enumerate_bases(pl.graph(6, edges), c))
 
 
-# the memos of the per-polymatroid answers: `facets` asks `_class_facets`
-# on a miss, and `analyze_polytope` and `delta_vector` normalize their
-# arguments and call private caches
-MEMOS = (polymatroid.facets, polymatroid._class_facets, levelness._report,
+# the memos of the per-input answers: `enumerate_bases`, `analyze_polytope`
+# and `delta_vector` normalize their arguments and call private caches,
+# and `facets` asks `_class_facets` on a miss
+MEMOS = (bounded._bases, polymatroid.facets, polymatroid._class_facets, levelness._report,
          lattice._delta_vector)
 
 

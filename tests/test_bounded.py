@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
-from polylevel.bounded import _first_descent
+from polylevel.bounded import _final_states, _first_descent
 from polylevel.errors import BudgetExceededError
 from polylevel.oracle import brute_bases, delta_c_maxflow
 
@@ -258,6 +258,60 @@ def test_enumerate_bases_matches_brute_force_on_two_bounds(gc, more):
         d, bases = brute_bases(G, bounds)
         B = pl.enumerate_bases(G, bounds)
         assert (B.delta_c, B.bases) == (d, tuple(bases))
+
+
+def _per_weight(edges, c, slack0):
+    """The bases program that tests each weight, the referee of the weight
+    windows of `_final_states`: on each edge it tries w = min(r_i, r_j),
+    ..., 0 and stops at the first w whose bound R - 2*floor((R - L)/2)
+    exceeds slack0.  Returns the sorted final degree vectors at the least
+    residual sum and the size of the largest layer."""
+    last = {v: k for k, e in enumerate(edges) for v in e}
+    states = {tuple(c): (sum(c), 0)}
+    largest = 0
+    for k, (i, j) in enumerate(edges):
+        layer = {}
+        for r, (R, L) in states.items():
+            for w in range(min(r[i - 1], r[j - 1]), -1, -1):
+                r2 = list(r)
+                r2[i - 1] -= w
+                r2[j - 1] -= w
+                R2 = R - 2 * w
+                L2 = L + (last[i] == k) * r2[i - 1] + (last[j] == k) * r2[j - 1]
+                if R2 - 2 * ((R2 - L2) // 2) > slack0:
+                    break
+                layer[tuple(r2)] = (R2, L2)
+        largest = max(largest, len(layer))
+        states = layer
+    least = min((R for R, _L in states.values()), default=None)
+    finals = sorted(tuple(ci - ri for ci, ri in zip(c, r))
+                    for r, (R, _L) in states.items() if R == least)
+    return finals, largest
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_bounds(max_n=7, max_c=4))
+@example((pl.cycle(7), (3,) * 7))
+@example((pl.complete_bipartite(3, 4), (2,) * 7))
+@example((pl.graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]), (2, 2, 3, 1, 2)))
+@example((pl.graph(4, [(1, 3), (1, 4), (2, 3)]), (1, 1, 2, 1)))
+def test_weight_windows_match_the_per_weight_test(gc):
+    """At the greedy slack, the true slack, sum(c) mod 2 (below the true
+    slack when delta_c < sum(c)/2) and the greedy slack + 2, the windows
+    keep the final states of the per-weight test, and its largest layer
+    is the least `candidate_cap` that succeeds.  The last example has an
+    edge whose two endpoints die with A - slack0 odd."""
+    G, c = gc
+    edges = G.edge_list()
+    greedy = sum(c) - 2 * _first_descent(edges, c)
+    finals, _largest = _per_weight(edges, c, greedy)
+    true_slack = sum(c) - sum(finals[0])
+    for slack0 in (greedy, true_slack, sum(c) % 2, greedy + 2):
+        finals, largest = _per_weight(edges, c, slack0)
+        assert _final_states(edges, c, slack0, max(largest, 1)) == finals
+        if largest:
+            with pytest.raises(BudgetExceededError):
+                _final_states(edges, c, slack0, largest - 1)
 
 
 def test_divisor_set_examples():

@@ -132,10 +132,9 @@ def test_non_integer_dilation_is_rejected(call):
     lambda b: iter_lattice_points(SQUARE, 1, budget=b),
     lambda b: pl.lattice_points(SQUARE, 1, budget=b),
     lambda b: pl.delta_vector(SQUARE, budget=b),
-    lambda b: pl.normality_check(SQUARE, 2, budget=b),
     lambda b: pl.reflexive_up_to_translation(SQUARE, budget=b),
 ], ids=["count_lattice_points", "iter_lattice_points", "lattice_points", "delta_vector",
-        "normality_check", "reflexive_up_to_translation"])
+        "reflexive_up_to_translation"])
 @pytest.mark.parametrize("budget", [0, -1, 1.5, "x"])
 def test_budget_must_be_a_positive_integer(call, budget):
     """Checked at the call, before any work or memo: 0 and -1 no longer

@@ -1,8 +1,9 @@
-"""The memos of the per-polymatroid answers: `facets` by the basis set,
-`analyze_polytope` by the polytope, the scan bound and the budget, and
-`delta_vector` by the polytope and the budget, however a call spells
-them; the relabellings of one basis set share one facet scan, one delta
-vector and one report but its witness."""
+"""The memos of the per-input answers: `enumerate_bases` by the graph, the
+bounds and the cap, `facets` by the basis set, `analyze_polytope` by the
+polytope, the scan bound and the budget, and `delta_vector` by the
+polytope and the budget, however a call spells them; the relabellings of
+one basis set share one facet scan, one delta vector and one report but
+its witness."""
 
 import importlib
 import itertools
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
-from polylevel import lattice, levelness, polymatroid
+from polylevel import bounded, lattice, levelness, polymatroid
 from polylevel.bounded import BasisSet
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import DEFAULT_NODE_BUDGET
@@ -97,6 +98,40 @@ def test_budget_errors_are_not_kept(k34_hull):
     with pytest.raises(BudgetExceededError):
         pl.analyze_polytope(k34_hull, budget=1)
     assert levelness._report.cache_info().currsize == 1
+
+
+def test_spellings_of_one_bound_vector_share_one_basis_set():
+    """c is normalized to a tuple of ints before the memo."""
+    G = pl.path(3)
+    B = pl.enumerate_bases(G, (2, 3, 2))
+    assert pl.enumerate_bases(G, [2, 3, 2]) is B
+    info = bounded._bases.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_candidate_cap_errors_are_not_kept():
+    """K(3,4) with c = 2 needs a cap above 10 (`test_bounded`): the capped
+    call raises every time and leaves the uncapped answer as it was."""
+    G, c = pl.complete_bipartite(3, 4), (2,) * 7
+    B = pl.enumerate_bases(G, c)
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError):
+            pl.enumerate_bases(G, c, candidate_cap=10)
+    assert pl.enumerate_bases(G, c) is B
+    info = bounded._bases.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 1, 1)
+
+
+def test_caps_are_separate_entries():
+    """A cap is part of the key: a capped answer equals the uncapped one
+    but is its own entry."""
+    G, c = pl.complete_bipartite(3, 4), (2,) * 7
+    B = pl.enumerate_bases(G, c)
+    capped = pl.enumerate_bases(G, c, candidate_cap=10**6)
+    assert capped == B and capped is not B
+    assert pl.enumerate_bases(G, c, candidate_cap=10**6) is capped
+    info = bounded._bases.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 class _Index:
