@@ -131,7 +131,7 @@ def _strict_exit(args, verdict: bool) -> int:
 def cmd_analyze(args) -> int:
     G, c, B = _graph_bases(args)
     P = facets(B)
-    rep = analyze_polytope(P, max_level=args.max_level, budget=args.budget)
+    rep = analyze_polytope(P, budget=args.budget)
     dv = delta_vector(P, budget=args.budget)
     interior = lattice_points(P, 1, "interior", budget=args.budget)
     witness = None
@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
         f"interior points (level 1): {[list(p) for p in interior]}",
         f"pseudo-Gorenstein*: {rep.pseudo_gorenstein}",
         f"level*: {rep.level}" + (f"  [witness at level {witness['level']}: {witness['point']}]" if witness else ""),
-        f"int* degree: {rep.int_star_degree} (scan bound {rep.scan_bound})",
+        f"int* degree: {rep.int_star_degree} (scan stopped at level {rep.scan_bound})",
         f"reflexive up to translation: {rep.reflexive_up_to_translation}",
         f"delta vector: {list(dv.delta)} (unimodal: {is_unimodal(dv)})",
     ]
@@ -198,7 +198,7 @@ def cmd_delta_vector(args) -> int:
 
 def cmd_level(args) -> int:
     P = _polytope(args)
-    verdict, wit = level_star(P, max_level=args.max_level, budget=args.budget)
+    verdict, wit = level_star(P, budget=args.budget)
     witness = None if wit is None else {"level": wit[0], "point": list(wit[1])}
     payload = {"level": verdict, "witness": witness}
     lines = [f"level*: {verdict}"] + ([f"witness: level {wit[0]}, point {list(wit[1])}"] if wit else [])
@@ -227,11 +227,9 @@ def cmd_psg(args) -> int:
 
 def cmd_int_star_degree(args) -> int:
     P = _polytope(args)
-    # one memoized report; `int_star_degree` raises on an empty interior
-    d = int_star_degree(P, max_level=args.max_level, budget=args.budget)
-    rep = analyze_polytope(P, max_level=args.max_level, budget=args.budget)
-    payload = {"int_star_degree": d, "scan_bound_used": rep.scan_bound}
-    _emit(args, payload, [f"int* degree: {d}"])
+    rep = analyze_polytope(P, budget=args.budget)
+    payload = {"int_star_degree": rep.int_star_degree, "scan_bound_used": rep.scan_bound}
+    _emit(args, payload, [f"int* degree: {rep.int_star_degree}"])
     return 0
 
 
@@ -396,8 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     poly.add_argument("graph_file", nargs="?", help="JSON graph file {n, edges, c?}")
     poly.add_argument("--veronese", metavar="a,c1,...,cn",
                       help="use the box-and-cutoff polytope instead of a graph")
-    scan = _parent("--max-level", type=int, default=None,
-                   help="override the dilation scan bound, at least 2 (default max(2, n-1))")
 
     def command(name, parents, func, help_text):
         # no abbreviations, so that no option answers to a prefix of another
@@ -405,13 +401,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("analyze", [as_json, budget, strict, graph_arg, bounds, scan], cmd_analyze,
+    command("analyze", [as_json, budget, strict, graph_arg, bounds], cmd_analyze,
             "full report: facets, verdicts, delta vector")
     command("facets", [as_json, budget, poly], cmd_facets, "irredundant facet system")
     command("delta-vector", [as_json, budget, poly], cmd_delta_vector, "Ehrhart delta vector")
-    command("level", [as_json, budget, strict, poly, scan], cmd_level, "level* verdict")
+    command("level", [as_json, budget, strict, poly], cmd_level, "level* verdict")
     command("psg", [as_json, budget, strict, poly], cmd_psg, "pseudo-Gorenstein* verdict")
-    command("int-star-degree", [as_json, budget, poly, scan], cmd_int_star_degree,
+    command("int-star-degree", [as_json, budget, poly], cmd_int_star_degree,
             "int* degree")
     p = command("reduced-degree", [as_json, budget, poly], cmd_reduced_degree,
                 "reduced degree of an interior point of a dilate")

@@ -16,23 +16,71 @@ Definitions, for a full-dimensional lattice polytope P given by x >= 0 and
   r = N always works.  The int* degree of P is the largest reduced degree
   over all dilates, and P is level* exactly when that degree is 1.
 
-Finite scan bound.  What is proved: a point of reduced degree r >= 2 at
-level N > r yields one of reduced degree exactly r at level r: split off
-an interior summand a0 of r*P; were a0 = b0 + b' with b0 interior to s*P,
-s < r, then a itself would split at s.  So the int* degree, if finite, is
-reached at level N = r, and this needs no interior point of P.  The
-degree scan uses it: the degrees >= 2 over the levels 2..top are exactly
-the levels N there at which some interior point of N*P has reduced
-degree N, one test per level (below).
-What is tested, not proved: with an interior point of P the reduced
-degree never exceeds n - 1 (`test_reduced_degree_bounded` checks the
-per-point degrees and compares the int* degree against a scan to level
-n + 1 on graph hulls with n <= 5).  So level*, the int* degree and the
-spectrum are all read off one scan of levels 2..max(2, n-1).  With an
-empty interior the true degree can exceed n - 1, the scan still stops
-at the same default level, and the int* degree it reports may fall
-short of the true one (a known gap, kept as it is).  The bound is
-overridable for exploratory runs and recorded in reports.
+Degrees at their own level.  A point of reduced degree r >= 2 at level
+N > r yields one of reduced degree exactly r at level r: split off an
+interior summand a0 of r*P; were a0 = b0 + b' with b0 interior to s*P,
+s < r, then a itself would split at s.  So the degrees >= 2 are exactly
+the levels N >= 2 at which some interior point of N*P has reduced degree
+N, one test per level (below), and this needs no interior point of P.
+
+The degrees form an interval.  Let c, the codegree, be the least N with
+an interior point of N*P; the all-ones point is interior to (n+1)*P, so
+c <= n + 1.  The degrees >= 2 are exactly the levels max(2, c)..d, d the
+int* degree, and d <= n + 1.  So the scan tests max(2, c), then the next
+level, and stops at the first level that holds no degree; levels below
+c hold no interior point and are not tested.  With an interior point of
+P (c = 1) it starts at level 2: P is level* exactly when level 2 holds
+no degree, and every witness is at level 2.  The proof, for P an
+integral polymatroid with rank f, I_N the interior lattice points of N*P
+and R_N(X) the largest x(X) over I_N:
+
+1. I_N - 1, each point less the all-ones point, is the lattice-point set
+   of an integral polymatroid.  An interior point has x(X) <= N f(X) - 1
+   for every nonempty X, as x(X) is not constant on the full-dimensional
+   N*P.  So I_N - 1 is the set of lattice points y >= 0 with
+   y(X) <= N f(X) - |X| - 1, and that bound is intersecting submodular:
+   f is submodular, |X| modular, and the -1 is on both sides when X and
+   Y meet.  Such a bound, integral and, for N >= c, nonnegative, defines
+   an integral polymatroid (Edmonds 1970; Fujishige, Submodular
+   Functions and Optimization, 2005).
+2. I_{N-1} + (P cap Z^n) lies in I_N, and equals it exactly when
+   R_N = R_{N-1} + f on every X.  The lattice points of a sum of
+   integral polymatroids are the sums of their lattice points, and the
+   ranks add (the polymatroid sum theorem: Edmonds 1970, McDiarmid
+   1975).  So, less the all-ones point, the left side is the lattice-point
+   set of an integral polymatroid of rank R_{N-1} + f - |X| inside that
+   of step 1, of rank R_N - |X|, and the two are equal exactly when
+   their ranks are.
+3. Splits are monotone in r (below), so a level N > c holds a point of
+   reduced degree N exactly when some point of I_N does not split at
+   N - 1, that is when the equality of step 2 fails at some X.  Level c
+   holds one when c >= 2, as no level below it has an interior point.
+4. At every integral N >= c, R_N(X) is the optimum of the linear program
+   max x(X) over x >= 1 and x(Y) <= N f(Y) - 1, whose polytope is
+   integral by step 1.  Its right-hand side is affine in N, so R_N(X)
+   is concave in N from c on.  So the steps R_N - R_{N-1} never
+   increase, by step 2 they never fall below f, and once they equal f
+   on every X they stay equal: the levels above c that hold a degree
+   are c + 1..d.
+
+Every polytope the package accepts is an integral polymatroid: a
+`Polymatroid` by contract, and a laminar `HPolytope` by step 1's
+theorem.  Its facets x(A) <= t run over a laminar family, which is an
+intersecting family (two members that meet are nested, so their union
+and intersection are the two members), and any bound vector is modular
+on nested pairs, so intersecting submodular.
+
+The bound d <= n + 1.  P is normal, so its Ehrhart ring R (over Q) is
+generated by the lattice points of P in degree 1 and is Cohen-Macaulay
+(Hochster 1972), of dimension n + 1.  The interior points span its
+canonical module omega (Danilov-Stanley), and by monotone splits a point
+of reduced degree N at level N is exactly one that is no sum of an
+interior point of (N-1)*P and a lattice point of P: a minimal generator
+of omega.  Modulo a linear system of parameters, omega is the dual of an
+Artinian ring shifted by n + 1, so its generators have degree at most
+n + 1 (graded Nakayama; Bruns-Herzog, Cohen-Macaulay Rings, 1993, ch. 3
+and 6).  A degree at level n + 2 is therefore an internal error, raised
+as RuntimeError, not a cap; `budget` bounds the work of each level.
 
 Split tests.  Whether a point splits at degree r is decided by
 `lattice._split_exists` with slack 1 (an interior summand), the closed
@@ -89,15 +137,12 @@ condition without backtracking, each member at the least value after
 which some completion still meets it; the block's lex-least failing
 part is the lesser of the two conditions' (`_descent`).
 
-The table's length.  A degree r >= 2 is met at level r (above), so the
-least degree the tests find is the first level holding a failing point
-(one without a degree-1 split): P is level* when it has an interior
-point and no level has one, the witness is the lex-least failing point
-of that level, and the report's table starts there.  The table is a
-count that holds no point: its length, taken on demand, is per level the
-interior count less the points that split at r = 1, counted block by
-block as above (their product; none when P has no interior point).  The
-degree of one point is `reduced_degree`.
+The table's length.  The report's table covers the levels from
+max(2, c) to the last level tested.  It is a count that holds no point:
+its length, taken on demand, is per level the interior count less the
+points that split at r = 1, counted block by block as above (their
+product; none when P has no interior point).  The degree of one point
+is `reduced_degree`.
 
 The witness, block by block.  With an interior point of P every block's
 all-ones part splits at r = 1, so the lex-least failing point of N*P is
@@ -118,7 +163,7 @@ from functools import lru_cache
 from itertools import count
 from math import prod
 
-from .bounded import _MEMO_SIZE, _cap, _integer
+from .bounded import _MEMO_SIZE, _cap
 from .errors import BudgetExceededError
 # `lattice_points` is not called here; it stays bound because the
 # benchmark's tracer (perfbench/tracing.py) wraps these names in this module.
@@ -367,17 +412,6 @@ def _degree_one_count(P: HPolytope, N: int, budget: int) -> int:
     return prod(counts[Q] for Q in blocks)
 
 
-def _top_level(P: HPolytope, max_level: int | None) -> int:
-    """The last scanned level: `max_level`, an integer of at least 2, or by
-    default max(2, n - 1)."""
-    if max_level is None:
-        return max(2, P.n - 1)
-    max_level = _integer(max_level, "max_level")
-    if max_level < 2:
-        raise ValueError("max_level must be at least 2")
-    return max_level
-
-
 class _DegreeTable:
     """The number of scanned points of reduced degree >= 2, holding no
     point, as `LevelnessReport` describes it.  The table of a relabelling
@@ -406,20 +440,26 @@ class _DegreeTable:
 class LevelnessReport:
     """Verdicts and witnesses for one polytope.
 
-    Every levelness answer is read off one set, the reduced degrees >= 2
-    over levels 2..scan_bound; its least element is the first level with a
-    point that has no degree-1 split (the module docstring).  P is level*
-    when it has an interior point and the set is empty.  Otherwise
-    `failure_witness` carries (level, point, explanation) for the lex-least
-    such point at that level; an empty interior fails without one.  The
-    int* degree and the spectrum read the same set, and `level_star` reads
-    `level` and the witness.  `reduced_degree_table` is the number of
-    scanned points of reduced degree at least 2, from the least degree on,
-    given by `len()`; degree-1 points are ubiquitous and left out.  It
-    holds no point: its length is counted by block on the first `len()`
-    and kept (so a `budget` too small for that count raises there), and
-    `reduced_degree` gives the degree of one point.  Two tables are equal
-    when their polytopes and levels are.
+    Every levelness answer is read off one set, the reduced degrees >= 2,
+    the interval of levels max(2, codegree)..int_star_degree that the scan
+    finds (the module docstring).  P is level* when it has an interior
+    point and the set is empty, that is when level 2 holds no degree.
+    Otherwise `failure_witness` carries (level, point, explanation) for
+    the lex-least point of level 2 with no degree-1 split; an empty
+    interior fails without one.  The int* degree is the set's maximum, or
+    1 when it is empty, and `level_star` reads `level` and the witness.
+    `conjecture_spectrum_holds`, whether every i with 2 <= i < int* degree
+    is a degree, is by the theorem true exactly when the codegree is at
+    most 2: always with an interior point, and otherwise when 2*P has one.
+    `scan_bound` is the last level tested, the first above the set.
+    `reduced_degree_table` is the number of points of reduced degree at
+    least 2 at the levels max(2, codegree)..scan_bound, given by `len()`;
+    degree-1 points are ubiquitous and left out.  It holds no point: its
+    length is counted by block on the first `len()` and kept (so a
+    `budget` too small for that count raises there), and `reduced_degree`
+    gives the degree of one point.  `scan_bound` and the table are kept
+    for the benchmark in `perfbench`, which reads them.  Two tables are
+    equal when their polytopes and levels are.
     """
 
     n: int
@@ -427,27 +467,26 @@ class LevelnessReport:
     pseudo_gorenstein: bool
     level: bool
     reflexive_up_to_translation: bool | None
-    int_star_degree: int | None
+    int_star_degree: int
     failure_witness: tuple[int, ExponentVector, str] | None
     reduced_degree_table: _DegreeTable
-    conjecture_spectrum_holds: bool | None
+    conjecture_spectrum_holds: bool
     scan_bound: int
 
 
-def analyze_polytope(P: HPolytope, max_level: int | None = None,
-                     budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
-    """The `LevelnessReport` of P.  Answers are memoized by (P, scan bound,
-    budget) (see `bounded._MEMO_SIZE`), however the call spells them,
-    so calls that ask for one report share one frozen report, and shared
-    by the relabellings of one basis set (the `polymatroid` docstring); a
-    raised error is not kept.  `budget` is an integer >= 1."""
-    return _report(P, _top_level(P, max_level), _cap(budget, "budget"))
+def analyze_polytope(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> LevelnessReport:
+    """The `LevelnessReport` of P.  Answers are memoized by (P, budget)
+    (see `bounded._MEMO_SIZE`), however the call spells them, so calls
+    that ask for one report share one frozen report, and shared by the
+    relabellings of one basis set (the `polymatroid` docstring); a raised
+    error is not kept.  `budget` is an integer >= 1."""
+    return _report(P, _cap(budget, "budget"))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
+def _report(P: HPolytope, budget: int) -> LevelnessReport:
     if P.first is not None:     # a relabelling: its class's report, on its labels
-        rep = _report(P.first, scan_bound, budget)
+        rep = _report(P.first, budget)
         witness = rep.failure_witness
         if witness is not None:     # the same level for every relabelling
             N, _point, why = witness
@@ -458,52 +497,47 @@ def _report(P: HPolytope, scan_bound: int, budget: int) -> LevelnessReport:
     # one count serves every interior question, as `_interior_at` says
     interior1 = count_lattice_points(P, 1, "interior", budget=budget)
     pg = interior1 == 1
-    degrees = {N for N in range(2, scan_bound + 1) if _is_degree(P, N, budget)}
-    first = min(degrees, default=scan_bound + 1)
+    # the degrees >= 2 are the levels max(2, codegree)..d (the module docstring)
+    start = next(N for N in count(2) if _interior_at(P, N))
+    top = start
+    while _is_degree(P, top, budget):
+        if top > P.n + 1:
+            raise RuntimeError(f"level {top} holds a reduced degree above n + 1 (internal error)")
+        top += 1
+    degrees = range(start, top)
     witness = None
     if degrees and interior1 > 0:
-        witness = (first, _witness(P, first, budget),
-                   f"no interior summand of the base polytope splits off at level {first}")
-    int_star = max(degrees, default=1 if interior1 > 0 else None)
-    spectrum = None if int_star is None else all(i in degrees for i in range(2, int_star))
+        witness = (start, _witness(P, start, budget),
+                   f"no interior summand of the base polytope splits off at level {start}")
     return LevelnessReport(
         n=P.n,
         interior_count_1=interior1,
         pseudo_gorenstein=pg,
         level=not degrees and interior1 > 0,
         reflexive_up_to_translation=_unit_gaps(P) if pg else None,
-        int_star_degree=int_star,
+        int_star_degree=max(degrees, default=1),
         failure_witness=witness,
-        reduced_degree_table=_DegreeTable(P, range(first, scan_bound + 1), budget),
-        conjecture_spectrum_holds=spectrum,
-        scan_bound=scan_bound,
+        reduced_degree_table=_DegreeTable(P, range(start, top + 1), budget),
+        conjecture_spectrum_holds=start == 2,
+        scan_bound=top,
     )
 
 
-def level_star(P: HPolytope, max_level: int | None = None,
-               budget: int = DEFAULT_NODE_BUDGET):
+def level_star(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET):
     """Decide level*; returns (verdict, witness) with the lex-least failing
     (N, point) on the negative side, or (False, None) for empty interior:
     the report's `level` and the first two fields of its `failure_witness`."""
-    rep = analyze_polytope(P, max_level, budget)
+    rep = analyze_polytope(P, budget)
     return rep.level, rep.failure_witness and rep.failure_witness[:2]
 
 
-def int_star_degree(P: HPolytope, max_level: int | None = None,
-                    budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest reduced degree over dilation levels 1..max(2, n-1), or up
-    to `max_level` (at least 2): the report's `int_star_degree`."""
-    rep = analyze_polytope(P, max_level, budget)
-    if rep.int_star_degree is None:
-        raise ValueError(f"empty interior: no dilate up to level {rep.scan_bound} has interior points")
-    return rep.int_star_degree
+def int_star_degree(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> int:
+    """Largest reduced degree over all dilates: the report's
+    `int_star_degree`."""
+    return analyze_polytope(P, budget).int_star_degree
 
 
-def conjecture_spectrum(P: HPolytope, max_level: int | None = None,
-                        budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """With d the int* degree: is every degree 1 <= i < d realized in the
-    scan?  The report's `conjecture_spectrum_holds`."""
-    spectrum = analyze_polytope(P, max_level, budget).conjecture_spectrum_holds
-    if spectrum is None:
-        raise ValueError("empty interior: spectrum undefined")
-    return spectrum
+def conjecture_spectrum(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> bool:
+    """With d the int* degree: is every i with 2 <= i < d a reduced degree?
+    The report's `conjecture_spectrum_holds`."""
+    return analyze_polytope(P, budget).conjecture_spectrum_holds

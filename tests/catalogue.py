@@ -38,28 +38,34 @@ def _star(leaves: int) -> tuple[tuple[int, int], ...]:
 
 CATALOGUE = (
     # the report took 15.8-19.0 s, nearly all in walks of levels 3-7 where
-    # every point splits
+    # every point splits; the scan now stops at level 3, and the report
+    # takes 0.16 s and needs 5,055 nodes and states
     Hull("n8-crossing", 8,
          ((1, 8), (2, 4), (2, 8), (3, 5), (3, 7), (3, 8), (4, 6), (4, 7), (4, 8)),
          (3, 2, 2, 3, 2, 3, 2, 2),
-         "levelness._is_degree: the walk of a crossing block", None,
+         "levelness._is_degree: the walk of a crossing block", 10**4,
          {"bases": 35, "interior": 4, "level": False, "int_star_degree": 2,
           "witness": (2, (3, 3, 1, 1, 3, 1, 3, 1))}),
-    # over 150 s
+    # over 150 s; with the scan stopping at level 5, about 30 s, 24 s of
+    # it the walk of level 5, where no point has degree 5
     Hull("n9-crossing", 9,
          ((1, 4), (2, 6), (2, 7), (2, 8), (2, 9), (3, 7), (3, 9), (4, 5), (4, 6), (5, 6),
           (5, 7), (7, 8), (7, 9)),
          (1, 1, 2, 3, 3, 2, 1, 2, 3),
-         "levelness._is_degree: the walk of a crossing block", None),
-    # the report took 62-79 s
+         "levelness._is_degree: the walk of a crossing block", None,
+         {"bases": 10, "interior": 0, "level": False, "int_star_degree": 4,
+          "witness": None}),
+    # the report took 62-79 s; the scan now stops at level 4, and the
+    # report takes 0.7 s and needs 19,770 nodes and states
     Hull("n10-crossing", 10,
          ((1, 2), (1, 5), (2, 6), (2, 7), (2, 8), (3, 4), (3, 8), (3, 10), (4, 5), (5, 6),
           (6, 10), (8, 9)),
          (2, 2, 3, 3, 1, 1, 1, 3, 1, 2),
-         "levelness._is_degree: the walk of a crossing block", None,
+         "levelness._is_degree: the walk of a crossing block", 10**5,
          {"bases": 23, "interior": 0, "level": False, "int_star_degree": 3,
           "witness": None}),
-    # report 0.6 s; it needs 30,892 states
+    # report 0.7 s; degrees 3-8, and the scan stops at level 9, needing
+    # 26,829 states
     Hull("n11-nested", 11,
          ((1, 2), (1, 6), (1, 9), (2, 4), (2, 6), (2, 7), (2, 11), (3, 5), (3, 7), (3, 11),
           (4, 11), (5, 9), (5, 11), (6, 8), (6, 10), (7, 9)),
@@ -69,7 +75,7 @@ CATALOGUE = (
           "witness": None}),
     # the witness walk of the whole hull took 8.5-9.6 s and over 10^5
     # nodes; the walk of its failing block takes 0.01 s, and the report
-    # needs 8,346 nodes and states
+    # needs 2,461 nodes and states
     Hull("n12-laminar", 12,
          ((1, 3), (1, 8), (1, 9), (2, 9), (3, 11), (3, 12), (4, 7), (5, 8), (5, 9), (5, 12),
           (6, 9), (7, 9), (7, 11), (8, 10), (8, 12), (11, 12)),
@@ -79,7 +85,7 @@ CATALOGUE = (
           "witness": (2, (2, 1, 1, 3, 3, 4, 1, 1, 1, 3, 5, 1))}),
     # bases and facets 0.9 s (a layer of 182,235 states); the report took
     # 6.4 s with the whole-hull witness walk and takes 0.6 s, needing
-    # 25,954 nodes and states
+    # 4,340 nodes and states
     Hull("n14-laminar", 14,
          ((1, 3), (1, 9), (2, 8), (2, 11), (3, 7), (3, 12), (4, 5), (4, 6), (4, 10), (5, 6),
           (5, 8), (5, 12), (6, 7), (6, 10), (6, 12), (6, 13), (7, 8), (7, 9), (7, 13), (8, 14),

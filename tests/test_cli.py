@@ -55,9 +55,9 @@ def test_analyze_report_fields(capsys, path3_file):
 
 
 def test_analyze_deterministic_bytes(capsys, k34_file):
-    main(["analyze", k34_file, "--json", "--max-level", "2"])
+    main(["analyze", k34_file, "--json"])
     first = capsys.readouterr().out
-    main(["analyze", k34_file, "--json", "--max-level", "2"])
+    main(["analyze", k34_file, "--json"])
     second = capsys.readouterr().out
     assert first == second
     doc = json.loads(first)
@@ -89,7 +89,7 @@ def test_level_psg_degree_subcommands(capsys, k34_file):
     assert code == 0 and doc["pseudo_gorenstein"] is True
     assert doc["reflexive_up_to_translation"] is False
     code, doc = run_json(capsys, ["int-star-degree", "--veronese", "6,5,3,3,3", "--json"])
-    assert code == 0 and doc["int_star_degree"] == 3 and doc["scan_bound_used"] == 3
+    assert code == 0 and doc["int_star_degree"] == 3 and doc["scan_bound_used"] == 4
     code, doc = run_json(capsys, [
         "reduced-degree", "--veronese", "6,5,3,3,3",
         "--point", "8,1,1,1", "--level", "2", "--json"])
@@ -190,9 +190,16 @@ def test_malformed_graph_file_exits_2(capsys, tmp_path, doc):
 
 
 def test_int_star_degree_rejects_max_level_1(capsys):
-    """Level 1 scans no degree >= 2, so it cannot bound the int* degree."""
-    assert main(["int-star-degree", "--veronese", "6,5,3,3,3", "--max-level", "1"]) == 2
-    assert "max_level must be at least 2" in capsys.readouterr().err
+    """No subcommand takes a scan bound any more, as the scan stops where
+    the degrees end: `--max-level` is an unknown option (exit 2) on each
+    of the three that took it."""
+    for argv in (["int-star-degree", "--veronese", "6,5,3,3,3"],
+                 ["level", "--veronese", "6,5,3,3,3"],
+                 ["analyze", "unread.json", "--c", "2,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-level", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-level" in capsys.readouterr().err
 
 
 def test_budget_below_one_is_an_input_error(capsys, p4_file):
@@ -209,15 +216,13 @@ def test_budget_below_one_is_an_input_error(capsys, p4_file):
         assert f"argument --budget: must be an integer >= 1, got '{value}'" in err
 
 
-@pytest.mark.parametrize("max_level", [[], ["--max-level", "4"]])
-def test_int_star_degree_reads_one_report(capsys, max_level):
-    """The degree and the scan bound come from one memo entry."""
-    code, doc = run_json(capsys, ["int-star-degree", "--veronese", "6,5,3,3,3", "--json"]
-                         + max_level)
-    assert code == 0 and doc == {"int_star_degree": 3,
-                                 "scan_bound_used": 4 if max_level else 3}
+def test_int_star_degree_reads_one_report(capsys):
+    """The degree and the last level tested come from one report: degrees
+    2 and 3, and level 4 holds none."""
+    code, doc = run_json(capsys, ["int-star-degree", "--veronese", "6,5,3,3,3", "--json"])
+    assert code == 0 and doc == {"int_star_degree": 3, "scan_bound_used": 4}
     info = levelness._report.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, 0)
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -247,11 +252,11 @@ def test_bipartite_rejects_sizes_and_bounds_below_1(capsys, argv, flag):
 
 def test_int_star_degree_empty_interior_scans_level_2(capsys, tmp_path):
     """The unit square (path(2), c = (1, 1)) has degree-2 points at level 2,
-    the one level of the default scan."""
+    its codegree, and none at level 3, where the scan stops."""
     square = tmp_path / "path2.json"
     square.write_text(json.dumps({"n": 2, "edges": [[1, 2]], "c": [1, 1]}), encoding="utf-8")
     code, doc = run_json(capsys, ["int-star-degree", str(square), "--json"])
-    assert code == 0 and doc == {"int_star_degree": 2, "scan_bound_used": 2}
+    assert code == 0 and doc == {"int_star_degree": 2, "scan_bound_used": 3}
 
 
 class _ReadRecorder:

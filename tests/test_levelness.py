@@ -87,13 +87,34 @@ def test_int_star_degree_examples(path3_hull, veronese_5333):
         assert pl.conjecture_spectrum(Q)
 
 
-def test_int_star_degree_empty_interior_raises():
-    """The simplices Delta_2 and Delta_3 have no interior point in any
-    scanned dilate (levels 1..2), so no degree is defined."""
-    for simplex in (pl.HPolytope(2, (((1, 2), 1),)), pl.HPolytope(3, (((1, 2, 3), 1),))):
-        with pytest.raises(ValueError, match="empty interior: no dilate up to level 2"):
-            pl.int_star_degree(simplex)
+def test_int_star_degree_of_the_simplices():
+    """The simplex Delta_n has codegree n + 1: its first interior point,
+    the all-ones point of (n+1)*Delta_n, has reduced degree n + 1, the
+    largest the canonical module allows.  So the scan starts at n + 1, not
+    at 2, and the spectrum fails, as no level 2 <= i <= n holds a degree."""
+    for n in (2, 3):
+        simplex = pl.HPolytope(n, ((tuple(range(1, n + 1)), 1),))
+        rep = pl.analyze_polytope(simplex)
+        assert (rep.int_star_degree, rep.scan_bound) == (n + 1, n + 2)
+        assert pl.int_star_degree(simplex) == n + 1
+        assert pl.conjecture_spectrum(simplex) is False
         assert pl.level_star(simplex) == (False, None)
+        assert brute_reduced_degree(simplex, (1,) * n, n + 1) == n + 1
+
+
+@pytest.mark.parametrize("G, c", [(pl.path(3), (1, 1, 1)),
+                                  (pl.graph(4, [(1, 2), (1, 3), (1, 4)]), (1, 1, 1, 1))],
+                         ids=["path3", "star3"])
+def test_int_star_degree_n_with_empty_interior(G, c):
+    """Two graph hulls with an empty interior and int* degree n, above the
+    old default scan max(2, n - 1): the flat oracle finds a point of
+    reduced degree n at level n and none above it up to level n + 2."""
+    P = pl.facets(pl.enumerate_bases(G, c))
+    assert pl.count_lattice_points(P, 1, "interior") == 0
+    rep = pl.analyze_polytope(P)
+    flat = _flat_degrees(P, P.n + 2)
+    assert rep.int_star_degree == max(flat.values()) == P.n
+    assert rep.scan_bound == P.n + 1
 
 
 @pytest.mark.parametrize("c", [(1, 1), (1, 3)])
@@ -131,6 +152,63 @@ def test_witness_has_reduced_degree_at_least_two(k34_hull):
 
 def test_conjecture_spectrum_vacuous(path3_hull):
     assert pl.conjecture_spectrum(path3_hull)   # degree 1: nothing to realize
+
+
+def _check_interval(P):
+    """The theorem of the `levelness` docstring on P: the levels 2..n + 2
+    that hold a degree, each asked by `_is_degree`, are the interval from
+    max(2, codegree) up to the level below the one where the report's scan
+    stopped; the int* degree is its maximum, or 1, the table covers
+    max(2, codegree) to the stop, the spectrum is read off the same set,
+    and with an interior point the witness is at level 2."""
+    degrees = [N for N in range(2, P.n + 3) if _is_degree(P, N, 10**8)]
+    codegree = next(N for N in itertools.count(1) if _interior_at(P, N))
+    start = max(2, codegree)
+    rep = pl.analyze_polytope(P)
+    assert degrees == list(range(start, rep.scan_bound))
+    assert rep.int_star_degree == max(degrees, default=1)
+    assert rep.reduced_degree_table == levelness._DegreeTable(P, range(start, rep.scan_bound + 1), 1)
+    assert rep.conjecture_spectrum_holds == all(i in degrees for i in range(2, rep.int_star_degree))
+    if codegree == 1:
+        assert rep.level == (not degrees) == (rep.failure_witness is None)
+        assert rep.level or rep.failure_witness[0] == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_bounds(max_n=6, max_c=3))
+def test_degrees_form_an_interval(gc):
+    """Graph hulls with n <= 6, crossing ones included."""
+    _check_interval(pl.facets(pl.enumerate_bases(*gc)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(crossing_systems(max_n=5, max_t=3))
+def test_degrees_form_an_interval_on_crossing_polymatroids(P):
+    """Hand-built polymatroids whose aggregates cross, drawn on their own
+    so that every example is one."""
+    assert crosses(P.upper_facets) and isinstance(P, Polymatroid)
+    _check_interval(P)
+
+
+@settings(max_examples=40, deadline=None)
+@given(facet_systems(max_n=5, max_t=3, laminar=True))
+def test_laminar_systems_are_integral_polymatroids(P):
+    """The `levelness` docstring's claim that the theorem covers a laminar
+    `HPolytope`: it is an integral polymatroid, by the flat referee.  The
+    degrees of such a system form an interval too."""
+    assert not crosses(P.upper_facets) and type(P) is pl.HPolytope
+    assert is_integral_polymatroid(P)
+    _check_interval(P)
+
+
+def test_a_degree_above_n_plus_1_is_an_internal_error(monkeypatch):
+    """The canonical module bounds every degree by n + 1, so a level n + 2
+    that holds one is a fault: the scan raises there, and neither runs on
+    nor truncates the answer."""
+    monkeypatch.setattr(levelness, "_is_degree", lambda P, N, budget: True)
+    square = pl.HPolytope(2, (((1,), 1), ((2,), 1)))
+    with pytest.raises(RuntimeError, match=r"level 4 holds a reduced degree above n \+ 1"):
+        pl.analyze_polytope(square)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,9 +261,8 @@ def test_level_agrees_with_flat_oracle(P):
 @settings(max_examples=25, deadline=None)
 @given(graph_and_bounds(max_n=5, max_c=3))
 def test_reduced_degree_bounded(gc):
-    """Degree <= min(N, n-1), and scanning to level n+1 finds no larger int*
-    degree than the default bound; needs an interior point of the base
-    polytope."""
+    """Degree <= min(N, n-1), per point and for the int* degree; needs an
+    interior point of the base polytope."""
     G, c = gc
     P = pl.facets(pl.enumerate_bases(G, c))
     if pl.count_lattice_points(P, 1, "interior") == 0:
@@ -194,7 +271,7 @@ def test_reduced_degree_bounded(gc):
         for a in pl.lattice_points(P, N, "interior")[:30]:
             r = pl.reduced_degree(P, a, N)
             assert 1 <= r <= min(N, max(1, P.n - 1))
-    assert pl.int_star_degree(P) == pl.int_star_degree(P, max_level=P.n + 1)
+    assert pl.int_star_degree(P) <= max(1, P.n - 1)
 
 
 def _lifted(P):
@@ -457,16 +534,17 @@ def test_analyze_walks_only_the_witness_level(monkeypatch, k34_hull):
 
 
 def test_analyze_report(k34_hull):
-    """K(3,4) with c = 2: the table's length at levels 2..6 is counted,
+    """K(3,4) with c = 2: level 2 holds a degree and level 3 none, so the
+    scan stops at level 3; the table's length at levels 2..3 is counted,
     never listed; at level 2 it is checked against the flat oracle."""
     rep = pl.analyze_polytope(k34_hull)
     assert rep.pseudo_gorenstein and not rep.level
     assert rep.reflexive_up_to_translation is False
     assert rep.interior_count_1 == 1
     assert rep.failure_witness[0] == 2
-    assert rep.int_star_degree >= 2
-    assert rep.scan_bound == 6
-    assert len(rep.reduced_degree_table) == 402_116
+    assert rep.int_star_degree == 2
+    assert rep.scan_bound == 3
+    assert len(rep.reduced_degree_table) == 2608
     _check_table(k34_hull, 2)
 
 
@@ -475,19 +553,11 @@ def test_analyze_report_empty_interior():
     rep = pl.analyze_polytope(square)
     assert rep.interior_count_1 == 0
     assert not rep.level and not rep.pseudo_gorenstein
-    assert rep.int_star_degree == 2         # (1, 1) at level 2, as scanned
+    assert rep.int_star_degree == 2         # (1, 1) at level 2
+    assert rep.scan_bound == 3              # 3*P is (1, 1) plus the square
     assert rep.conjecture_spectrum_holds is True
     assert rep.failure_witness is None
     assert pl.level_star(square) == (False, None)
-
-
-def _or_none(f, P):
-    """f(P), or None where f raises for an empty interior."""
-    try:
-        return f(P)
-    except ValueError as err:
-        assert "empty interior" in str(err)
-        return None
 
 
 @settings(max_examples=60, deadline=None)
@@ -497,8 +567,7 @@ def _or_none(f, P):
     facet_systems(max_n=4),
     facet_systems(max_n=2),
 ))
-# n = 2, where the default scan is level 2 alone: with an interior point,
-# and without one (level 2 holds degree 2)
+# n = 2: with an interior point, and without one (level 2 holds degree 2)
 @example(pl.HPolytope(2, (((1,), 3), ((2,), 2), ((1, 2), 4))))
 @example(pl.HPolytope(2, (((1,), 1), ((2,), 1))))
 def test_report_matches_the_verdict_functions(P):
@@ -506,20 +575,20 @@ def test_report_matches_the_verdict_functions(P):
     which reads the report, against the flat oracles: level* against
     `brute_level_star`, the witness against the lex-first point of degree
     >= 2 at the first level that has one, the int* degree against the
-    largest reduced degree over levels 2..max(2, n - 1), or 1 when P has
-    an interior point."""
+    largest reduced degree over levels 2..n + 2, past the n + 1 that the
+    canonical module allows, or 1 when P has an interior point."""
     rep = pl.analyze_polytope(P)
-    flat = _flat_degrees(P, max(2, P.n - 1))
+    flat = _flat_degrees(P, P.n + 2)
     interior = bool(brute_interior_points(P, 1))
     first = next((key for key, r in flat.items() if r >= 2), None)
     level = brute_level_star(P)
     assert level == (interior and first is None)
     assert pl.level_star(P) == (level, first if interior else None)
     degrees = set(flat.values())
-    d = max(degrees, default=1 if interior else None)
-    want = d, None if d is None else all(i in degrees for i in range(2, d))
+    d = max(degrees, default=1)
+    want = d, all(i in degrees for i in range(2, d))
     assert (rep.int_star_degree, rep.conjecture_spectrum_holds) == want
-    assert (_or_none(pl.int_star_degree, P), _or_none(pl.conjecture_spectrum, P)) == want
+    assert (pl.int_star_degree(P), pl.conjecture_spectrum(P)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,43 +610,21 @@ def test_degree_table_matches_flat_oracle(P):
 
 
 def test_report_holds_no_points(k34_hull):
-    """The table is a view: a report of 2,608 points of degree 2 keeps
-    almost nothing allocated (a dict of those points holds over 150 kB)."""
-    pl.analyze_polytope(k34_hull, max_level=3)  # fill the caches first
+    """The table is a view: a report of 2,608 points of degree 2, its
+    length counted, keeps almost nothing allocated (a dict of those points
+    holds over 150 kB)."""
+    len(pl.analyze_polytope(k34_hull).reduced_degree_table)  # fill the caches first
+    levelness._report.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = pl.analyze_polytope(k34_hull, max_level=3)
+        rep = pl.analyze_polytope(k34_hull)
+        assert len(rep.reduced_degree_table) == 2608
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(rep.reduced_degree_table) == 2608
     assert held < 32_000
-
-
-def test_scan_bound_override(veronese_5333):
-    # scanning only level 2 misses the degree-3 point at level 3
-    assert pl.int_star_degree(veronese_5333, max_level=2) == 2
-    assert pl.int_star_degree(veronese_5333, max_level=3) == 3
-    for f in (pl.int_star_degree, pl.conjecture_spectrum):    # level 1 scans no degree
-        with pytest.raises(ValueError, match="at least 2"):
-            f(veronese_5333, max_level=1)
-    rep = pl.analyze_polytope(veronese_5333, max_level=2)
-    assert rep.scan_bound == 2
-
-
-@pytest.mark.parametrize("f", [pl.analyze_polytope, pl.level_star, pl.int_star_degree,
-                               pl.conjecture_spectrum])
-def test_scan_bound_must_be_an_integer(f, veronese_5333):
-    """A float scan bound raises ValueError (it raised TypeError from
-    `range`), whole or not; an integer type such as NumPy's passes."""
-    import numpy as np
-
-    for bad in (3.0, 2.5, "3"):
-        with pytest.raises(ValueError, match="max_level must be an integer"):
-            f(veronese_5333, max_level=bad)
-    assert f(veronese_5333, max_level=np.int64(3)) == f(veronese_5333, max_level=3)
 
 
 # --- the degree test against the flat oracle ---------------------------------
@@ -648,11 +695,11 @@ def _flat_degrees(P, top):
 
 
 def _check_table(P, top):
-    """The report's table at levels 2..top against the flat oracle: its
-    length is the oracle's count of points of degree >= 2, and
+    """The report's kind of table at levels 2..top against the flat oracle:
+    its length is the oracle's count of points of degree >= 2, and
     `reduced_degree` agrees with the oracle at every point it lists."""
     flat = _flat_degrees(P, top)
-    table = pl.analyze_polytope(P, max_level=top).reduced_degree_table
+    table = levelness._DegreeTable(P, range(2, top + 1), 10**8)
     assert len(table) == sum(r >= 2 for r in flat.values())
     for (N, a), r in flat.items():
         assert pl.reduced_degree(P, a, N) == r, (N, a)
@@ -816,8 +863,9 @@ def test_degree_test_examples():
 
 def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
     """A disjoint hull's report runs no dynamic program of the degree
-    count; the table's length is counted level by level on the first
-    `len()` and kept, and a budget too small for that count (108 states
+    count; the table's length is counted level by level, at levels 2..4
+    (degrees 2 and 3, and level 4, where the scan stops), on the first
+    `len()` and kept, and a budget too small for that count (152 states
     here) raises there."""
     assert aggregates_disjoint(veronese_5333)
 
@@ -827,19 +875,20 @@ def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
     with monkeypatch.context() as m:
         m.setattr(levelness, "_subtree_states", no_dp)
         rep = pl.analyze_polytope(veronese_5333)
-        small = pl.analyze_polytope(veronese_5333, budget=107)
+        small = pl.analyze_polytope(veronese_5333, budget=151)
     assert (rep.int_star_degree, rep.level, rep.conjecture_spectrum_holds) == (3, False, True)
     assert rep.failure_witness[:2] == (2, (8, 1, 1, 1))
     calls = []
     degree_one_count = levelness._degree_one_count
     monkeypatch.setattr(levelness, "_degree_one_count",
                         lambda P, N, budget: calls.append(N) or degree_one_count(P, N, budget))
-    assert len(rep.reduced_degree_table) == len(rep.reduced_degree_table) == 6
-    assert calls == [2, 3]
-    _check_table(veronese_5333, 3)
+    assert rep.reduced_degree_table == levelness._DegreeTable(veronese_5333, range(2, 5), 1)
+    assert len(rep.reduced_degree_table) == len(rep.reduced_degree_table) == 20
+    assert calls == [2, 3, 4]
+    _check_table(veronese_5333, 4)
     with pytest.raises(BudgetExceededError, match="degree count"):
         len(small.reduced_degree_table)
-    assert len(pl.analyze_polytope(veronese_5333, budget=108).reduced_degree_table) == 6
+    assert len(pl.analyze_polytope(veronese_5333, budget=152).reduced_degree_table) == 20
 
 
 def test_twin_permutation_keeps_reduced_degree(veronese_5333):
@@ -853,15 +902,17 @@ def test_twin_permutation_keeps_reduced_degree(veronese_5333):
 
 def test_table_length_of_empty_interior_hull():
     """Six vertices, c_i <= 3, empty interior: every interior point of
-    levels 2..5 has reduced degree >= 2, so the table's length is their
-    count, over a million points counted without visiting one.  At level 2,
-    and at random interior points of levels 3..5, the flat oracle agrees."""
+    every level has reduced degree >= 2, so the table's length is their
+    count, at levels 2..3 (degree 2, and level 3, where the scan stops),
+    counted without visiting a point.  At level 2, and at random interior
+    points of levels 3..5, the flat oracle agrees."""
     G = pl.graph(6, [(1, 2), (1, 3), (2, 3), (2, 5), (2, 6), (3, 4), (3, 6)])
     P = pl.facets(pl.enumerate_bases(G, (1, 3, 3, 3, 3, 3)))
     rep = pl.analyze_polytope(P)
     assert rep.interior_count_1 == 0 and rep.int_star_degree == 2
-    total = sum(pl.count_lattice_points(P, N, "interior") for N in range(2, 6))
-    assert len(rep.reduced_degree_table) == total > 10**6
+    assert rep.scan_bound == 3
+    total = sum(pl.count_lattice_points(P, N, "interior") for N in range(2, 4))
+    assert len(rep.reduced_degree_table) == total == 49_738
     assert set(_check_table(P, 2).values()) == {2}
     rng = random.Random(0)
     hits = 0

@@ -1,7 +1,6 @@
 """The memos of the per-input answers: `enumerate_bases` by the graph, the
-bounds and the cap, `facets` by the basis set, `analyze_polytope` by the
-polytope, the scan bound and the budget, and `delta_vector` by the
-polytope and the budget, however a call spells them; the relabellings of
+bounds and the cap, `facets` by the basis set, and `analyze_polytope` and
+`delta_vector` by the polytope and the budget, however a call spells them; the relabellings of
 one basis set share one facet scan, one delta vector and one report but
 its witness."""
 
@@ -73,17 +72,17 @@ def test_level_star_reads_the_report(k34_hull):
 
 
 def test_spellings_of_one_call_share_one_entry():
-    """The memos key on the resolved scan bound and budget, not on the
-    arguments as passed: four spellings of one report are one miss and
-    three hits, three of one delta vector one miss and two hits."""
+    """The memos key on the resolved budget, not on the arguments as
+    passed: four spellings of one report are one miss and three hits,
+    three of one delta vector one miss and two hits."""
     P = pl.facets(pl.enumerate_bases(pl.path(4), (2, 2, 2, 2)))
     rep = pl.analyze_polytope(P)
     assert pl.int_star_degree(P) == rep.int_star_degree
-    assert pl.analyze_polytope(P, max_level=3) is rep
+    assert pl.analyze_polytope(P, DEFAULT_NODE_BUDGET) is rep
     assert pl.analyze_polytope(P, budget=DEFAULT_NODE_BUDGET) is rep
     info = levelness._report.cache_info()
     assert (info.misses, info.hits) == (1, 3)
-    assert rep.scan_bound == 3
+    assert rep.scan_bound == 2     # level*: level 2 holds no degree
     dv = pl.delta_vector(P)
     assert pl.delta_vector(P, DEFAULT_NODE_BUDGET) is dv
     assert pl.delta_vector(P, budget=DEFAULT_NODE_BUDGET) is dv
