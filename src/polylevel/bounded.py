@@ -72,6 +72,21 @@ Answers of `enumerate_bases` are memoized by (G, c, candidate_cap), c as
 the tuple of ints it normalizes to, so equal calls share one frozen
 `BasisSet`; a raised BudgetExceededError is not kept.
 
+Relabelling.  Renaming the vertices of (G, c) renames the coordinates of
+its bases, so the program runs once per relabelling class of (G, c, cap),
+under the labelled memo.  The class key orders the vertices by (c_v,
+deg_v, the sum of the degrees of v's neighbours), ties by label, the
+first step of colour refinement (McKay 1981), and is the image of (c,
+edge set, cap) under that order, the edge set as a bitmask.  The key is
+an image of the input, so equal keys are sound: one relabelling carries
+either input onto the other.  A tie that is no symmetry can only split a
+class, never merge two.  The first (G, c) of a class runs the program on
+its own labels, and a later member relabels that member's bases, sorts
+them and passes them through the `BasisSet` constructor.  So
+`candidate_cap` bounds the program of a class's first member, whose
+layers may differ in size from a member's own; a raised error is not
+kept, so the next member runs its own program.
+
 One vector
 ----------
 `realize_degree_sequence(G, a, q)` runs the same program with bounds a
@@ -91,23 +106,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError
-from .graphs import Graph
+from .graphs import Graph, _integer
 
 ExponentVector = tuple[int, ...]
 
 DEFAULT_CANDIDATE_CAP = 10**7
 
 # Entries kept by each memo of a per-input answer: `enumerate_bases` (by
-# graph, bounds and cap), `polymatroid.facets` (by basis set and by
-# relabelling class), `levelness.analyze_polytope` (by hull),
-# `lattice.delta_vector` (by the first hull of the class) and
-# `lattice._structure`.  1024 entries hold either census of
-# scripts/polymatroid_census.py (377 and 832 basis sets).  Measured with
-# tracemalloc on the seed 1-3 pools of `perfbench`, the memos after
-# `enumerate_bases` held about 2.1 KB per basis set (analyze, n = 4-5),
-# and the `enumerate_bases` memo 0.52 KB per entry on analyze and
-# 1.1-1.2 KB on labeling-search (n = 4-8): 1024 entries take about 2.1 MB
-# and 0.5-1.2 MB.
+# graph, bounds and cap, and by their relabelling class),
+# `polymatroid.facets` (by basis set and by relabelling class),
+# `levelness.analyze_polytope` (by hull), `lattice.delta_vector` (by the
+# first hull of the class) and `lattice._structure`.  1024 entries hold
+# either census of scripts/polymatroid_census.py (377 and 832 basis
+# sets).  Measured with tracemalloc on the seed 1-3 pools of `perfbench`,
+# the memos after `enumerate_bases` held about 2.1 KB per basis set
+# (analyze, n = 4-5), the `enumerate_bases` memo 0.51 KB per entry on
+# analyze and 1.0-1.2 KB on labeling-search (n = 4-8), and its class memo
+# 0.76 KB per entry on analyze and 0.66 KB on labeling-search (the key,
+# the first member's order and the basis sets the labelled memo has
+# dropped): 1024 entries take about 2.1 MB, 0.5-1.2 MB and 0.7-0.8 MB.
 _MEMO_SIZE = 1024
 
 
@@ -138,15 +155,6 @@ def _integers(v, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, v))
     except TypeError:
         raise ValueError(f"{what} must hold integers, got {v}") from None
-
-
-def _integer(value, what: str) -> int:
-    """value as an int; anything `operator.index` accepts passes.  `what`
-    names it in the error."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _cap(value, what: str) -> int:
@@ -183,6 +191,7 @@ def realize_degree_sequence(G: Graph, a, q: int) -> bool:
     a = _integers(a, "exponent vector")
     if len(a) != G.n or any(x < 0 for x in a):
         raise ValueError("exponent vector must be componentwise nonnegative of length n")
+    q = _integer(q, "q")
     if q < 1:
         raise ValueError("q must be positive")
     if sum(a) != 2 * q:
@@ -271,20 +280,71 @@ def enumerate_bases(G: Graph, c, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> 
     bases" in the module docstring for why this is exact.
 
     Answers are memoized by (G, c, candidate_cap) (see `_MEMO_SIZE`),
-    however the call spells c, so equal calls share one frozen basis set;
-    a raised error is not kept.  Raises BudgetExceededError once a layer
+    however the call spells c, so equal calls share one frozen basis set,
+    and the program runs once per relabelling class of (G, c,
+    candidate_cap) ("Relabelling" in the module docstring); a raised
+    error is not kept.  Raises BudgetExceededError once a layer
     of the dynamic program holds more than `candidate_cap` states, an
     integer >= 1; a result is never truncated.
     """
     return _bases(G, _check_bounds(G, c), _cap(candidate_cap, "candidate_cap"))
 
 
+class _Class(tuple):
+    """A relabelling class key, the image of an input with its coordinates
+    in the order `order`: (c, edges, cap) here (the module docstring,
+    "Relabelling") and (n, bases) in `polymatroid`.  The input it was made
+    from rides along as attributes, for the memo that runs the class's
+    first member."""
+
+
+def _class_of(G: Graph, c: tuple[int, ...], candidate_cap: int) -> _Class:
+    """The class key of (G, c, candidate_cap) ("Relabelling" in the module
+    docstring); `graph` and `bounds` are the input, `order` its vertices,
+    from 0, in the key's order."""
+    deg = [0] * (G.n + 1)
+    for i, j in G.edges:
+        deg[i] += 1
+        deg[j] += 1
+    around = [0] * (G.n + 1)
+    for i, j in G.edges:
+        around[i] += deg[j]
+        around[j] += deg[i]
+    order = sorted(range(G.n), key=lambda v: (c[v], deg[v + 1], around[v + 1]))  # ties by label
+    place = [0] * (G.n + 1)
+    for k, v in enumerate(order):
+        place[v + 1] = k
+    edges = 0                   # the image of the edge set, as a bitmask
+    for i, j in G.edges:
+        edges |= 1 << place[i] * G.n + place[j] | 1 << place[j] * G.n + place[i]
+    key = _Class((tuple(c[v] for v in order), edges, candidate_cap))
+    key.graph, key.bounds, key.order = G, c, tuple(order)
+    return key
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _bases(G: Graph, c: tuple[int, ...], candidate_cap: int) -> BasisSet:
+    key = _class_of(G, c, candidate_cap)
+    first, order = _class_bases(key)
+    if order == key.order:      # (G, c) is the class's first member
+        return first
+    source = [0] * G.n          # coordinate of the first member's bases
+    for f, v in zip(order, key.order):
+        source[v] = f
+    bases = sorted(map(operator.itemgetter(*source), first.bases))
+    return BasisSet(n=G.n, delta_c=first.delta_c, bases=tuple(bases))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _class_bases(key: _Class) -> tuple[BasisSet, tuple[int, ...]]:
+    """The basis set of `key.graph` and `key.bounds`, the first of its
+    class to arrive, by the program on its own labels, and its vertex
+    order."""
+    G, c = key.graph, key.bounds
     edges = G.edge_list()
     slack0 = sum(c) - 2 * _first_descent(edges, c)
-    bases = _final_states(edges, c, slack0, candidate_cap)
-    return BasisSet(n=G.n, delta_c=sum(bases[0]) // 2, bases=tuple(bases))
+    bases = _final_states(edges, c, slack0, key[2])     # the cap
+    return BasisSet(n=G.n, delta_c=sum(bases[0]) // 2, bases=tuple(bases)), key.order
 
 
 def divisor_set(B: BasisSet) -> list[ExponentVector]:

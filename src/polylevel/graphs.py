@@ -8,9 +8,19 @@ share between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 Edge = tuple[int, int]
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; anything `operator.index` accepts passes, so a
+    float, even 3.0, raises ValueError.  `what` names it in the error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -21,11 +31,12 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 2:
             raise ValueError("a graph needs at least 2 vertices")
         norm = set()
         for e in self.edges:
-            i, j = e
+            i, j = (_integer(v, "a vertex") for v in e)
             if i == j:
                 raise ValueError(f"loop at vertex {i}")
             if not (1 <= i <= self.n and 1 <= j <= self.n):

@@ -42,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bounded import _MEMO_SIZE, BasisSet, _integers, enumerate_bases
+from .bounded import _MEMO_SIZE, BasisSet, _Class, _integers, enumerate_bases
 from .errors import BudgetExceededError
 from .graphs import star
 
@@ -195,12 +195,10 @@ class Polymatroid(HPolytope):
     first: Polymatroid | None = field(default=None, compare=False, repr=False)
 
 
-class _Class(tuple):
-    """A class key (n, image) of the module docstring; `bases` is the basis
-    set it was made from, `order` its coordinates in the key's order."""
-
-
 def _class_of(B: BasisSet) -> _Class:
+    """The class key (n, image) of the module docstring; `bases` is the
+    basis set it was made from, `order` its coordinates in the key's
+    order."""
     columns = [sorted(b[i] for b in B.bases) for i in range(B.n)]
     order = sorted(range(B.n), key=columns.__getitem__)  # stable: ties by label
     key = _Class((B.n, tuple(sorted(tuple(b[i] for i in order) for b in B.bases))))

@@ -236,9 +236,9 @@ def crossing_hull(k=0):
 
 # the memos of the per-input answers: `enumerate_bases`, `analyze_polytope`
 # and `delta_vector` normalize their arguments and call private caches,
-# and `facets` asks `_class_facets` on a miss
-MEMOS = (bounded._bases, polymatroid.facets, polymatroid._class_facets, levelness._report,
-         lattice._delta_vector)
+# and `_bases` asks `_class_bases`, `facets` `_class_facets` on a miss
+MEMOS = (bounded._bases, bounded._class_bases, polymatroid.facets, polymatroid._class_facets,
+         levelness._report, lattice._delta_vector)
 
 
 def clear_memos():

@@ -70,6 +70,13 @@ def test_realize_degree_sum_mismatch():
         pl.realize_degree_sequence(pl.path(3), (1, 1, 1), 2)
 
 
+def test_realize_q_must_be_an_integer():
+    """q = 1.5 passed the sum check (2 * 1.5 = 3) and ran the program with
+    its parity precondition broken, answering False."""
+    with pytest.raises(ValueError, match="q must be an integer"):
+        pl.realize_degree_sequence(pl.path(3), (1, 1, 1), 1.5)
+
+
 def test_realize_tree_witness_unique():
     # on a tree the edge weights are forced leaf-inward
     T = pl.tree_from_parents((1, 1, 2, 2))

@@ -33,6 +33,23 @@ def test_graph_invariants_enforced():
     assert pl.graph(2, [(1, 2), (2, 1)]).edges == frozenset({(1, 2)})
 
 
+def test_vertices_must_be_integers():
+    """A float vertex, even 3.0, raises, where it made a graph that equals
+    and hashes like the integer one; the bases memo and its class key
+    index lists by vertex.  Integer-likes pass and are made ints."""
+    import numpy as np
+
+    with pytest.raises(ValueError, match="integer"):
+        pl.graph(3, [(1, 2), (2, 3.0)])
+    with pytest.raises(ValueError, match="integer"):
+        pl.graph(3.0, [(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="integer"):
+        pl.tree_from_parents([1, 1.0])
+    G = pl.graph(np.int64(3), [(np.int64(1), 2), (2, np.int64(3))])
+    assert G == pl.path(3) and type(G.n) is int
+    assert all(type(v) is int for e in G.edges for v in e)
+
+
 def test_is_tree():
     assert pl.is_tree(pl.path(5))
     assert pl.is_tree(pl.star(4))

@@ -1,6 +1,7 @@
 """The memos of the per-input answers: `enumerate_bases` by the graph, the
-bounds and the cap, `facets` by the basis set, and `analyze_polytope` and
-`delta_vector` by the polytope and the budget, however a call spells them; the relabellings of
+bounds and the cap, and its program by their relabelling class, `facets`
+by the basis set, and `analyze_polytope` and `delta_vector` by the
+polytope and the budget, however a call spells them; the relabellings of
 one basis set share one facet scan, one delta vector and one report but
 its witness."""
 
@@ -18,6 +19,7 @@ from polylevel import bounded, lattice, levelness, polymatroid
 from polylevel.bounded import BasisSet
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import DEFAULT_NODE_BUDGET
+from polylevel.oracle import brute_bases
 from polylevel.polymatroid import Polymatroid
 
 from conftest import MEMOS, clear_memos, graph_and_bounds, relabel, relabel_graph
@@ -303,3 +305,90 @@ def test_census_relabelling_classes():
     assert len(bases) == 377
     keys = {polymatroid._class_of(B) for B in bases}
     assert len(keys) == len({_least_image(B) for B in bases}) == 40
+
+
+# --- one bases program per relabelling class of (G, c) -------------------
+
+def _invariants_tie(G, c):
+    """Do two vertices share (c_v, deg_v, sum of the neighbours' degrees)?
+    Read off the adjacency, not off the library."""
+    adj = G.adjacency()
+    seen = {(c[v - 1], len(adj[v]), sum(len(adj[u]) for u in adj[v])) for v in adj}
+    return len(seen) < G.n
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_graphs())
+@example((pl.path(3), (1, 2, 3), (2, 3, 1)))       # a 3-cycle: not its own inverse
+@example((pl.graph(4, [(1, 2), (2, 3), (3, 4), (1, 3)]), (3, 1, 2, 2), (4, 1, 2, 3)))
+def test_relabelled_graph_gets_relabelled_bases(case):
+    """Asked after (G, c), a relabelled copy is served the relabelled bases
+    of (G, c): they equal a fresh answer and the brute-force bases.  The
+    copy is a class hit when the keys agree, which they must when no two
+    vertices tie in the key's order, and a labelled hit when perm is a
+    symmetry of (G, c)."""
+    G, c, perm = case
+    clear_memos()               # (G, c) is the first member of its class
+    pl.enumerate_bases(G, c)
+    H, d = relabel_graph(G, c, perm)
+    served = pl.enumerate_bases(H, d)
+    same = bounded._class_of(G, c, bounded.DEFAULT_CANDIDATE_CAP) == bounded._class_of(
+        H, d, bounded.DEFAULT_CANDIDATE_CAP)
+    assert same or _invariants_tie(G, c)
+    if (H, d) == (G, c):        # perm is a symmetry of (G, c): a labelled hit
+        assert bounded._bases.cache_info().hits == 1
+    else:
+        assert bounded._class_bases.cache_info()[:2] == (int(same), 2 - same)   # hits, misses
+    clear_memos()
+    assert served == pl.enumerate_bases(H, d)
+    delta, bases = brute_bases(H, d)
+    assert (served.delta_c, served.bases) == (delta, tuple(bases))
+
+
+def test_census_bases_classes():
+    """The census's 3,078 inputs have 252 class keys, and 201 relabelling
+    classes by brute force (the least image over all 4! relabellings).
+    No key holds two classes, so there are never fewer keys than
+    classes."""
+    inputs = [(G, c) for G in _connected_graphs(4) for c in itertools.product((1, 2, 3), repeat=4)]
+    assert len(inputs) == 3078
+    classes = {}
+    for G, c in inputs:
+        least = min((tuple(c[perm.index(v)] for v in range(1, 5)),
+                     tuple(sorted(tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in G.edges)))
+                    for perm in itertools.permutations(range(1, 5)))
+        classes.setdefault(bounded._class_of(G, c, bounded.DEFAULT_CANDIDATE_CAP), set()).add(least)
+    assert len(classes) == 252
+    assert all(len(held) == 1 for held in classes.values())
+    assert len(set().union(*classes.values())) == 201
+
+
+# K(3,4) with c = 2 and its reversal: a cap of 10 stops the program of each
+_K34 = pl.complete_bipartite(3, 4), (2,) * 7
+_K34_REVERSED = relabel_graph(*_K34, (7, 6, 5, 4, 3, 2, 1))
+
+
+def test_a_cap_is_part_of_the_class_key():
+    """A relabelled copy asked under a cap of 10 runs its own program and
+    raises, although its class under the default cap is known."""
+    B = pl.enumerate_bases(*_K34)
+    with pytest.raises(BudgetExceededError):
+        pl.enumerate_bases(*_K34_REVERSED, candidate_cap=10)
+    assert pl.enumerate_bases(*_K34_REVERSED) == _relabelled_bases(B, (7, 6, 5, 4, 3, 2, 1))
+    assert bounded._class_bases.cache_info()[:2] == (1, 2)     # hits, misses
+
+
+def test_a_cap_error_of_a_first_member_is_not_kept():
+    """The capped first member raises, and so does its relabelled copy
+    under the same cap, by its own program; under the default cap the
+    copy then gets its answer, which is the first entry of the class."""
+    for G, c in (_K34, _K34_REVERSED):
+        with pytest.raises(BudgetExceededError):
+            pl.enumerate_bases(G, c, candidate_cap=10)
+    assert bounded._class_bases.cache_info().currsize == 0
+    served = pl.enumerate_bases(*_K34_REVERSED)
+    delta, bases = brute_bases(*_K34_REVERSED)
+    assert (served.delta_c, served.bases) == (delta, tuple(bases))
+    assert pl.enumerate_bases(*_K34) == _relabelled_bases(served, (7, 6, 5, 4, 3, 2, 1))
+    info = bounded._class_bases.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
