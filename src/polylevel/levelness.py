@@ -94,22 +94,38 @@ every r' > r, since P has the integer decomposition property (a
 `Polymatroid` by Herzog-Hibi, a laminar `HPolytope` by Baum-Trotter; the
 `lattice` docstring cites both), so a lattice point of P moves from the
 other summand into the interior one.  So a point has degree N exactly
-when it does not split at N - 1, and the test asks that block by block.
-The blocks are the connected components of the aggregate facet supports.
-Every facet lives in one block, so P is the product of its block
-polytopes, the interior of N*P is the product of the block interiors,
-and the summand window at (N, r) constrains each block separately: a
-point splits at r exactly when each of its block parts does, which needs
-no monotonicity.  A lone coordinate always splits, a block of one
-aggregate asks the knapsack below and a crossing block is walked up to
-its first part with no split.  Any other block fails when it has more
-interior points than points that split at N - 1, counted without
-visiting a point by a dynamic program over its laminar forest that
-counts the interval propagation of `lattice._split_feasible_laminar`
-instead of testing it: per aggregate (A, t) the state is (s, lo, hi), s
-the sum over A and lo..hi the sums over A the summand can reach, pruned
-at s > N t - 1 and lo > r t - 1.  `budget` bounds the states of the
-dynamic programs of one level and the nodes of every walk.
+when it does not split at N - 1, and by steps 1-2 some point fails so
+exactly when R_N(X) > R_{N-1}(X) + f(X) for some X.  The test asks it
+block by block.  The blocks are the connected components of the
+aggregate facet supports.  Every facet lives in one block, so P is the
+product of its block polytopes, the interior of N*P is the product of
+the block interiors, and the summand window at (N, r) constrains each
+block separately: a point splits at r exactly when each of its block
+parts does, which needs no monotonicity.  Likewise each rank is the sum
+of its blocks' ranks, so X runs over the subsets of one block.  A lone
+coordinate always splits, and a block of one aggregate asks the
+knapsack below.
+
+Any other block takes the rank test, `_rank_fails`.  Each rank is a
+polymatroid greedy (Edmonds 1970; Fujishige 2005): raising the
+coordinates of X in index order, each as far as the polymatroid allows,
+maximizes x(X).  For R_N, the polymatroid I_N - 1 of step 1, start at
+the all-ones point and raise each i in X by the least slack
+N t - 1 - x(A) of the facets (A, t) through i; for f start at 0, with
+the slacks t - x(A).  The facet rows may cut out more than the rank
+inequalities, but they hold the same lattice points, and a step by
+their least slack from a lattice point is integral, so it stays in the
+polymatroid and is no shorter than its own step: the greedies read the
+facet rows of `_structure` alone.  The subsets are visited depth first,
+X u {i} with i > max X after X, each extending the greedy points of X
+by one step (memory O(b facets) for a block of b members).  As
+R_N >= R_{N-1} + f on every X (step 2), the first X u {i} to fail is
+the first whose step for i gains more under R_N than under R_{N-1} and
+f together.  A level costs at most 2^b - 1 steps per block, and
+`budget` bounds the subsets that one block visits.  The knapsack is
+kept for a block of one aggregate, as it is polynomial in N t: the
+rank test would visit 2^16 subsets per level of the n = 16 hull of
+`tests/catalogue.py`, which the knapsack answers in under 0.01 s.
 
 In a block of one aggregate (A, t) with m members a coordinate window
 is never empty, and the part over A of a point of N*P fails to split at
@@ -140,9 +156,11 @@ part is the lesser of the two conditions' (`_descent`).
 The table's length.  The report's table covers the levels from
 max(2, c) to the last level tested.  It is a count that holds no point:
 its length, taken on demand, is per level the interior count less the
-points that split at r = 1, counted block by block as above (their
-product; none when P has no interior point).  The degree of one point
-is `reduced_degree`.
+points that split at r = 1.  Those are a product over the blocks (none
+when P has no interior point): every point of a lone coordinate splits,
+and each other distinct block is walked once, counting its interior
+points of N*P that pass `_split_exists`, so `budget` bounds the nodes of
+each walk.  The degree of one point is `reduced_degree`.
 
 The witness, block by block.  With an interior point of P every block's
 all-ones part splits at r = 1, so the lex-least failing point of N*P is
@@ -267,19 +285,19 @@ def _witness(P: HPolytope, N: int, budget: int):
     for block in (b for b in st.blocks if len(b) > 1):  # a lone coordinate splits
         k = _sole_aggregate(st, block)
         part = (_descent(st, k, N) if k is not None
-                else _first_failure(_restrict(P, block), N, 1, budget))
+                else _first_failure(_restrict(P, block), N, budget))
         if part is not None:
             at = dict(zip(block, part))
             failing.append(tuple(at.get(i, 1) for i in range(1, P.n + 1)))
     return min(failing, default=None)
 
 
-def _first_failure(Q: HPolytope, N: int, r: int, budget: int):
-    """The lex-least interior point of N*Q with no split at r, or None, by a
-    walk of the interior in lex order; r*Q has an interior point."""
+def _first_failure(Q: HPolytope, N: int, budget: int):
+    """The lex-least interior point of N*Q with no degree-1 split, or None,
+    by a walk of the interior in lex order; Q has an interior point."""
     st = _structure(Q)
     return next((a for a in iter_lattice_points(Q, N, "interior", budget=budget)
-                 if not _split_exists(st, a, N, r, 1)), None)
+                 if not _split_exists(st, a, N, 1, 1)), None)
 
 
 def _sole_aggregate(st: _Structure, block: tuple[int, ...]) -> int | None:
@@ -306,109 +324,76 @@ def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
     ))
 
 
-def _coordinate_states(u: int | None, N: int, r: int, top: int) -> dict:
-    """(a, window lo, window hi) of one coordinate, a in 1..top and below its
-    cap, for the values whose summand window is nonempty."""
-    if u is None:
-        return {(a, 1, a): 1 for a in range(1, top + 1)}
-    cells = ((a, max(1, a - (N - r) * u), min(a, r * u - 1))
-             for a in range(1, min(N * u - 1, top) + 1))
-    return {c: 1 for c in cells if c[1] <= c[2]}
+def _rank_fails(st: _Structure, block: tuple[int, ...], N: int, budget: int) -> bool:
+    """Is R_N(X) > R_{N-1}(X) + f(X) for some nonempty X within `block`?
+    The three greedies of the module docstring, over the subsets depth
+    first; more than `budget` subsets raise BudgetExceededError.  (N-1)*P
+    has an interior point."""
+    rows = ((N, 1), (N - 1, 1), (1, 0))     # (level, start): R_N, R_{N-1} and f
+    visited = 0
+
+    def extend(start: int, sums) -> bool:
+        nonlocal visited
+        for j in range(start, len(block)):
+            visited += 1
+            if visited > budget:
+                raise BudgetExceededError(f"rank test exceeded {budget} subsets",
+                                          cap="budget", limit=budget)
+            u, ks = st.u[block[j] - 1], st.agg_at[block[j] - 1]
+            # each gain: the least slack of the rows M t - s through the member
+            gains = [min([M * st.aggs[k][1] - s - used[k] for k in ks]
+                         + ([] if u is None else [M * u - 2 * s]))
+                     for (M, s), used in zip(rows, sums)]
+            if gains[0] > gains[1] + gains[2]:
+                return True
+            nxt = [used[:] for used in sums]
+            for g, used in zip(gains, nxt):
+                for k in ks:
+                    used[k] += g
+            if extend(j + 1, nxt):
+                return True
+        return False
+
+    return extend(0, [[s * len(A) for A, _t in st.aggs] for _M, s in rows])
 
 
-def _subtree_states(st: _Structure, k: int, N: int, r: int, spend) -> dict:
-    """Count the parts over A of the interior points of N*P, aggregate k
-    being (A, t), by (s, lo, hi): s their sum over A, lo..hi the sums over
-    A that a summand interior to r*P can take, as `_split_feasible_laminar`
-    propagates them.  Parts with no such summand are dropped."""
-    _A, t = st.aggs[k]
-    top_s, top_x = N * t - 1, r * t - 1
-    parts = [_subtree_states(st, ch, N, r, spend) for ch in st.forest[k]]
-    parts += [_coordinate_states(st.u[i - 1], N, r, top_s) for i in st.own[k]]
-    states = {(0, 0, 0): 1}
-    for part in parts:
-        nxt: dict = {}
-        for (s1, lo1, hi1), c1 in states.items():
-            for (s2, lo2, hi2), c2 in part.items():
-                s, lo = s1 + s2, lo1 + lo2
-                if s <= top_s and lo <= top_x:
-                    key = (s, lo, min(hi1 + hi2, top_x))
-                    nxt[key] = nxt.get(key, 0) + c1 * c2
-        spend(len(nxt))
-        states = nxt
-    out: dict = {}
-    for (s, lo, hi), c in states.items():
-        lo = max(lo, s - (N - r) * t)
-        if lo <= hi:
-            out[(s, lo, hi)] = out.get((s, lo, hi), 0) + c
-    return out
-
-
-def _state_budget(budget: int):
-    """A `spend(states)` for the dynamic programs of one count, raising
-    once they hold more than `budget` states in all."""
-    spent = 0
-
-    def spend(states: int) -> None:
-        nonlocal spent
-        spent += states
-        if spent > budget:
-            raise BudgetExceededError(f"degree count exceeded {budget} states",
-                                      cap="budget", limit=budget)
-
-    return spend
-
-
-def _block_splits(Q: HPolytope, N: int, r: int, budget: int, spend) -> int:
-    """The interior points of N*Q that split at r, for Q one block and r*Q
-    with an interior point: a lone coordinate always splits, a laminar
-    block is counted by its dynamic program, whose root is its largest
-    aggregate, and a crossing block is walked."""
+def _block_splits(Q: HPolytope, N: int, budget: int) -> int:
+    """The interior points of N*Q that split at r = 1, for Q one block with
+    an interior point: a lone coordinate always splits, and any other
+    block is walked."""
     st = _structure(Q)
     if not st.aggs:
         return count_lattice_points(Q, N, "interior", budget=budget)
-    if st.laminar:
-        return sum(_subtree_states(st, len(st.aggs) - 1, N, r, spend).values())
     return sum(1 for a in iter_lattice_points(Q, N, "interior", budget=budget)
-               if _split_exists(st, a, N, r, 1))
+               if _split_exists(st, a, N, 1, 1))
 
 
 def _is_degree(P: HPolytope, N: int, budget: int) -> bool:
-    """Has some interior point of N*P reduced degree N?  Decided as the
-    module docstring says, by facet structure; `budget` bounds the states
-    of the dynamic programs of this level and the nodes of each walk."""
+    """Has some interior point of N*P reduced degree N?  Decided block by
+    block, as the module docstring says: a block of one aggregate asks the
+    knapsack, whose first condition met stops it, and any other block the
+    rank test."""
     if not _interior_at(P, N):
         return False
     if not _interior_at(P, N - 1):
         return True
-    spend = _state_budget(budget)
-    return any(_block_fails(P, block, N, budget, spend)
-               for block in _structure(P).blocks if len(block) > 1)
-
-
-def _block_fails(P: HPolytope, block, N: int, budget: int, spend) -> bool:
-    """Has some interior point of N*P a part over `block` with no split at
-    N - 1?  A block of one aggregate asks the knapsack, a laminar block its
-    dynamic program, and a crossing block is walked."""
     st = _structure(P)
-    k = _sole_aggregate(st, block)
-    if k is not None:   # the first condition met stops the search
-        return any(True for _ in _met_conditions(st, *st.aggs[k], N, N - 1))
-    Q = _restrict(P, block)
-    if _structure(Q).laminar:
-        return (count_lattice_points(Q, N, "interior", budget=budget)
-                > _block_splits(Q, N, N - 1, budget, spend))
-    return _first_failure(Q, N, N - 1, budget) is not None
+    for block in (b for b in st.blocks if len(b) > 1):  # a lone coordinate splits
+        k = _sole_aggregate(st, block)
+        if (any(True for _ in _met_conditions(st, *st.aggs[k], N, N - 1)) if k is not None
+                else _rank_fails(st, block, N, budget)):
+            return True
+    return False
 
 
 def _degree_one_count(P: HPolytope, N: int, budget: int) -> int:
     """The interior points of N*P that split at r = 1: the product over the
-    blocks of their counts, and 0 when P has no interior point."""
+    blocks of their counts, each distinct block walked once, and 0 when P
+    has no interior point."""
     if not _interior_at(P, 1):
         return 0
-    spend = _state_budget(budget)
     blocks = [_restrict(P, members) for members in _structure(P).blocks]
-    counts = {Q: _block_splits(Q, N, 1, budget, spend) for Q in set(blocks)}
+    counts = {Q: _block_splits(Q, N, budget) for Q in set(blocks)}
     return prod(counts[Q] for Q in blocks)
 
 
@@ -435,6 +420,9 @@ class _DegreeTable:
             return NotImplemented
         return (self._P, self._levels) == (other._P, other._levels)
 
+    def __hash__(self):
+        return hash((self._P, self._levels))
+
 
 @dataclass(frozen=True)
 class LevelnessReport:
@@ -455,11 +443,12 @@ class LevelnessReport:
     `reduced_degree_table` is the number of points of reduced degree at
     least 2 at the levels max(2, codegree)..scan_bound, given by `len()`;
     degree-1 points are ubiquitous and left out.  It holds no point: its
-    length is counted by block on the first `len()` and kept (so a
-    `budget` too small for that count raises there), and `reduced_degree`
-    gives the degree of one point.  `scan_bound` and the table are kept
-    for the benchmark in `perfbench`, which reads them.  Two tables are
-    equal when their polytopes and levels are.
+    length is counted by a walk of each block on the first `len()` and
+    kept (so a `budget` below the nodes of a walk raises there), and
+    `reduced_degree` gives the degree of one point.  `scan_bound` and the
+    table are kept for the benchmark in `perfbench`, which reads them.
+    Two tables are equal, and hash alike, when their polytopes and levels
+    are, so a report can be a set member or a dict key.
     """
 
     n: int
@@ -479,7 +468,9 @@ def analyze_polytope(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> Levelne
     (see `bounded._MEMO_SIZE`), however the call spells them, so calls
     that ask for one report share one frozen report, and shared by the
     relabellings of one basis set (the `polymatroid` docstring); a raised
-    error is not kept.  `budget` is an integer >= 1."""
+    error is not kept.  `budget` is an integer >= 1; it bounds the nodes
+    or states of each count and walk and the subsets of each block's rank
+    test, and never truncates an answer."""
     return _report(P, _cap(budget, "budget"))
 
 

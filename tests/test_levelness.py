@@ -20,11 +20,10 @@ from polylevel.lattice import (
     iter_lattice_points,
 )
 from polylevel.levelness import (
-    _block_splits,
     _cost_rows,
     _is_degree,
+    _rank_fails,
     _restrict,
-    _state_budget,
     _witness,
 )
 from polylevel.oracle import (
@@ -154,6 +153,10 @@ def test_conjecture_spectrum_vacuous(path3_hull):
     assert pl.conjecture_spectrum(path3_hull)   # degree 1: nothing to realize
 
 
+def _codegree(P):
+    return next(N for N in itertools.count(1) if _interior_at(P, N))
+
+
 def _check_interval(P):
     """The theorem of the `levelness` docstring on P: the levels 2..n + 2
     that hold a degree, each asked by `_is_degree`, are the interval from
@@ -162,7 +165,7 @@ def _check_interval(P):
     max(2, codegree) to the stop, the spectrum is read off the same set,
     and with an interior point the witness is at level 2."""
     degrees = [N for N in range(2, P.n + 3) if _is_degree(P, N, 10**8)]
-    codegree = next(N for N in itertools.count(1) if _interior_at(P, N))
+    codegree = _codegree(P)
     start = max(2, codegree)
     rep = pl.analyze_polytope(P)
     assert degrees == list(range(start, rep.scan_bound))
@@ -484,24 +487,25 @@ def test_budget_must_be_a_positive_integer(call, budget):
 def test_level_scan_budget(k34_hull):
     """The witness of a hull with nested aggregates walks only its
     five-member block, 238 nodes, and counts them against `budget` (a
-    walk of the whole hull needed over 1000).  The report's degree tests
-    need 764 states, so a report at budget 100 raises in them, and one at
-    1000 answers.  The descent on a disjoint hull visits no node."""
+    walk of the whole hull needed over 1000).  The report's rank tests
+    visit at most the 31 subsets of that block, so the walk sets the
+    report's need: at budget 237 it raises there, and at 238 it answers.
+    The descent on a disjoint hull visits no node."""
     nested = _nested_hull(*_FAILING_NESTED)
     with pytest.raises(BudgetExceededError, match="enumeration exceeded 237 nodes") as err:
         _witness(nested, 2, 237)
     assert err.value.cap == "budget" and err.value.limit == 237
     assert _witness(nested, 2, 238) == (1, 3, 3, 5, 4, 1)
-    with pytest.raises(BudgetExceededError) as err:
-        pl.level_star(nested, budget=100)
-    assert err.value.cap == "budget" and err.value.limit == 100
-    assert pl.level_star(nested, budget=1000) == (False, (2, (1, 3, 3, 5, 4, 1)))
+    with pytest.raises(BudgetExceededError, match="enumeration exceeded 237 nodes") as err:
+        pl.level_star(nested, budget=237)
+    assert err.value.cap == "budget" and err.value.limit == 237
+    assert pl.level_star(nested, budget=238) == (False, (2, (1, 3, 3, 5, 4, 1)))
     assert pl.level_star(k34_hull, budget=5) == (False, (2, (1, 1, 1, 2, 3, 3, 3)))
 
 
 def test_nested_level_decided_before_its_points(monkeypatch):
     """A laminar hull with nested aggregates and interior points: a level
-    whose degree count has no degree >= 2 walks no point (walking them
+    whose rank test finds no degree >= 2 walks no point (walking them
     took tens of seconds on this hull), and a failing level keeps its
     lex-least witness."""
     level_star_hull = _nested_hull(
@@ -718,7 +722,7 @@ def _check_degrees(P, top=3):
 @given(block_products())
 def test_degree_test_matches_flat_oracle(P):
     """A laminar and a crossing block, the crossing one a polymatroid, so
-    the test asks it block by block and walks the crossing block."""
+    the test asks it block by block, each by its rank test."""
     assert _structure(P).blocks == _plain_blocks(P)
     assert len(_structure(P).blocks) >= 2
     assert not _structure(P).laminar
@@ -748,8 +752,8 @@ def test_degree_test_single_block(P):
 @settings(max_examples=40, deadline=None)
 @given(facet_systems(max_n=5, laminar=True))
 def test_degree_test_of_laminar_systems(P):
-    """The dynamic program over the laminar forest, with nested aggregates,
-    empty and nonempty interiors."""
+    """The rank test of a laminar block, with nested aggregates, empty and
+    nonempty interiors."""
     assert _structure(P).laminar
     _check_degrees(P)
 
@@ -763,19 +767,20 @@ def test_degree_test_of_graph_hulls(gc):
     _check_degrees(P)
 
 
-def test_degree_count_budget():
-    """The budget bounds the states of the dynamic programs of one level,
-    and never truncates the answer.  Nested aggregates, one interior point,
-    degree 2: each interior count up to level 3 needs at most 27 states,
-    the dynamic program of level 2 needs 37 and that of level 3 126."""
-    P = pl.HPolytope(4, (((1,), 2), ((3,), 3), ((4,), 2), ((1, 2), 4), ((1, 2, 3, 4), 5)))
+def test_rank_test_budget():
+    """The budget bounds the subsets that the rank test of one block
+    visits, and never truncates the answer.  Six coordinates under two
+    nested aggregates, level*: at level 2, which holds no degree, the rank
+    test visits all 63 subsets, and every count needs fewer states."""
+    P = pl.HPolytope(6, (((1,), 2), ((3,), 2), ((4,), 2), ((5,), 2), ((6,), 2), ((1, 2), 3),
+                         ((1, 2, 3, 4, 5, 6), 7)))
     assert not aggregates_disjoint(P)
-    for N in (1, 2, 3):
-        pl.count_lattice_points(P, N, "interior", budget=100)
-    with pytest.raises(BudgetExceededError, match="degree count") as err:
-        pl.int_star_degree(P, budget=125)
-    assert err.value.cap == "budget" and err.value.limit == 125
-    assert pl.int_star_degree(P, budget=126) == 2
+    for N in (1, 2):
+        pl.count_lattice_points(P, N, "interior", budget=62)
+    with pytest.raises(BudgetExceededError, match="rank test exceeded 62 subsets") as err:
+        pl.analyze_polytope(P, budget=62)
+    assert err.value.cap == "budget" and err.value.limit == 62
+    assert pl.level_star(P, budget=63) == (True, None)
 
 
 # --- degree set by one knapsack test per level ----------------------------
@@ -803,17 +808,12 @@ def test_cost_rows_match_subsets(items, need, cap):
 
 
 def _blockwise_is_degree(P, N):
-    """`_is_degree` of a laminar system by the dynamic program of every
-    block, never by the knapsack: does some block have more interior
-    points than points that split at N - 1?"""
+    """`_is_degree` by the rank test of every block, lone coordinates
+    included, never by the knapsack."""
     if not _interior_at(P, N - 1):
         return _interior_at(P, N)
-    spend = _state_budget(10**8)
-    for members in _structure(P).blocks:
-        Q = _restrict(P, members)
-        if pl.count_lattice_points(Q, N, "interior") > _block_splits(Q, N, N - 1, 10**8, spend):
-            return True
-    return False
+    st_ = _structure(P)
+    return any(_rank_fails(st_, block, N, 10**8) for block in st_.blocks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -823,9 +823,9 @@ def _blockwise_is_degree(P, N):
 ))
 def test_knapsack_degree_test_matches_blockwise(P):
     """With disjoint aggregates the degree set is read off one knapsack
-    test per level; it must equal the block-by-block test at levels 2..4,
-    on hand-built systems with uncapped aggregate members and on graph
-    hulls."""
+    test per level; it must equal the rank test of every block at levels
+    2..4, on hand-built systems with uncapped aggregate members and on
+    graph hulls."""
     if not aggregates_disjoint(P):
         return
     for N in range(2, 5):
@@ -861,34 +861,106 @@ def test_degree_test_examples():
         assert {r for r in _flat_degrees(R, 4).values() if r >= 2} == want
 
 
+# --- the rank test against the walk and the flat oracle -------------------
+
+def _walked_is_degree(P, N):
+    """`_is_degree` by a walk of every block up to its first part with no
+    split at N - 1: the point-by-point referee of the rank test."""
+    if not _interior_at(P, N - 1):
+        return _interior_at(P, N)
+    for members in _structure(P).blocks:
+        Q = _restrict(P, members)
+        st_ = _structure(Q)
+        if not all(_split_exists(st_, a, N, N - 1, 1)
+                   for a in iter_lattice_points(Q, N, "interior")):
+            return True
+    return False
+
+
+def _flat_is_degree(P, N):
+    """Has some interior point of N*P reduced degree N, by the flat
+    per-point oracle?"""
+    return any(brute_reduced_degree(P, a, N) == N for a in brute_interior_points(P, N))
+
+
+def _rank_tested(P):
+    """Has P a block of two or more aggregates, which the rank test decides?"""
+    st_ = _structure(P)
+    return any(len({k for i in block for k in st_.agg_at[i - 1]}) > 1 for block in st_.blocks)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(crossing_systems(max_n=4, max_t=3),
+       crossing_systems(max_n=4, max_t=2).map(_lifted).filter(admissible))
+def test_rank_test_on_crossing_polymatroids(P, lifted):
+    """Polymatroids whose aggregates cross, drawn on their own so that
+    every example is one; their crossing block is decided by the rank
+    test.  As drawn, P mostly has no interior point and is asked at the
+    first three levels the scan can test, against the walk; `lifted` has
+    one, so that level 2 can hold a degree, and is asked at levels 2..3,
+    against the walk and the flat oracle."""
+    for Q in (P, lifted):
+        assert crosses(Q.upper_facets) and isinstance(Q, Polymatroid)
+    start = max(2, _codegree(P))
+    for N in range(start, start + 3):
+        assert _is_degree(P, N, 10**8) == _walked_is_degree(P, N), N
+    for N in (2, 3):
+        assert (_is_degree(lifted, N, 10**8) == _walked_is_degree(lifted, N)
+                == _flat_is_degree(lifted, N)), N
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(graph_and_bounds(max_n=7, max_c=3).map(_graph_hull).filter(_rank_tested))
+def test_rank_test_on_graph_hulls(P):
+    """Graph hulls with n <= 7 that have a block of nested or crossing
+    aggregates: the degree test against the walk at the first two levels
+    that the scan tests."""
+    start = max(2, _codegree(P))
+    for N in (start, start + 1):
+        assert _is_degree(P, N, 10**8) == _walked_is_degree(P, N), N
+
+
+def test_rank_test_reaches_inside_a_facet_support():
+    """At level 2 the only X with R_2(X) > R_1(X) + f(X) is {1, 4, 6, 7},
+    strictly inside the aggregate's support (by flat scans of the block):
+    a rank test that looked at the facet supports alone would miss the
+    degree.
+    The block is one aggregate, so `_is_degree` asks the knapsack, and the
+    rank test is called directly."""
+    P = pl.HPolytope(8, (*(((i,), u) for i, u in enumerate((2, 3, 4, 4, 3, 4, 2, 4), 1)),
+                         ((1, 2, 4, 6, 7), 11)))
+    block = (1, 2, 4, 6, 7)
+    assert block in _structure(P).blocks
+    assert _rank_fails(_structure(P), block, 2, 10**8)
+    assert _is_degree(P, 2, 10**8)
+    assert _flat_is_degree(_restrict(P, block), 2)
+
+
 def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):
-    """A disjoint hull's report runs no dynamic program of the degree
-    count; the table's length is counted level by level, at levels 2..4
-    (degrees 2 and 3, and level 4, where the scan stops), on the first
-    `len()` and kept, and a budget too small for that count (152 states
-    here) raises there."""
+    """A disjoint hull's report walks no point: the knapsack decides its
+    degrees and descends to its witness.  The table's length is counted
+    level by level, at levels 2..4 (degrees 2 and 3, and level 4, where
+    the scan stops), by a walk of the block's interior on the first
+    `len()`, and kept; a budget below the largest walk's 8,761 nodes
+    raises there."""
     assert aggregates_disjoint(veronese_5333)
-
-    def no_dp(*args):
-        raise AssertionError("the degree count ran")
-
     with monkeypatch.context() as m:
-        m.setattr(levelness, "_subtree_states", no_dp)
+        m.setattr(levelness, "iter_lattice_points", _no_points)
         rep = pl.analyze_polytope(veronese_5333)
-        small = pl.analyze_polytope(veronese_5333, budget=151)
+        small = pl.analyze_polytope(veronese_5333, budget=8760)
     assert (rep.int_star_degree, rep.level, rep.conjecture_spectrum_holds) == (3, False, True)
     assert rep.failure_witness[:2] == (2, (8, 1, 1, 1))
-    calls = []
-    degree_one_count = levelness._degree_one_count
-    monkeypatch.setattr(levelness, "_degree_one_count",
-                        lambda P, N, budget: calls.append(N) or degree_one_count(P, N, budget))
+    walked = []
+    walk = levelness.iter_lattice_points
+    monkeypatch.setattr(levelness, "iter_lattice_points",
+                        lambda Q, N, *args, **kw: walked.append(N) or walk(Q, N, *args, **kw))
     assert rep.reduced_degree_table == levelness._DegreeTable(veronese_5333, range(2, 5), 1)
     assert len(rep.reduced_degree_table) == len(rep.reduced_degree_table) == 20
-    assert calls == [2, 3, 4]
+    assert walked == [2, 3, 4]
     _check_table(veronese_5333, 4)
-    with pytest.raises(BudgetExceededError, match="degree count"):
+    with pytest.raises(BudgetExceededError, match="enumeration exceeded"):
         len(small.reduced_degree_table)
-    assert len(pl.analyze_polytope(veronese_5333, budget=152).reduced_degree_table) == 20
+    assert len(pl.analyze_polytope(veronese_5333, budget=8761).reduced_degree_table) == 20
 
 
 def test_twin_permutation_keeps_reduced_degree(veronese_5333):

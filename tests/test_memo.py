@@ -201,9 +201,27 @@ def test_relabelled_hull_gets_its_own_report(case):
     served = pl.analyze_polytope(Q), pl.delta_vector(Q)
     clear_memos()
     fresh = pl.analyze_polytope(Q), pl.delta_vector(Q)
-    assert served == fresh
+    assert served == fresh and hash(served[0]) == hash(fresh[0])
     assert served[0].failure_witness == fresh[0].failure_witness
     assert len(served[0].reduced_degree_table) == len(fresh[0].reduced_degree_table)
+
+
+def test_equal_reports_hash_alike():
+    """A report is a frozen value, so it can be a set member or a dict key:
+    equal reports hash alike, a relabelled member's, made from its class's
+    report, and a fresh one of the same hull included."""
+    P = _hull(*_NESTED)
+    rep = pl.analyze_polytope(P)
+    Q = _hull(*relabel_graph(*_NESTED, (6, 5, 4, 3, 2, 1)))
+    assert Q.first is P
+    served = pl.analyze_polytope(Q)
+    clear_memos()
+    fresh = pl.analyze_polytope(Polymatroid(Q.n, Q.upper_facets))
+    again = pl.analyze_polytope(Polymatroid(P.n, P.upper_facets))
+    assert served == fresh and hash(served) == hash(fresh)
+    assert again == rep and hash(again) == hash(rep)
+    assert served != rep
+    assert {rep: 1, served: 2, fresh: 3, again: 4} == {rep: 4, served: 3}
 
 
 def test_relabelled_copy_gets_its_own_witness():
