@@ -54,6 +54,7 @@ from .lattice import (
     lattice_points,
     membership,
     normality_check,
+    pseudo_gorenstein_star,
     reflexive_up_to_translation,
 )
 from .levelness import (
@@ -62,7 +63,6 @@ from .levelness import (
     conjecture_spectrum,
     int_star_degree,
     level_star,
-    pseudo_gorenstein_star,
     reduced_degree,
 )
 from .polymatroid import (

@@ -38,6 +38,7 @@ from .lattice import (
     delta_vector,
     is_unimodal,
     lattice_points,
+    pseudo_gorenstein_star,
     reflexive_up_to_translation,
 )
 from .levelness import (
@@ -209,8 +210,8 @@ def cmd_level(args) -> int:
 def cmd_psg(args) -> int:
     P = _polytope(args)
     count = count_lattice_points(P, 1, "interior", budget=args.budget)
-    verdict = count == 1
-    reflexive = reflexive_up_to_translation(P, budget=args.budget) if verdict else None
+    verdict = pseudo_gorenstein_star(P)
+    reflexive = reflexive_up_to_translation(P) if verdict else None
     payload = {
         "interior_count": count,
         "pseudo_gorenstein": verdict,

@@ -3,10 +3,27 @@
 All bodies here are HPolytope instances: x >= 0 plus 0/1-normal upper
 facets with integer bounds.  The N-fold dilate is therefore again given by
 the same normals with bounds scaled by N, and a lattice point is interior
-to the dilate exactly when every listed inequality is strict (for a
-full-dimensional polytope a valid inequality can be tight only on a proper
-face, and redundant inequalities are tight somewhere too, so they never
-exclude a true interior point).
+to the dilate exactly when every listed inequality is strict (on a
+full-dimensional polytope a valid inequality is strict at every interior
+point, as no linear function is constant on an open set; a redundant
+inequality is valid too, so it never excludes an interior point).
+
+Pseudo-Gorenstein* and reflexivity from the gaps.  The gap of a listed
+inequality (A, t) is t - |A|, the slack of the all-ones point, and the
+interior lattice points are closed downwards within x >= 1.  So P has
+exactly one, the all-ones point, when every gap is at least 1 and every
+coordinate lies on an inequality of gap 1, which keeps each 1 + e_i out
+(`pseudo_gorenstein_star`); this holds for any listing of P.  Such a P
+is reflexive up to translation exactly when the all-ones point is at
+lattice distance 1, its gap (0/1 normals are primitive), from every
+facet, while a redundant inequality may have any gap (`_unit_gaps`).  A
+`Polymatroid` lists only facets.  In a laminar listing an inequality
+(A, t), the only one with its normal, is a facet exactly when the others
+do not imply it, that is when t < min(b(A), a(A)), with the coordinates
+outside A at 0: x(A) reaches b(A) under the inequalities inside A, the
+sum over the children C of A of min(t_C, b(C)) plus the caps of the
+members A owns (infinite for an uncapped member, and for a singleton A),
+and a(A) is the least bound of an inequality strictly containing A.
 
 `_structure` is the one place where a facet system is split into
 per-coordinate caps (the singleton facets) and aggregate facets (|A| >= 2),
@@ -15,7 +32,7 @@ laminar forest; it is cached per polytope, as many as the answer memos
 keep, and counting, enumeration, the split tests and the scans of
 `levelness` all read it.  It is the only code
 that tells singleton facets apart: the per-point checks (`membership`, the
-reflexivity slack test) and the naive `oracle` read every facet alike.
+pseudo-Gorenstein* gap rule) and the naive `oracle` read every facet alike.
 
 Split tests in closed form.  Normality and the level* and reduced-degree
 scans ask one question of a lattice point a of N*P: is a = a0 + a' with
@@ -90,7 +107,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, inf
 
 from .bounded import _MEMO_SIZE, _cap, _integer, _integers
 from .errors import BudgetExceededError
@@ -240,8 +257,10 @@ def _split_feasible_laminar(st: _Structure, a: ExponentVector, N: int, r: int,
     wlo, whi = w
     k_lo = [0] * len(st.aggs)
     k_hi = [0] * len(st.aggs)
-    # kept beside the DFS for speed: A14's `_normality_scan` of the K(3,4)
-    # hull runs over 2x faster with it (one Xeon core: 8.0 s against 19.9 s)
+    # kept beside the DFS for speed: the walks behind the degree table's
+    # length (`levelness._block_splits`) test every interior point, and with
+    # the DFS alone `test_relabelled_hull_gets_its_own_report` took 9.9 s
+    # against 5.8 s (hypothesis seed 0, a shared 2-vCPU Xeon host)
     for k, (A, t) in enumerate(st.aggs):  # sorted by size: children first
         lo = hi = s_a = 0
         for ch in st.forest[k]:
@@ -588,7 +607,7 @@ def normality_check(P: HPolytope, max_n: int):
     return True, None
 
 
-def _normality_scan(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET):
+def _normality_scan(P: HPolytope, max_n: int):
     """`normality_check` by enumerating N*P, for any facet system: (True,
     None) or (False, (N, point)), the lex-least point of the first level
     that fails.  It referees the theorem in acceptance check A14.
@@ -596,33 +615,68 @@ def _normality_scan(P: HPolytope, max_n: int, budget: int = DEFAULT_NODE_BUDGET)
     Checks level by level: once level N-1 is verified, a point of N*P
     decomposes iff it is p + q with p a point of P and q a point of
     (N-1)*P, so the split test with slack 0 at r = 1 replaces the explicit
-    sumset.
+    sumset.  A point decomposes exactly when each of its block parts does,
+    and a lone coordinate always does, so each other block is walked: the
+    lex-least failing point is the least, over the failing blocks, of the
+    point that is 0 outside the block and its lex-least failing part
+    inside (the argument of `levelness._witness`, with 0 for 1).
     """
-    st = _structure(P)
+    blocks = [(b, _restrict(P, b)) for b in _structure(P).blocks if len(b) > 1]
     for N in range(2, max_n + 1):
-        for a in iter_lattice_points(P, N, "full", budget=budget):
-            if not _split_exists(st, a, N, 1, 0):
-                return False, (N, a)
+        failing = []
+        for block, Q in blocks:
+            st = _structure(Q)
+            part = next((a for a in iter_lattice_points(Q, N, "full")
+                         if not _split_exists(st, a, N, 1, 0)), None)
+            if part is not None:
+                at = dict(zip(block, part))
+                failing.append(tuple(at.get(i, 0) for i in range(1, P.n + 1)))
+        if failing:
+            return False, (N, min(failing))
     return True, None
 
 
-def reflexive_up_to_translation(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Unique interior lattice point at lattice distance 1 from every facet.
+def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
+    """The block polytope: the facets supported in `members`, renumbered
+    1..; it keeps the type of P, as a block of a `Polymatroid` is one."""
+    local = {v: k for k, v in enumerate(members, 1)}
+    return type(P)(len(members), tuple(
+        (tuple(local[i] for i in A), t) for A, t in P.upper_facets if A[0] in local
+    ))
 
-    All normals here are 0/1 vectors, hence primitive, so the lattice
-    distance of the interior point from a facet is the plain slack.  The
-    interior points of P are closed downwards within x >= 1, so a unique
-    one is the all-ones point, whose slack in (A, t) is t - |A|.
-    """
-    count = count_lattice_points(P, 1, "interior", budget=budget)
-    if count != 1:
-        raise ValueError(
-            f"not pseudo-Gorenstein*: interior count is {count}, need exactly 1"
-        )
+
+def pseudo_gorenstein_star(P: HPolytope) -> bool:
+    """Exactly one interior lattice point?  The module docstring's gap rule."""
+    gaps = [(A, t - len(A)) for A, t in P.upper_facets]
+    return (all(g >= 1 for _A, g in gaps)
+            and len({i for A, g in gaps if g == 1 for i in A}) == P.n)
+
+
+def reflexive_up_to_translation(P: HPolytope) -> bool:
+    """Unique interior lattice point at lattice distance 1 from every facet,
+    read off the gaps (the module docstring); ValueError unless pseudo-Gorenstein*."""
+    if not pseudo_gorenstein_star(P):
+        raise ValueError("not pseudo-Gorenstein*: no or more than one interior lattice point")
     return _unit_gaps(P)
 
 
 def _unit_gaps(P: HPolytope) -> bool:
-    """Is the all-ones point at slack 1 from every facet?  For a
-    pseudo-Gorenstein* P, reflexivity up to translation."""
-    return all(t - len(A) == 1 for A, t in P.upper_facets)
+    """Has every facet of P gap 1?  A crossing listing is a `Polymatroid`,
+    which lists only facets; in a laminar one (A, t) is a facet when
+    t < min(b(A), a(A)), the module docstring's bounds, read off the
+    forest of `_structure`."""
+    st = _structure(P)
+    facets = P.upper_facets
+    if st.laminar:
+        b: list[float] = []
+        for k in range(len(st.aggs)):           # children first
+            b.append(sum(min(st.aggs[ch][1], b[ch]) for ch in st.forest[k])
+                     + sum(st.u[i - 1] or inf for i in st.own[k]))
+        a = [inf] * len(st.aggs)
+        for k in reversed(range(len(st.aggs))):     # parents first
+            for ch in st.forest[k]:
+                a[ch] = min(st.aggs[k][1], a[k])
+        facets = [(A, t) for (A, t), b_k, a_k in zip(st.aggs, b, a) if t < min(b_k, a_k)]
+        facets += [((i,), u) for i, u in enumerate(st.u, 1)
+                   if u is not None and all(u < st.aggs[k][1] for k in st.agg_at[i - 1])]
+    return all(t - len(A) == 1 for A, t in facets)

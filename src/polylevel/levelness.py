@@ -189,6 +189,7 @@ from .lattice import (
     DEFAULT_NODE_BUDGET,
     _Structure,
     _interior_at,
+    _restrict,
     _split_exists,
     _structure,
     _unit_gaps,
@@ -196,15 +197,11 @@ from .lattice import (
     iter_lattice_points,
     lattice_points,
     membership,
+    pseudo_gorenstein_star,
 )
 from .polymatroid import HPolytope
 
 ExponentVector = tuple[int, ...]
-
-
-def pseudo_gorenstein_star(P: HPolytope, budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Exactly one interior lattice point?"""
-    return count_lattice_points(P, 1, "interior", budget=budget) == 1
 
 
 def reduced_degree(P: HPolytope, a, N: int) -> int:
@@ -315,15 +312,6 @@ def _least_split(st: _Structure, a: ExponentVector, N: int, r: int) -> int:
 
 # --- one test per level, and the degree-1 count, by block -----------------
 
-def _restrict(P: HPolytope, members: tuple[int, ...]) -> HPolytope:
-    """The block polytope: the facets supported in `members`, renumbered
-    1..; it keeps the type of P, as a block of a `Polymatroid` is one."""
-    local = {v: k for k, v in enumerate(members, 1)}
-    return type(P)(len(members), tuple(
-        (tuple(local[i] for i in A), t) for A, t in P.upper_facets if A[0] in local
-    ))
-
-
 def _rank_fails(st: _Structure, block: tuple[int, ...], N: int, budget: int) -> bool:
     """Is R_N(X) > R_{N-1}(X) + f(X) for some nonempty X within `block`?
     The three greedies of the module docstring, over the subsets depth
@@ -428,6 +416,8 @@ class _DegreeTable:
 class LevelnessReport:
     """Verdicts and witnesses for one polytope.
 
+    `pseudo_gorenstein` and `reflexive_up_to_translation` (None unless
+    pseudo-Gorenstein*) are read off the gaps (the `lattice` docstring).
     Every levelness answer is read off one set, the reduced degrees >= 2,
     the interval of levels max(2, codegree)..int_star_degree that the scan
     finds (the module docstring).  P is level* when it has an interior
@@ -439,7 +429,9 @@ class LevelnessReport:
     `conjecture_spectrum_holds`, whether every i with 2 <= i < int* degree
     is a degree, is by the theorem true exactly when the codegree is at
     most 2: always with an interior point, and otherwise when 2*P has one.
-    `scan_bound` is the last level tested, the first above the set.
+    `scan_bound` is the last level tested, the first above the set, so
+    it equals `int_star_degree + 1` on every report: an empty set means
+    the scan started at level 2, as a codegree c >= 3 makes c a degree.
     `reduced_degree_table` is the number of points of reduced degree at
     least 2 at the levels max(2, codegree)..scan_bound, given by `len()`;
     degree-1 points are ubiquitous and left out.  It holds no point: its
@@ -485,9 +477,7 @@ def _report(P: HPolytope, budget: int) -> LevelnessReport:
         table = rep.reduced_degree_table
         return replace(rep, failure_witness=witness,
                        reduced_degree_table=_DegreeTable(P, table._levels, budget, table))
-    # one count serves every interior question, as `_interior_at` says
-    interior1 = count_lattice_points(P, 1, "interior", budget=budget)
-    pg = interior1 == 1
+    pg = pseudo_gorenstein_star(P)
     # the degrees >= 2 are the levels max(2, codegree)..d (the module docstring)
     start = next(N for N in count(2) if _interior_at(P, N))
     top = start
@@ -496,15 +486,16 @@ def _report(P: HPolytope, budget: int) -> LevelnessReport:
             raise RuntimeError(f"level {top} holds a reduced degree above n + 1 (internal error)")
         top += 1
     degrees = range(start, top)
+    interior = _interior_at(P, 1)
     witness = None
-    if degrees and interior1 > 0:
+    if degrees and interior:
         witness = (start, _witness(P, start, budget),
                    f"no interior summand of the base polytope splits off at level {start}")
     return LevelnessReport(
         n=P.n,
-        interior_count_1=interior1,
+        interior_count_1=count_lattice_points(P, 1, "interior", budget=budget),
         pseudo_gorenstein=pg,
-        level=not degrees and interior1 > 0,
+        level=not degrees and interior,
         reflexive_up_to_translation=_unit_gaps(P) if pg else None,
         int_star_degree=max(degrees, default=1),
         failure_witness=witness,

@@ -24,11 +24,11 @@ VERTEX_GUARD = 10**7
 NODE_GUARD = 10**8
 
 
-def brute_bases(G: Graph, c, q_max: int | None = None):
+def brute_bases(G: Graph, c):
     """(delta, bases) by exhausting all feasible edge-multiplicity vectors.
 
-    `q_max`, when given, caps the total multiplicity considered.  Guarded
-    by the product of (c_i + 1) over the vertices and by a raw node count.
+    Guarded by the product of (c_i + 1) over the vertices and by a raw
+    node count.
     """
     c = tuple(c)
     if len(c) != G.n or any(ci < 1 for ci in c):
@@ -59,10 +59,7 @@ def brute_bases(G: Graph, c, q_max: int | None = None):
                 best_vectors.add(tuple(ci - ri for ci, ri in zip(c, rem[1:])))
             return
         i, j = edges[k]
-        cap = min(rem[i], rem[j])
-        if q_max is not None:
-            cap = min(cap, q_max - total)
-        for w in range(cap + 1):
+        for w in range(min(rem[i], rem[j]) + 1):
             rem[i] -= w
             rem[j] -= w
             walk(k + 1, total + w)
@@ -224,9 +221,9 @@ def _box_points(P: HPolytope, N: int, interior: bool):
     return pts
 
 
-def brute_level_star(P: HPolytope, max_n: int | None = None) -> bool:
-    """Levelness by flat enumeration; small instances only."""
-    top = max_n if max_n is not None else max(2, P.n - 1)
+def brute_level_star(P: HPolytope) -> bool:
+    """Levelness by flat enumeration up to level max(2, n - 1); small instances only."""
+    top = max(2, P.n - 1)
     inner = _box_points(P, 1, interior=True)
     if not inner:
         return False

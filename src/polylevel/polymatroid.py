@@ -183,9 +183,13 @@ class Polymatroid(HPolytope):
     """An `HPolytope` that is an integral polymatroid.
 
     The type is a claim, made by `facets`, `veronese_polytope` and
-    `levelness._restrict`: P and each of its product blocks have the
+    `lattice._restrict`: P and each of its product blocks have the
     integer decomposition property (Herzog-Hibi 2002), which
-    `lattice.normality_check` and the degree test of `levelness` rely on.
+    `lattice.normality_check` and the degree test of `levelness` rely on,
+    and every listed inequality is a facet, which reflexivity relies on
+    (`lattice._unit_gaps`): `facets` lists the closed inseparable sets,
+    the box and the cutoff of `veronese_polytope` are facets by its
+    spec's bounds, and a block keeps its facets.
     The constructor checks no polymatroid axiom, so the package does not
     export it: one built by hand from a crossing system that is no
     polymatroid voids those theorems and gets wrong answers.  `first` is

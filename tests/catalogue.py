@@ -1,11 +1,12 @@
 """A catalogue of hard graph hulls: each sets the cost wall of one layer.
 
 Every entry gives the graph and bound vector of a hull, the layer that
-its cost stresses, its recorded answers and `budget`: the work budget at
+its cost stresses, its recorded answers, `budget`, the work budget at
 which `test_catalogue` analyses it, or None while it does not fit a
-tier-1 run.  A work budget counts nodes, states and subsets, not
-seconds, so a hull that becomes slow again fails by its budget whatever
-the host.  An entry gets a budget in the change that makes it fit; until
+tier-1 run, and `candidate_cap`, the `candidate_cap` of its bases: the
+peak layer of the bases program, measured, so that one state less
+raises.  A work budget counts nodes, states and subsets, not seconds, so
+a hull that becomes slow again fails by its budget whatever the host.  An entry gets a budget in the change that makes it fit; until
 then it is listed and not run, so no test fails by design.
 
 Answers are those of single runs at the default budget; the witnesses of
@@ -31,6 +32,7 @@ class Hull:
     stresses: str
     budget: int | None
     answers: dict = field(default_factory=dict)
+    candidate_cap: int | None = None
 
 
 def _star(leaves: int) -> tuple[tuple[int, int], ...]:
@@ -47,7 +49,7 @@ CATALOGUE = (
          (3, 2, 2, 3, 2, 3, 2, 2),
          "levelness._witness: the walk of a crossing block", 490,
          {"bases": 35, "interior": 4, "level": False, "int_star_degree": 2,
-          "witness": (2, (3, 3, 1, 1, 3, 1, 3, 1))}),
+          "witness": (2, (3, 3, 1, 1, 3, 1, 3, 1))}, candidate_cap=70),
     # over 150 s with the walk of its crossing block at every level, and
     # about 30 s once the scan stopped at level 5; the rank test of that
     # six-member block decides levels 3-5 in under 0.001 s, visiting all
@@ -58,7 +60,7 @@ CATALOGUE = (
          (1, 1, 2, 3, 3, 2, 1, 2, 3),
          "levelness._rank_fails: a crossing block", 63,
          {"bases": 10, "interior": 0, "level": False, "int_star_degree": 4,
-          "witness": None}),
+          "witness": None}, candidate_cap=398),
     # the report took 62-79 s with walks of its crossing block, and 0.7 s
     # once the scan stopped at level 4; the rank test of that five-member
     # block decides it in under 0.001 s, visiting all 31 subsets at level 4
@@ -68,7 +70,7 @@ CATALOGUE = (
          (2, 2, 3, 3, 1, 1, 1, 3, 1, 2),
          "levelness._rank_fails: a crossing block", 31,
          {"bases": 23, "interior": 0, "level": False, "int_star_degree": 3,
-          "witness": None}),
+          "witness": None}, candidate_cap=431),
     # degrees 3-8, and the scan stops at level 9; the report took 0.7 s
     # and 26,829 states of a dynamic program over the laminar forest, and
     # the rank test of the ten-member block takes 0.01 s, visiting all
@@ -79,7 +81,7 @@ CATALOGUE = (
          (2, 2, 3, 3, 2, 1, 2, 1, 2, 1, 3),
          "levelness._rank_fails: a nested block", 1_023,
          {"bases": 17, "interior": 0, "level": False, "int_star_degree": 8,
-          "witness": None}),
+          "witness": None}, candidate_cap=647),
     # the witness walk of the whole hull took 8.5-9.6 s and over 10^5
     # nodes; the walk of its failing block takes 0.01 s, and the report
     # needs 2,461 nodes and states
@@ -89,7 +91,7 @@ CATALOGUE = (
          (2, 3, 3, 2, 2, 3, 2, 2, 3, 2, 3, 2),
          "levelness._witness: the walk of a nested block", 10**4,
          {"bases": 77, "interior": 8, "level": False, "int_star_degree": 3,
-          "witness": (2, (2, 1, 1, 3, 3, 4, 1, 1, 1, 3, 5, 1))}),
+          "witness": (2, (2, 1, 1, 3, 3, 4, 1, 1, 1, 3, 5, 1))}, candidate_cap=2_330),
     # bases and facets 0.9 s (a layer of 182,235 states); the report took
     # 6.4 s with the whole-hull witness walk and takes 0.01 s, the walk
     # of its failing block needing 2,035 nodes
@@ -100,7 +102,7 @@ CATALOGUE = (
          (3, 2, 2, 2, 3, 2, 2, 2, 2, 3, 2, 3, 3, 3),
          "levelness._witness and bounded.enumerate_bases", 10**5,
          {"bases": 22, "interior": 64, "level": False, "int_star_degree": 3,
-          "witness": (2, (1, 1, 1, 1, 5, 1, 1, 1, 1, 5, 1, 1, 5, 5))}),
+          "witness": (2, (1, 1, 1, 1, 5, 1, 1, 1, 1, 5, 1, 1, 5, 5))}, candidate_cap=182_235),
     # bases 14.1-14.4 s, the report under 0.01 s: one aggregate over all
     # 16 vertices, and degrees 2..15 = n - 1
     Hull("n16-disjoint", 16,

@@ -1,7 +1,9 @@
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 import polylevel as pl
@@ -120,6 +122,51 @@ def flat_rank(P):
             sums[X] = sums[X ^ low] + x[low.bit_length() - 1]
             f[X] = max(f[X], sums[X])
     return f
+
+
+@st.composite
+def with_redundant(draw, systems):
+    """A laminar `HPolytope` drawn from `systems` with one more inequality
+    (A, t) over an unlisted subset that keeps the listing laminar, and a
+    bound t at or above the largest x(A) over P (a flat scan of its
+    lattice points, which span P): the same polytope, listed with a
+    redundant inequality."""
+    P = draw(systems.filter(lambda P: type(P) is pl.HPolytope))
+    listed = {A for A, _t in P.upper_facets}
+    subsets = [A for k in range(1, P.n + 1) for A in itertools.combinations(range(1, P.n + 1), k)
+               if A not in listed and not crosses([*P.upper_facets, (A, 1)])]
+    assume(subsets)
+    A = draw(st.sampled_from(subsets))
+    top = max(sum(x[i - 1] for i in A) for x in _box_points(P, 1, False))
+    return pl.HPolytope(P.n, (*P.upper_facets, (A, top + draw(st.integers(0, 2)))))
+
+
+def lists_only_facets(P) -> bool:
+    """Is every listed inequality (A, t) of the integral polytope P a
+    facet: do the lattice points of P with x(A) = t span a hyperplane?
+    Read off a flat scan, not off the library."""
+    points = _box_points(P, 1, False)
+    for A, t in P.upper_facets:
+        face = [x for x in points if sum(x[i - 1] for i in A) == t]
+        if not face or _rank([[a - b for a, b in zip(x, face[0])] for x in face]) < P.n - 1:
+            return False
+    return True
+
+
+def _rank(rows) -> int:
+    """The rank of an integer matrix, by exact elimination."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 @lru_cache(maxsize=None)     # hypothesis draws many systems more than once

@@ -4,12 +4,13 @@ pinned work budgets."""
 import pytest
 
 import polylevel as pl
+from polylevel.errors import BudgetExceededError
 
 from catalogue import CATALOGUE
 
 
 def _answers(hull, budget):
-    B = pl.enumerate_bases(pl.graph(hull.n, hull.edges), hull.c)
+    B = pl.enumerate_bases(pl.graph(hull.n, hull.edges), hull.c, candidate_cap=hull.candidate_cap)
     rep = pl.analyze_polytope(pl.facets(B), budget=budget)
     return {"bases": len(B.bases), "interior": rep.interior_count_1, "level": rep.level,
             "int_star_degree": rep.int_star_degree,
@@ -19,9 +20,21 @@ def _answers(hull, budget):
 @pytest.mark.parametrize("hull", [h for h in CATALOGUE if h.budget is not None],
                          ids=lambda h: h.name)
 def test_catalogue_hull_fits_its_budget(hull):
-    """The report of the hull at its budget gives its recorded answers."""
+    """The bases at their cap and the report at its budget give the hull's
+    recorded answers."""
     got = _answers(hull, hull.budget)
     assert {key: got[key] for key in hull.answers} == hull.answers
+
+
+@pytest.mark.parametrize("hull", [h for h in CATALOGUE if h.budget is not None],
+                         ids=lambda h: h.name)
+def test_catalogue_bases_need_their_cap(hull):
+    """The cap is the bases program's peak layer: one state less raises, so
+    a slower program fails by its cap."""
+    with pytest.raises(BudgetExceededError) as err:
+        pl.enumerate_bases(pl.graph(hull.n, hull.edges), hull.c,
+                           candidate_cap=hull.candidate_cap - 1)
+    assert err.value.cap == "candidate_cap"
 
 
 def test_catalogue_entries_are_graphs():

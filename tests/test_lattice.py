@@ -1,11 +1,13 @@
 import inspect
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import polylevel as pl
+from polylevel import lattice, levelness
 from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (_aggregate_block_count, _count_dp, _forest_block_count,
                                _interior_at, _normality_scan, _structure, iter_lattice_points)
@@ -14,7 +16,8 @@ from polylevel.oracle import (brute_count, brute_interior_points, brute_normalit
 from polylevel.polymatroid import Polymatroid
 
 from conftest import (TRIANGLE, admissible, aggregates_disjoint, crossing_hull, crossing_systems,
-                      facet_systems, graph_and_bounds, system, veronese_specs)
+                      facet_systems, graph_and_bounds, lists_only_facets, system,
+                      veronese_specs, with_redundant)
 
 
 def test_membership_examples(k34_hull):
@@ -132,9 +135,7 @@ def test_non_integer_dilation_is_rejected(call):
     lambda b: iter_lattice_points(SQUARE, 1, budget=b),
     lambda b: pl.lattice_points(SQUARE, 1, budget=b),
     lambda b: pl.delta_vector(SQUARE, budget=b),
-    lambda b: pl.reflexive_up_to_translation(SQUARE, budget=b),
-], ids=["count_lattice_points", "iter_lattice_points", "lattice_points", "delta_vector",
-        "reflexive_up_to_translation"])
+], ids=["count_lattice_points", "iter_lattice_points", "lattice_points", "delta_vector"])
 @pytest.mark.parametrize("budget", [0, -1, 1.5, "x"])
 def test_budget_must_be_a_positive_integer(call, budget):
     """Checked at the call, before any work or memo: 0 and -1 no longer
@@ -322,11 +323,17 @@ def test_normality_detects_failure():
 @pytest.mark.parametrize("P, max_n", [
     (Polymatroid(4, (((1, 2), 1), ((1, 3), 1), ((2, 3), 1), ((4,), 2))), 2),
     (Polymatroid(3, (((1, 2), 2), ((1, 3), 2), ((2, 3), 2), ((1, 2, 3), 3))), 3),
-], ids=["triangle-and-a-cap", "triangle-under-a-simplex"])
+    (Polymatroid(4, (((1,), 2), ((2, 3), 1), ((2, 4), 1), ((3, 4), 1))), 2),
+    (Polymatroid(6, (((1, 3), 1), ((1, 5), 1), ((3, 5), 1), ((2, 4), 1), ((2, 6), 1),
+                     ((4, 6), 1))), 2),
+], ids=["triangle-and-a-cap", "triangle-under-a-simplex", "cap-and-a-triangle",
+        "interleaved-triangles"])
 def test_normality_scan_matches_oracle_off_the_contract(P, max_n):
     """More crossing systems that are no polymatroids, built through the
-    private type: the scan agrees with explicit sumsets, verdict and
-    witness."""
+    private type: the scan, block by block, agrees with explicit sumsets,
+    verdict and witness, where the failing block comes after a lone
+    coordinate and where the later of two failing blocks gives the
+    witness, (0, 1, 0, 1, 0, 1)."""
     assert not admissible(P)
     assert _normality_scan(P, max_n) == brute_normality(P, max_n)
 
@@ -393,15 +400,46 @@ def test_reflexive_examples(k34_hull):
         pl.reflexive_up_to_translation(pl.HPolytope(1, (((1,), 4),)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(graph_and_bounds(max_n=5, max_c=3))
-def test_reflexive_iff_level_for_pg(gc):
-    """On one-interior-point hulls, levelness and reflexivity coincide."""
-    G, c = gc
-    P = pl.facets(pl.enumerate_bases(G, c))
-    if pl.count_lattice_points(P, 1, "interior") != 1:
-        return
-    assert pl.reflexive_up_to_translation(P) == pl.level_star(P)[0]
+# reflexive listings, some with a redundant inequality of gap 2 or more
+REDUNDANT_LISTINGS = [
+    pl.HPolytope(2, (((2,), 3), ((1, 2), 3))),                  # 3 x the triangle
+    pl.HPolytope(2, (((1, 2), 3),)),
+    pl.HPolytope(2, (((1,), 3), ((2,), 4), ((1, 2), 3))),
+    pl.HPolytope(2, (((1,), 2), ((2,), 2))),                    # the square
+    pl.HPolytope(2, (((1,), 2), ((2,), 2), ((1, 2), 10))),
+]
+
+
+@pytest.mark.parametrize("P", REDUNDANT_LISTINGS,
+                         ids=["capped-triangle", "triangle", "two-caps", "square", "capped-square"])
+def test_reflexivity_reads_the_facets(P):
+    """Reflexive by Hibi's criterion, a symmetric delta vector, whatever
+    the listing: the function and the report agree, and so does level*,
+    as the paper's theorem has it for a pseudo-Gorenstein* polytope."""
+    assert pl.pseudo_gorenstein_star(P) and _symmetric(_flat_delta(P))
+    assert pl.reflexive_up_to_translation(P) is True
+    assert pl.analyze_polytope(P).reflexive_up_to_translation is True
+    assert pl.level_star(P) == (True, None)
+
+
+def test_gap_verdicts_count_nothing(monkeypatch, k34_hull):
+    """Neither `pseudo_gorenstein_star` nor `reflexive_up_to_translation`
+    counts or enumerates a point."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted")
+
+    for module in (lattice, levelness):
+        for name in ("count_lattice_points", "iter_lattice_points"):
+            monkeypatch.setattr(module, name, refuse)
+    for P in (k34_hull, crossing_hull(2), *REDUNDANT_LISTINGS):
+        if pl.pseudo_gorenstein_star(P):
+            pl.reflexive_up_to_translation(P)
+    assert not pl.pseudo_gorenstein_star(crossing_hull(2))      # four interior points
+    assert pl.reflexive_up_to_translation(k34_hull) is False
+
+
+def _hull(gc):
+    return pl.facets(pl.enumerate_bases(*gc))
 
 
 def _lift(P):
@@ -410,27 +448,79 @@ def _lift(P):
     return system(P.n, ((A, len(A) + t) for A, t in P.upper_facets))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=5, max_c=3).map(_hull),
+    crossing_systems(max_n=4, max_t=4),
+    crossing_systems(max_n=4, max_t=2).map(_lift).filter(admissible),
+    facet_systems(max_n=4, max_t=2).map(_lift).filter(admissible),
+    with_redundant(facet_systems(max_n=4, max_t=3, laminar=True)),
+    with_redundant(facet_systems(max_n=4, max_t=2, laminar=True).map(_lift)),
+))
+@example(pl.HPolytope(2, (((1,), 1), ((1, 2), 3))))     # gap 0: no interior point
+@example(pl.HPolytope(2, (((1,), 3), ((2,), 3))))       # gaps 2: four interior points
+@example(pl.HPolytope(2, (((2,), 3), ((1, 2), 3))))
+def test_pseudo_gorenstein_rule_matches_flat_count(P):
+    """The gap rule against a flat scan of the interior, on graph hulls,
+    crossing polymatroids and hand-built listings, some with a redundant
+    inequality added."""
+    assert pl.pseudo_gorenstein_star(P) == (len(brute_interior_points(P, 1)) == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    graph_and_bounds(max_n=5, max_c=3).map(_hull),
+    crossing_systems(max_n=4, max_t=2).map(_lift).filter(admissible).filter(lists_only_facets),
+    facet_systems(max_n=4, max_t=2, laminar=True).map(_lift),
+    with_redundant(facet_systems(max_n=4, max_t=2, laminar=True).map(_lift)),
+))
+@example(pl.HPolytope(2, (((2,), 3), ((1, 2), 3))))
+def test_reflexive_iff_level_for_pg(P):
+    """The paper's theorem as a differential test: a pseudo-Gorenstein*
+    polytope is level* exactly when it is reflexive up to translation, on
+    graph hulls, lifted crossing polymatroids and lifted laminar listings,
+    some with a redundant inequality added."""
+    if len(brute_interior_points(P, 1)) != 1:
+        return
+    assert pl.reflexive_up_to_translation(P) == pl.level_star(P)[0]
+
+
+def _flat_delta(P):
+    """The delta vector from flat counts of the dilates 0..n."""
+    counts = [brute_count(P, N) for N in range(P.n + 1)]
+    return [sum((-1) ** j * comb(P.n + 1, j) * counts[k - j] for j in range(k + 1))
+            for k in range(P.n + 1)]
+
+
+def _symmetric(delta) -> bool:
+    return list(delta) == list(reversed(delta))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(
-    crossing_systems(max_n=4, max_t=4),
-    facet_systems(max_n=4, max_t=4),
-    facet_systems(max_n=4, max_t=2).map(_lift).filter(admissible),
-    graph_and_bounds(max_n=5, max_c=3).map(lambda gc: pl.facets(pl.enumerate_bases(*gc))),
+    crossing_systems(max_n=4, max_t=4).filter(lists_only_facets),
+    facet_systems(max_n=4, max_t=4).filter(lambda P: type(P) is pl.HPolytope
+                                           or lists_only_facets(P)),
+    facet_systems(max_n=3, max_t=2).map(_lift).filter(admissible)
+    .filter(lambda P: type(P) is pl.HPolytope or lists_only_facets(P)),
+    with_redundant(facet_systems(max_n=3, max_t=2, laminar=True).map(_lift)),
+    graph_and_bounds(max_n=4, max_c=3).map(_hull),
 ))
 @example(Polymatroid(3, (((1,), 2), ((1, 2), 3), ((1, 3), 3), ((1, 2, 3), 4))))
-@example(Polymatroid(3, (((1,), 2), ((3,), 2), ((1, 2), 3), ((1, 3), 4))))
+@example(Polymatroid(4, (((1,), 3), ((1, 3), 4), ((1, 2, 4), 4), ((1, 2, 3, 4), 5))))
+@example(pl.HPolytope(2, (((2,), 3), ((1, 2), 3))))
 def test_reflexive_matches_distance_check(P):
     """Where P has exactly one interior point, the answer read off the
-    all-ones point equals the distance check on the point a flat scan
-    finds; elsewhere the test refuses.  Crossing polymatroids included,
-    and lifted systems, which often have one interior point; the examples
-    pin a crossing polymatroid with one interior point, reflexive and
-    not."""
-    inner = brute_interior_points(P, 1)
-    if len(inner) != 1:
+    facet gaps equals Hibi's criterion: reflexive up to translation
+    exactly when the delta vector, from flat counts, is symmetric (Hibi,
+    Combinatorica 12, 1992); elsewhere the test refuses.  Crossing
+    polymatroids that list only facets, as the type promises, laminar
+    listings, some with a redundant inequality, and lifted systems, which
+    often have one interior point; the examples pin a crossing
+    polymatroid with one interior point, reflexive and not, and 3 x the
+    triangle with a redundant cap."""
+    if len(brute_interior_points(P, 1)) != 1:
         with pytest.raises(ValueError, match="pseudo-Gorenstein"):
             pl.reflexive_up_to_translation(P)
         return
-    (p,) = inner
-    expected = all(t - sum(p[i - 1] for i in A) == 1 for A, t in P.upper_facets)
-    assert pl.reflexive_up_to_translation(P) == expected
+    assert pl.reflexive_up_to_translation(P) == _symmetric(_flat_delta(P))

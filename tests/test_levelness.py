@@ -13,6 +13,7 @@ from polylevel.errors import BudgetExceededError
 from polylevel.lattice import (
     _interior_at,
     _normality_scan,
+    _restrict,
     _split_exists,
     _split_exists_dfs,
     _split_feasible_laminar,
@@ -23,7 +24,6 @@ from polylevel.levelness import (
     _cost_rows,
     _is_degree,
     _rank_fails,
-    _restrict,
     _witness,
 )
 from polylevel.oracle import (
@@ -387,7 +387,6 @@ _LIFTED_SMALL = facet_systems(max_n=3, max_t=2).map(_lifted).filter(admissible)
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    crossing_systems(max_n=3, max_t=2).map(_lifted).filter(admissible),
     graph_and_bounds(max_n=5, max_c=3).map(_graph_hull).filter(_with_interior),
     facet_systems(max_n=5, max_t=2, laminar=True).map(_lifted),
     facet_systems(max_n=4, max_t=3).map(_lifted).filter(admissible),
@@ -411,6 +410,16 @@ def test_witness_matches_naive(P):
     exactly, so it never backtracks.  A flat walk of all of 3P takes up
     to a second at n = 6, so there only level 2 is checked."""
     _check_witness(P, (2, 3) if P.n <= 5 else (2,))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(crossing_systems(max_n=4, max_t=2).map(_lifted).filter(admissible))
+def test_witness_matches_naive_on_crossing_polymatroids(P):
+    """Lifted polymatroids whose aggregates cross, drawn on their own so
+    that every example walks a crossing block by the DFS split test: the
+    witness against the flat walk at levels 2 and 3."""
+    assert crosses(P.upper_facets) and isinstance(P, Polymatroid)
+    _check_witness(P)
 
 
 @pytest.mark.parametrize("P", [
@@ -473,7 +482,6 @@ def _nested_hull(edges, c):
 
 @pytest.mark.parametrize("call", [
     pl.analyze_polytope, pl.level_star, pl.int_star_degree, pl.conjecture_spectrum,
-    pl.pseudo_gorenstein_star,
 ], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("budget", [0, -1, 1.5, "x"])
 def test_budget_must_be_a_positive_integer(call, budget):
@@ -580,8 +588,12 @@ def test_report_matches_the_verdict_functions(P):
     `brute_level_star`, the witness against the lex-first point of degree
     >= 2 at the first level that has one, the int* degree against the
     largest reduced degree over levels 2..n + 2, past the n + 1 that the
-    canonical module allows, or 1 when P has an interior point."""
+    canonical module allows, or 1 when P has an interior point.  The
+    gap rule's verdict agrees with the report's count, and the scan stops
+    one level above the int* degree."""
     rep = pl.analyze_polytope(P)
+    assert rep.pseudo_gorenstein == (rep.interior_count_1 == 1)
+    assert rep.scan_bound == rep.int_star_degree + 1
     flat = _flat_degrees(P, P.n + 2)
     interior = bool(brute_interior_points(P, 1))
     first = next((key for key, r in flat.items() if r >= 2), None)
@@ -934,6 +946,50 @@ def test_rank_test_reaches_inside_a_facet_support():
     assert _rank_fails(_structure(P), block, 2, 10**8)
     assert _is_degree(P, 2, 10**8)
     assert _flat_is_degree(_restrict(P, block), 2)
+
+
+@st.composite
+def one_aggregate_blocks(draw):
+    """One aggregate over 4-6 capped members, caps 2-4 and its bound
+    between the largest cap and the cap sum, shaped like the block of
+    `test_rank_test_reaches_inside_a_facet_support`: at levels 2 and 3
+    the only X with R_N(X) > R_{N-1}(X) + f(X) often lies strictly inside
+    the aggregate."""
+    m = draw(st.integers(4, 6))
+    u = draw(st.lists(st.integers(2, 4), min_size=m, max_size=m))
+    t = draw(st.integers(max(*u, m + 1), sum(u)))
+    return pl.HPolytope(m, (*(((i,), c) for i, c in enumerate(u, 1)), (tuple(range(1, m + 1)), t)))
+
+
+@st.composite
+def nested_blocks(draw):
+    """An aggregate over 4-5 capped members, caps 2-3, with a second
+    aggregate over two or more of them nested inside."""
+    m = draw(st.integers(4, 5))
+    u = draw(st.lists(st.integers(2, 3), min_size=m, max_size=m))
+    inner = tuple(sorted(draw(st.sets(st.integers(1, m), min_size=2, max_size=m - 1))))
+    return pl.HPolytope(m, (*(((i,), c) for i, c in enumerate(u, 1)),
+                            (inner, draw(st.integers(len(inner) + 1, sum(u[i - 1] for i in inner)))),
+                            (tuple(range(1, m + 1)), draw(st.integers(m + 1, sum(u))))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_aggregate_blocks(), st.sampled_from((2, 3)))
+def test_rank_test_matches_the_knapsack_inside_a_support(P, N):
+    """The rank test of a one-aggregate block against its knapsack, which
+    `_is_degree` asks, at levels where a rank test of the facet supports
+    alone would often miss the degree."""
+    (block,) = _structure(P).blocks
+    assert _rank_fails(_structure(P), block, N, 10**8) == _is_degree(P, N, 10**8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nested_blocks())
+def test_rank_test_of_nested_blocks_matches_the_walk(P):
+    """The degree test of a nested block, its rank test, against the walk
+    at levels 2 and 3."""
+    for N in (2, 3):
+        assert _is_degree(P, N, 10**8) == _walked_is_degree(P, N), N
 
 
 def test_disjoint_report_counts_the_table_on_demand(monkeypatch, veronese_5333):

@@ -27,12 +27,6 @@ def test_brute_bases_examples():
     assert d == 1 and bases == [(1, 1)]
 
 
-def test_brute_bases_q_cap():
-    d, bases = brute_bases(pl.path(3), (2, 3, 2), q_max=2)
-    assert d == 2
-    assert all(sum(a) == 4 for a in bases)
-
-
 def test_brute_bases_guard():
     with pytest.raises(BudgetExceededError) as exc:
         brute_bases(pl.path(2), (10**4, 10**4))

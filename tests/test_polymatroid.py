@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 import polylevel as pl
 from polylevel.errors import BudgetExceededError
-from polylevel.lattice import _structure
-from polylevel.levelness import _restrict
+from polylevel.lattice import _restrict, _structure
 from polylevel.polymatroid import Polymatroid, RankOracle, is_closed_mask, is_inseparable_mask
 
 from conftest import (NON_MONOTONE, TRIANGLE, admissible, crossing_hull, flat_rank,
